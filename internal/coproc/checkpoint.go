@@ -23,7 +23,7 @@ type ckCore struct {
 	z          []float32 // flat [reg*lanes] copy
 	seqCounter uint64
 	lastWriter [isa.NumZRegs]uint64
-	done       []doneEntry
+	done       []doneEntry // nil when the core never transmitted here
 
 	inflight   []uint64
 	lhq        []uint64
@@ -134,7 +134,8 @@ func (cp *Coproc) Checkpoint() CheckpointState {
 
 // RestoreCheckpoint rewinds the co-processor to a Checkpoint taken on an
 // identically configured instance. The sleep-scan memo is invalidated: a
-// restored cycle must re-probe quiescence from scratch.
+// restored cycle must re-probe quiescence from scratch. The issue
+// scoreboard is derived state, rebuilt from the restored queue.
 func (cp *Coproc) RestoreCheckpoint(st CheckpointState) {
 	cp.tbl.Restore(st.tbl)
 	cp.mgr.Repartitions = st.repartitions
@@ -153,7 +154,14 @@ func (cp *Coproc) RestoreCheckpoint(st CheckpointState) {
 		c.renamed = ck.renamed
 		c.seqCounter = ck.seqCounter
 		c.lastWriter = ck.lastWriter
-		copy(c.done.entries, ck.done)
+		if ck.done == nil {
+			c.done.entries = nil // the core never transmitted here
+		} else {
+			if c.done.entries == nil {
+				c.done.init()
+			}
+			copy(c.done.entries, ck.done)
+		}
 		c.inflight.restore(ck.inflight)
 		c.lhq.restore(ck.lhq)
 		c.stq.restore(ck.stq)
@@ -175,6 +183,7 @@ func (cp *Coproc) RestoreCheckpoint(st CheckpointState) {
 		for r := range c.z {
 			copy(c.z[r], ck.z[r*lanes:(r+1)*lanes])
 		}
+		c.rebuildScoreboard()
 	}
 	if st.flt != nil {
 		f := cp.ensureFault()

@@ -47,9 +47,9 @@ type XInst struct {
 	seq              uint64
 	dep1, dep2, dep3 uint64
 	issued           bool
-	// kind caches the opcode's issue class at transmit time: the issue
-	// scan runs over the window every cycle, and the opcode-table lookups
-	// behind Op.IsEMSIMD/IsVectorMem are hot enough to show up.
+	// kind caches the opcode's issue class at transmit time, so rename
+	// files the instruction into its scoreboard set without the
+	// opcode-table lookups behind Op.IsEMSIMD/IsVectorMem.
 	kind issueKind
 	// notBefore is the cycle the instruction arrives at its cluster after
 	// crossing the CPU→coproc fabric (Complex.Transmit stamps it); zero (or
@@ -108,6 +108,9 @@ type coreState struct {
 	// region [head, renamed) holds physical destination registers and is
 	// eligible for out-of-order issue.
 	renamed int
+	// sb tracks the renamed, unissued instructions for the issue scan
+	// (scoreboard.go): derived from the queue, never checkpointed.
+	sb scoreboard
 
 	// z is the functional architectural vector state: 32 registers of
 	// Lanes() float32 elements, updated in program order at transmit.
@@ -117,7 +120,10 @@ type coreState struct {
 	// architectural vector register.
 	seqCounter uint64
 	lastWriter [isa.NumZRegs]uint64
-	// done is a ring of completion cycles indexed by sequence number.
+	// done is a ring of completion cycles indexed by sequence number,
+	// allocated on the core's first Transmit to this instance: a clustered
+	// machine keeps a row for every core on every cluster, but only home
+	// clusters (and migration targets) ever issue.
 	done doneRing
 
 	inflight holdTracker // issued, not yet written back (drain check)
@@ -374,7 +380,6 @@ func New(cfg Config, vecPort mem.SharedPort, data *mem.Memory, model roofline.Mo
 	lanes := cfg.Lanes()
 	for c := 0; c < cfg.Cores; c++ {
 		st := &coreState{busyTimeline: *sim.NewTimeline(1000), lastReject: -1}
-		st.done.init()
 		// Pre-size the hold trackers to their architectural bounds so
 		// steady-state Add never grows a backing array: LHQ/STQ are hard
 		// caps, register holds cannot exceed the physical pool, and
@@ -482,6 +487,9 @@ func (cp *Coproc) Transmit(x XInst) TransmitStatus {
 	if cp.flt != nil && !cp.flt.linkAccept(x.Core, cp.cycles) {
 		return TransmitLinkDown
 	}
+	if st.done.entries == nil {
+		st.done.init()
+	}
 	x.enq = cp.cycles
 	st.seqCounter++
 	x.seq = st.seqCounter
@@ -526,6 +534,7 @@ func (cp *Coproc) renameTick(c int, now uint64) {
 			}
 			st.pool.queued++
 		}
+		st.track(st.renamed)
 		st.renamed++
 	}
 }
@@ -799,9 +808,9 @@ func (x *XInst) depsReady(st *coreState, now uint64) bool {
 	return st.depReady(x.dep1, now) && st.depReady(x.dep2, now) && st.depReady(x.dep3, now)
 }
 
-// tickCore scans core c's issue window in age order and issues every ready
-// instruction within the cycle budgets — the out-of-order dispatcher of
-// Figure 5. Renaming is in-order: a physical-register shortage stalls the
+// tickCore walks core c's issue scoreboard in age order and issues every
+// ready instruction within the cycle budgets — the out-of-order dispatcher
+// of Figure 5. Renaming is in-order: a physical-register shortage stalls the
 // whole window (the Figure 13 effect on FTS).
 func (cp *Coproc) tickCore(c int, now uint64, budget *issueBudget) {
 	st := cp.cores[c]
@@ -817,78 +826,76 @@ func (cp *Coproc) tickCore(c int, now uint64, budget *issueBudget) {
 		}
 		return
 	}
+	sb := &st.sb
 	end := st.renamed
+	// A waiting compute the scan reaches with compute budget left raises
+	// the ExeBU-wait signal: armed ones as the walk passes them, parked ones
+	// when the oldest sits below horizon — where the compute budget ran out
+	// or an EM-SIMD fence stopped the scan.
+	horizon := end
+	if budget.compute == 0 {
+		horizon = st.head
+	}
 	memBlocked := false   // LHQ/MSHR structural stall: no younger memory op may issue
 	storeBlocked := false // stores issue in order among themselves
-	for i := st.head; i < end; i++ {
-		x := st.at(i)
-		if x.issued {
+scan:
+	for p := st.head; ; p++ {
+		memOpen := !memBlocked && budget.mem > 0
+		p = sb.next(p, end, open(budget.compute > 0), open(memOpen), open(memOpen && !storeBlocked))
+		if p == end {
+			break
+		}
+		s := p & queueMask
+		if sb.compute.has(s) {
+			if sb.ready[s] > now {
+				cp.probe.Signal(c, obs.SigExeBUWait)
+				continue
+			}
+			cp.issueCompute(c, &st.queue[s], now)
+			st.issue(s)
+			cp.progress++
+			if budget.compute--; budget.compute == 0 {
+				horizon = p
+			}
 			continue
 		}
-		if budget.compute == 0 && budget.mem == 0 && *budget.emsimd == 0 {
-			return
-		}
-		switch x.kind {
-		case kindEMSIMD:
+		x := &st.queue[s]
+		if x.kind == kindEMSIMD {
 			// The EM-SIMD path is in-order and fences the window:
 			// nothing younger issues past an unexecuted EM-SIMD
 			// instruction.
-			if i != st.head || *budget.emsimd == 0 {
-				return
-			}
-			if !cp.execEMSIMD(c, x, now) {
-				return
+			if p != st.head || *budget.emsimd == 0 || !cp.execEMSIMD(c, x, now) {
+				horizon = min(horizon, p)
+				break scan
 			}
 			*budget.emsimd--
-			x.issued = true
+			st.issue(s)
 			cp.progress++
 			st.head++
-		case kindMem, kindStore:
-			if memBlocked || budget.mem == 0 {
-				continue
-			}
-			if x.kind == kindStore && storeBlocked {
-				continue
-			}
-			switch cp.issueMem(c, x, now) {
-			case issueOK:
-				budget.mem--
-				x.issued = true
-				cp.progress++
-			case issueStructural:
-				memBlocked = true
-			case issueDataWait:
-				if x.kind == kindStore {
-					storeBlocked = true
-				}
-			case issueRenameStall:
-				return
-			}
-		default: // vector compute
-			if budget.compute == 0 {
-				continue
-			}
-			switch cp.issueCompute(c, x, now) {
-			case issueOK:
-				budget.compute--
-				x.issued = true
-				cp.progress++
-			case issueRenameStall:
-				return
-			case issueDataWait, issueStructural:
-				// Not ready: younger independent work may issue.
-			}
+			continue
 		}
+		switch cp.issueMem(c, x, now) {
+		case issueOK:
+			budget.mem--
+			st.issue(s)
+			cp.progress++
+		case issueStructural:
+			memBlocked = true
+		case issueDataWait:
+			storeBlocked = true
+		}
+	}
+	if cp.probe != nil && sb.firstParked(st.head, horizon) < horizon {
+		cp.probe.Signal(c, obs.SigExeBUWait)
 	}
 }
 
 type issueStatus uint8
 
 const (
-	issueOK issueStatus = iota
-	issueDataWait
+	issueOK       issueStatus = iota
+	issueDataWait             // store data not ready
 	issueStructural
-	issueRenameStall
 )
 
 // issuePhys moves a renamed destination register from the queued state to
@@ -909,16 +916,12 @@ func (cp *Coproc) latFor(op isa.Opcode) uint64 {
 	return cp.cfg.ComputeLat
 }
 
-// issueCompute issues one SIMD compute micro-op (every granule of the core's
-// partition receives the same µop; each ExeBU has two pipes, so the
-// busy-lane accounting charges half the lanes per instruction, saturating at
-// two issues per cycle).
-func (cp *Coproc) issueCompute(c int, x *XInst, now uint64) issueStatus {
+// issueCompute issues one dependence-ready SIMD compute micro-op (every
+// granule of the core's partition receives the same µop; each ExeBU has two
+// pipes, so the busy-lane accounting charges half the lanes per instruction,
+// saturating at two issues per cycle).
+func (cp *Coproc) issueCompute(c int, x *XInst, now uint64) {
 	st := cp.cores[c]
-	if !x.depsReady(st, now) {
-		cp.probe.Signal(c, obs.SigExeBUWait)
-		return issueDataWait
-	}
 	cp.probe.Signal(c, obs.SigVecIssue)
 	done := now + cp.latFor(x.Op)
 	if cp.retireHists != nil {
@@ -927,7 +930,7 @@ func (cp *Coproc) issueCompute(c int, x *XInst, now uint64) issueStatus {
 	if hasZDst(x.Op) {
 		cp.issuePhys(c, done)
 	}
-	st.done.set(x.seq, done)
+	st.setDone(x.seq, done, now)
 	st.inflight.Add(done)
 	st.computeIssued++
 	st.addPhaseCompute(x.Phase)
@@ -938,7 +941,6 @@ func (cp *Coproc) issueCompute(c int, x *XInst, now uint64) issueStatus {
 	if m := 4 * float64(x.Width); cp.cycleBusyLanes[c] > m {
 		cp.cycleBusyLanes[c] = m
 	}
-	return issueOK
 }
 
 // issueMem issues one vector load or store micro-op through the LSU.
@@ -950,7 +952,7 @@ func (cp *Coproc) issueMem(c int, x *XInst, now uint64) issueStatus {
 		if hasZDst(x.Op) {
 			cp.issuePhys(c, now)
 		}
-		st.done.set(x.seq, now)
+		st.setDone(x.seq, now, now)
 		cp.probe.Signal(c, obs.SigVecIssue)
 		if cp.retireHists != nil {
 			cp.retireHists[c].Observe(now - x.enq)
@@ -971,7 +973,7 @@ func (cp *Coproc) issueMem(c int, x *XInst, now uint64) issueStatus {
 			return issueStructural
 		}
 		cp.issuePhys(c, done)
-		st.done.set(x.seq, done)
+		st.setDone(x.seq, done, now)
 		st.lhq.Add(done)
 		st.inflight.Add(done)
 		if cp.retireHists != nil {
@@ -993,7 +995,7 @@ func (cp *Coproc) issueMem(c int, x *XInst, now uint64) issueStatus {
 			*cp.mshrRetriesCell++
 			return issueStructural
 		}
-		st.done.set(x.seq, done)
+		st.setDone(x.seq, done, now)
 		st.stq.Add(done)
 		st.inflight.Add(done)
 		if cp.retireHists != nil {

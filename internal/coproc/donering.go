@@ -26,8 +26,13 @@ func (r *doneRing) init() {
 	r.entries = make([]doneEntry, ringSize)
 }
 
-func (r *doneRing) set(seq, done uint64) {
-	r.entries[seq&ringMask] = doneEntry{seq: seq, done: done}
+// set records seq's completion cycle and returns the completion cycle of
+// the entry it overwrites (zero for a never-written slot).
+func (r *doneRing) set(seq, done uint64) (evicted uint64) {
+	e := &r.entries[seq&ringMask]
+	evicted = e.done
+	*e = doneEntry{seq: seq, done: done}
+	return evicted
 }
 
 // Lookup outcomes.

@@ -113,17 +113,34 @@ func (cp *Coproc) coreSleep(c int, now uint64) (fx sleepFx, wake uint64, ok bool
 		}
 		return fx, wake, true
 	}
+	// The scan mirrors tickCore's walk over the issue scoreboard, without
+	// budgets: a ready compute, an executable EM-SIMD instruction or a
+	// memory access that would make progress makes the cycle live.
+	sb := &st.sb
+	end := st.renamed
+	fence := end // an EM-SIMD instruction below the head stops the scan
 	memBlocked := false
 	storeBlocked := false
-	for i := st.head; i < st.renamed; i++ {
-		x := st.at(i)
-		if x.issued {
+scan:
+	for p := st.head; ; p++ {
+		p = sb.next(p, end, allSlots, open(!memBlocked), open(!memBlocked && !storeBlocked))
+		if p == end {
+			break
+		}
+		s := p & queueMask
+		if sb.compute.has(s) {
+			if sb.ready[s] <= now {
+				return fx, 0, false // would issue
+			}
+			fx.sig |= obs.SigExeBUWait
 			continue
 		}
-		switch {
-		case x.Op.IsEMSIMD():
-			if i != st.head {
-				return fx, wake, true // fences the scan; nothing younger is examined
+		x := &st.queue[s]
+		switch x.kind {
+		case kindEMSIMD:
+			if p != st.head {
+				fence = p
+				break scan // fences the scan; nothing younger is examined
 			}
 			if x.Op == isa.OpMSR && x.Sys == isa.SysOI {
 				if cp.emsimdBusyUntil > now {
@@ -144,14 +161,11 @@ func (cp *Coproc) coreSleep(c int, now uint64) (fx sleepFx, wake uint64, ok bool
 				return fx, 0, false // drained: the reconfiguration executes
 			}
 			return fx, 0, false // MRS and other MSRs execute immediately
-		case x.Op.IsVectorMem():
-			if memBlocked || (x.Op == isa.OpVStore && storeBlocked) {
-				continue
-			}
+		default: // vector load or store
 			if x.Active == 0 {
 				return fx, 0, false // fully predicated off: issues instantly
 			}
-			if x.Op == isa.OpVLoad {
+			if x.kind == kindMem {
 				if st.lhq.Count(now) >= cp.cfg.LHQ {
 					fx.sig |= obs.SigLSUWait
 					memBlocked = true
@@ -174,7 +188,7 @@ func (cp *Coproc) coreSleep(c int, now uint64) (fx sleepFx, wake uint64, ok bool
 			// else changes cache state in a way a bulk replay cannot
 			// reproduce and must tick for real.
 			if cp.vecProbe != nil {
-				write := x.Op == isa.OpVStore
+				write := x.kind == kindStore
 				if r, rejected := cp.vecProbe.ProbeRetry(now, x.Addr, 4*x.Active, write, c); rejected {
 					fx.sig |= obs.SigMemBW
 					fx.mshrRetry = true
@@ -187,13 +201,12 @@ func (cp *Coproc) coreSleep(c int, now uint64) (fx sleepFx, wake uint64, ok bool
 				}
 			}
 			return fx, 0, false // access would make progress
-		default: // vector compute
-			if !x.depsReady(st, now) {
-				fx.sig |= obs.SigExeBUWait
-				continue
-			}
-			return fx, 0, false // would issue
 		}
+	}
+	// A parked compute waits on an unissued producer: the scan signals it
+	// like any waiting compute it reaches before a fence.
+	if sb.firstParked(st.head, fence) < fence {
+		fx.sig |= obs.SigExeBUWait
 	}
 	return fx, wake, true
 }
