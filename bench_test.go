@@ -281,11 +281,12 @@ func BenchmarkEngineSkipAhead(b *testing.B) {
 // per-cycle numbers this gate exists to pin down.
 //
 // CI gates on this benchmark: cmd/occamy-benchgate compares ns/op against
-// the committed BENCH_PR10.json baseline (±10%) and fails on any nonzero
-// allocs/op. Refresh the baseline with:
+// the committed BENCH_PR14.json baseline (±10%) and fails on any nonzero
+// allocs/op. Refresh the baseline (every gated benchmark) with:
 //
-//	go test -run xxx -bench SteadyStateTick -benchmem -count 3 . |
-//	    go run ./cmd/occamy-benchgate -baseline BENCH_PR10.json -update
+//	{ go test -run xxx -bench 'SteadyStateTick|BatchTick|IssueScan' -benchmem -count 3 . ./internal/coproc ;
+//	  go test -run xxx -bench SweepWallClock -benchtime 1x -count 3 . ; } |
+//	    go run ./cmd/occamy-benchgate -baseline BENCH_PR14.json -update
 func BenchmarkSteadyStateTick(b *testing.B) {
 	group := steadyGroup()
 	const warm, recycle = 2001, 20_000

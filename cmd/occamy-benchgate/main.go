@@ -22,9 +22,9 @@
 //
 // Usage:
 //
-//	go test -run xxx -bench 'SteadyStateTick|BatchTick' -benchmem -count 3 . |
-//	    occamy-benchgate -baseline BENCH_PR10.json           # gate
-//	go test ... | occamy-benchgate -baseline BENCH_PR10.json -update
+//	go test -run xxx -bench 'SteadyStateTick|BatchTick|IssueScan' -benchmem -count 3 . ./internal/coproc |
+//	    occamy-benchgate -baseline BENCH_PR14.json           # gate
+//	go test ... | occamy-benchgate -baseline BENCH_PR14.json -update
 package main
 
 import (
@@ -62,7 +62,6 @@ var benchRe = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+(.*)$`)
 // fields come in "value unit" pairs after the iteration count.
 func parse(r *bufio.Scanner) (map[string]BenchLine, error) {
 	got := map[string]BenchLine{}
-	seen := map[string]bool{}
 	for r.Scan() {
 		m := benchRe.FindStringSubmatch(r.Text())
 		if m == nil {
@@ -97,7 +96,6 @@ func parse(r *bufio.Scanner) (map[string]BenchLine, error) {
 				got[name] = best
 			}
 		}
-		seen[name] = true
 	}
 	if err := r.Err(); err != nil {
 		return nil, err
@@ -119,7 +117,7 @@ func sortedNames(m map[string]BenchLine) []string {
 
 func main() {
 	var (
-		basePath  = flag.String("baseline", "BENCH_PR10.json", "committed baseline JSON")
+		basePath  = flag.String("baseline", "BENCH_PR14.json", "committed baseline JSON")
 		update    = flag.Bool("update", false, "rewrite the baseline from stdin instead of gating")
 		tolerance = flag.Float64("tolerance", 0.10, "allowed relative ns/op drift vs baseline")
 		sweep     = flag.String("sweep", "SweepWallClock|DegradationSweep", "regexp of whole-sweep wall-clock benchmarks: gated with -sweeptolerance, exempt from -zeroalloc")

@@ -828,10 +828,17 @@ func (cp *Coproc) tickCore(c int, now uint64, budget *issueBudget) {
 	}
 	sb := &st.sb
 	end := st.renamed
+	// Armed computes are walked only once the earliest of them can be
+	// ready (minReady lower-bounds their ready cycles; arming during the
+	// walk lowers it). A walk that passes all of them re-derives the bound.
+	rederive := budget.compute > 0 && now >= sb.minReady
+	if rederive {
+		sb.minReady = math.MaxUint64
+	}
 	// A waiting compute the scan reaches with compute budget left raises
-	// the ExeBU-wait signal: armed ones as the walk passes them, parked ones
-	// when the oldest sits below horizon — where the compute budget ran out
-	// or an EM-SIMD fence stopped the scan.
+	// the ExeBU-wait signal: armed ones as the walk passes them, the rest
+	// when the oldest waiting compute sits below horizon — where the
+	// compute budget ran out or an EM-SIMD fence stopped the scan.
 	horizon := end
 	if budget.compute == 0 {
 		horizon = st.head
@@ -840,14 +847,16 @@ func (cp *Coproc) tickCore(c int, now uint64, budget *issueBudget) {
 	storeBlocked := false // stores issue in order among themselves
 scan:
 	for p := st.head; ; p++ {
+		computes := budget.compute > 0 && (rederive || now >= sb.minReady)
 		memOpen := !memBlocked && budget.mem > 0
-		p = sb.next(p, end, open(budget.compute > 0), open(memOpen), open(memOpen && !storeBlocked))
+		p = sb.next(p, end, open(computes), open(memOpen), open(memOpen && !storeBlocked))
 		if p == end {
 			break
 		}
 		s := p & queueMask
 		if sb.compute.has(s) {
-			if sb.ready[s] > now {
+			if r := sb.ready[s]; r > now {
+				sb.minReady = min(sb.minReady, r)
 				cp.probe.Signal(c, obs.SigExeBUWait)
 				continue
 			}
@@ -856,6 +865,9 @@ scan:
 			cp.progress++
 			if budget.compute--; budget.compute == 0 {
 				horizon = p
+				if rederive {
+					sb.minReady = 0 // younger armed computes went unexamined
+				}
 			}
 			continue
 		}
@@ -866,6 +878,9 @@ scan:
 			// instruction.
 			if p != st.head || *budget.emsimd == 0 || !cp.execEMSIMD(c, x, now) {
 				horizon = min(horizon, p)
+				if rederive {
+					sb.minReady = 0 // armed computes past the fence went unexamined
+				}
 				break scan
 			}
 			*budget.emsimd--
@@ -885,7 +900,7 @@ scan:
 			storeBlocked = true
 		}
 	}
-	if cp.probe != nil && sb.firstParked(st.head, horizon) < horizon {
+	if cp.probe != nil && sb.firstWaiting(st.head, horizon) < horizon {
 		cp.probe.Signal(c, obs.SigExeBUWait)
 	}
 }

@@ -17,6 +17,8 @@ import (
 //   - A compute whose producers have all issued is armed: ready caches the
 //     latest producer completion (an overwritten done-ring entry counts as
 //     complete, as in depReady), and the scan tests it with one compare.
+//     Until the earliest armed ready cycle the scan skips armed computes
+//     altogether.
 //   - Vector loads, stores and EM-SIMD instructions keep their own sets; the
 //     scan masks a class out once its budget is spent or the LSU blocks.
 //
@@ -40,8 +42,10 @@ type scoreboard struct {
 	load    slotSet
 	store   slotSet
 	emsimd  slotSet
-	// ready is an armed compute's cached dependence-ready cycle.
-	ready [queueRing]uint64
+	// ready is an armed compute's cached dependence-ready cycle; minReady
+	// lower-bounds it over every armed compute.
+	ready    [queueRing]uint64
+	minReady uint64
 	// waitHead[p] is 1 + the slot of the first compute parked on the
 	// producer in slot p (0: none); waitNext links the rest of the list
 	// through the consumers' slots in the same encoding.
@@ -82,11 +86,13 @@ func (sb *scoreboard) next(p, end int, cm, lm, sm uint64) int {
 	return end
 }
 
-// firstParked returns the oldest parked position in [p, end), or end.
-func (sb *scoreboard) firstParked(p, end int) int {
+// firstWaiting returns the oldest position in [p, end) holding a compute,
+// parked or armed, or end.
+func (sb *scoreboard) firstWaiting(p, end int) int {
 	for p < end {
 		s := p & queueMask
-		if u := sb.parked[s>>6] >> (s & 63); u != 0 {
+		w := s >> 6
+		if u := (sb.parked[w] | sb.compute[w]) >> (s & 63); u != 0 {
 			if p += bits.TrailingZeros64(u); p < end {
 				return p
 			}
@@ -136,6 +142,7 @@ func (st *coreState) arm(s int) {
 		}
 	}
 	st.sb.ready[s] = ready
+	st.sb.minReady = min(st.sb.minReady, ready)
 	st.sb.compute.set(s)
 }
 
@@ -193,7 +200,8 @@ func (st *coreState) rebuildScoreboard() {
 //   - every parked compute sits on the wait list of its first unissued
 //     producer, which is renamed;
 //   - every armed compute's producers have issued, and its cached ready
-//     cycle gives depReady's answer for every cycle from now on.
+//     cycle gives depReady's answer for every cycle from now on and is no
+//     earlier than the armed bound.
 func (cp *Coproc) CheckScoreboard(now uint64) error {
 	for c, st := range cp.cores {
 		if err := st.checkScoreboard(now); err != nil {
@@ -284,6 +292,8 @@ func (st *coreState) checkScoreboard(now uint64) error {
 			return fmt.Errorf("position %d parked on slot %d, want its first unissued producer at position %d", p, ps, first)
 		case !parked && first >= 0:
 			return fmt.Errorf("position %d armed while its producer at position %d has not issued", p, first)
+		case !parked && sb.ready[s] < sb.minReady:
+			return fmt.Errorf("position %d: cached ready cycle %d below the armed bound %d", p, sb.ready[s], sb.minReady)
 		case !parked && max(sb.ready[s], now) != max(ready, now):
 			return fmt.Errorf("position %d: cached ready cycle %d, done ring says %d (now %d)", p, sb.ready[s], ready, now)
 		case !parked && (sb.ready[s] <= now) != x.depsReady(st, now):

@@ -205,7 +205,7 @@ scan:
 	}
 	// A parked compute waits on an unissued producer: the scan signals it
 	// like any waiting compute it reaches before a fence.
-	if sb.firstParked(st.head, fence) < fence {
+	if sb.firstWaiting(st.head, fence) < fence {
 		fx.sig |= obs.SigExeBUWait
 	}
 	return fx, wake, true
