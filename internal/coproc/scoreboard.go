@@ -53,17 +53,15 @@ type scoreboard struct {
 	waitNext [queueRing]uint16
 }
 
-// Masks that open a class for scoreboard.next.
-const (
-	allSlots uint64 = ^uint64(0)
-	noSlots  uint64 = 0
-)
+// allSlots is the mask that opens a class for scoreboard.next.
+const allSlots = ^uint64(0)
 
+// open returns allSlots when ok, else the mask that closes the class.
 func open(ok bool) uint64 {
 	if ok {
 		return allSlots
 	}
-	return noSlots
+	return 0
 }
 
 // next returns the first position in [p, end) whose slot is an armed
@@ -168,9 +166,9 @@ func (st *coreState) issue(s int) {
 // setDone records an issued instruction's completion cycle. When the write
 // evicts a done-ring entry that had not completed by now, depReady starts
 // answering "complete" for that producer (the overwrite rule), so every
-// armed compute's cached ready cycle is recomputed from the ring. Evicting
-// an entry younger than ringSize issues is practically unreachable; the
-// guard keeps the cache exact anyway.
+// armed compute's cached ready cycle is recomputed from the ring. That needs
+// a completion more than ringSize issues late — practically unreachable,
+// but the guard keeps the cache exact.
 func (st *coreState) setDone(seq, done, now uint64) {
 	if st.done.set(seq, done) > now {
 		for s := 0; s < queueRing; s++ {
@@ -213,9 +211,9 @@ func (cp *Coproc) CheckScoreboard(now uint64) error {
 
 func (st *coreState) checkScoreboard(now uint64) error {
 	sb := &st.sb
-	if st.head == st.renamed && sb.compute == sb.parked && sb.parked == sb.load &&
-		sb.load == sb.store && sb.store == sb.emsimd && sb.emsimd == (slotSet{}) &&
-		sb.waitHead == [queueRing]uint16{} {
+	var none slotSet
+	if st.head == st.renamed && sb.compute == none && sb.parked == none && sb.load == none &&
+		sb.store == none && sb.emsimd == none && sb.waitHead == [queueRing]uint16{} {
 		return nil // nothing renamed and unissued, nothing tracked
 	}
 	// waitsOn maps a parked slot to 1 + its producer's slot (0: on no list).

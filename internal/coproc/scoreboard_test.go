@@ -50,13 +50,13 @@ func BenchmarkIssueScan(b *testing.B) {
 	tick(4)
 	const acc = 31
 	for i := 0; ; i++ {
-		a, bb := isa.Reg(1+i/3%10), isa.Reg(11+i/3%10)
-		x := XInst{Op: isa.OpVLoad, Core: 0, Dst: a, Addr: uint64(4096 + 64*i), Active: 8, Width: 2}
+		ra, rb := isa.Reg(1+i/3%10), isa.Reg(11+i/3%10)
+		x := XInst{Op: isa.OpVLoad, Core: 0, Dst: ra, Addr: uint64(4096 + 64*i), Active: 8, Width: 2}
 		switch i % 3 {
 		case 1:
-			x.Dst = bb
+			x.Dst = rb
 		case 2:
-			x = XInst{Op: isa.OpVFMla, Core: 0, Dst: acc, Src1: a, Src2: bb, Active: 8, Width: 2}
+			x = XInst{Op: isa.OpVFMla, Core: 0, Dst: acc, Src1: ra, Src2: rb, Active: 8, Width: 2}
 		}
 		if cp.Transmit(x) != TransmitOK {
 			break

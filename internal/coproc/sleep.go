@@ -118,7 +118,7 @@ func (cp *Coproc) coreSleep(c int, now uint64) (fx sleepFx, wake uint64, ok bool
 	// memory access that would make progress makes the cycle live.
 	sb := &st.sb
 	end := st.renamed
-	fence := end // an EM-SIMD instruction below the head stops the scan
+	fence := end // an EM-SIMD instruction past the head stops the scan
 	memBlocked := false
 	storeBlocked := false
 scan:
