@@ -382,14 +382,13 @@ func New(cfg Config, vecPort mem.SharedPort, data *mem.Memory, model roofline.Mo
 		st := &coreState{busyTimeline: *sim.NewTimeline(1000), lastReject: -1}
 		// Pre-size the hold trackers to their architectural bounds so
 		// steady-state Add never grows a backing array: LHQ/STQ are hard
-		// caps, register holds cannot exceed the physical pool, and
-		// writeback holds are bounded by the queues plus a generous pipe's
-		// worth of compute issues. On small machines the trackers plateau
-		// within the warm-up anyway; at 64 cores the plateau arrives late
-		// enough to leak growth into measured steady-state windows.
+		// caps, register holds cannot exceed the physical pool, and live
+		// writeback holds are bounded by the queues plus a window's worth
+		// of compute issues. Add drains a full tracker before it grows, so
+		// expired holds never push it past these bounds.
 		st.lhq.releases = make([]uint64, 0, cfg.LHQ)
 		st.stq.releases = make([]uint64, 0, cfg.STQ)
-		st.inflight.releases = make([]uint64, 0, cfg.LHQ+cfg.STQ+256)
+		st.inflight.releases = make([]uint64, 0, window+cfg.LHQ+cfg.STQ)
 		st.pool.issued.releases = make([]uint64, 0, cfg.PhysRegs)
 		// Slot 0 is the pre-phase prologue; a slot per compiler phase
 		// follows. Pre-sizing keeps addPhaseCompute off the allocator
@@ -608,59 +607,6 @@ func hasZDst(op isa.Opcode) bool {
 		return false
 	default:
 		return true
-	}
-}
-
-// applyFunctional performs the value semantics over the active lanes.
-func (cp *Coproc) applyFunctional(x *XInst, st *coreState) {
-	active := x.Active
-	z := st.z
-	switch x.Op {
-	case isa.OpVLoad:
-		for i := 0; i < active; i++ {
-			z[x.Dst][i] = cp.data.ReadF32(x.Addr + uint64(4*i))
-		}
-	case isa.OpVStore:
-		for i := 0; i < active; i++ {
-			cp.data.WriteF32(x.Addr+uint64(4*i), z[x.Dst][i])
-		}
-	case isa.OpVDupI:
-		for i := 0; i < active; i++ {
-			z[x.Dst][i] = x.FImm
-		}
-	case isa.OpVDupX:
-		v := math.Float32frombits(x.Val)
-		for i := 0; i < active; i++ {
-			z[x.Dst][i] = v
-		}
-	case isa.OpVInsX0:
-		z[x.Dst][0] = math.Float32frombits(x.Val)
-		for i := 1; i < active; i++ {
-			z[x.Dst][i] = 0
-		}
-	case isa.OpVMovX0:
-		x.respVal = uint64(math.Float32bits(z[x.Src1][0]))
-	case isa.OpVFAddV:
-		var sum float32
-		for i := 0; i < active; i++ {
-			sum += z[x.Src1][i]
-		}
-		z[x.Dst][0] = sum
-		for i := 1; i < active; i++ {
-			z[x.Dst][i] = 0
-		}
-	case isa.OpVFNeg, isa.OpVFAbs, isa.OpVFSqrt:
-		for i := 0; i < active; i++ {
-			z[x.Dst][i] = unFn(x.Op, z[x.Src1][i])
-		}
-	case isa.OpVFMla:
-		for i := 0; i < active; i++ {
-			z[x.Dst][i] += z[x.Src1][i] * z[x.Src2][i]
-		}
-	default:
-		for i := 0; i < active; i++ {
-			z[x.Dst][i] = binFn(x.Op, z[x.Src1][i], z[x.Src2][i])
-		}
 	}
 }
 
@@ -915,9 +861,9 @@ const (
 
 // issuePhys moves a renamed destination register from the queued state to
 // the issued state, to be released at writeback.
-func (cp *Coproc) issuePhys(c int, release uint64) {
+func (cp *Coproc) issuePhys(c int, now, release uint64) {
 	cp.cores[c].pool.queued--
-	cp.cores[c].pool.issued.Add(release)
+	cp.cores[c].pool.issued.Add(now, release)
 }
 
 func (cp *Coproc) latFor(op isa.Opcode) uint64 {
@@ -943,10 +889,10 @@ func (cp *Coproc) issueCompute(c int, x *XInst, now uint64) {
 		cp.retireHists[c].Observe(done - x.enq)
 	}
 	if hasZDst(x.Op) {
-		cp.issuePhys(c, done)
+		cp.issuePhys(c, now, done)
 	}
 	st.setDone(x.seq, done, now)
-	st.inflight.Add(done)
+	st.inflight.Add(now, done)
 	st.computeIssued++
 	st.addPhaseCompute(x.Phase)
 	if x.Op == isa.OpVMovX0 && cp.respond != nil {
@@ -965,7 +911,7 @@ func (cp *Coproc) issueMem(c int, x *XInst, now uint64) issueStatus {
 	if size == 0 {
 		// Fully predicated off: completes instantly.
 		if hasZDst(x.Op) {
-			cp.issuePhys(c, now)
+			cp.issuePhys(c, now, now)
 		}
 		st.setDone(x.seq, now, now)
 		cp.probe.Signal(c, obs.SigVecIssue)
@@ -987,10 +933,10 @@ func (cp *Coproc) issueMem(c int, x *XInst, now uint64) issueStatus {
 			*cp.mshrRetriesCell++
 			return issueStructural
 		}
-		cp.issuePhys(c, done)
+		cp.issuePhys(c, now, done)
 		st.setDone(x.seq, done, now)
-		st.lhq.Add(done)
-		st.inflight.Add(done)
+		st.lhq.Add(now, done)
+		st.inflight.Add(now, done)
 		if cp.retireHists != nil {
 			cp.retireHists[c].Observe(done - x.enq)
 		}
@@ -1011,8 +957,8 @@ func (cp *Coproc) issueMem(c int, x *XInst, now uint64) issueStatus {
 			return issueStructural
 		}
 		st.setDone(x.seq, done, now)
-		st.stq.Add(done)
-		st.inflight.Add(done)
+		st.stq.Add(now, done)
+		st.inflight.Add(now, done)
 		if cp.retireHists != nil {
 			cp.retireHists[c].Observe(done - x.enq)
 		}
@@ -1020,39 +966,6 @@ func (cp *Coproc) issueMem(c int, x *XInst, now uint64) issueStatus {
 	cp.probe.Signal(c, obs.SigVecIssue)
 	st.memIssued++
 	return issueOK
-}
-
-func unFn(op isa.Opcode, v float32) float32 {
-	switch op {
-	case isa.OpVFNeg:
-		return -v
-	case isa.OpVFAbs:
-		return float32(math.Abs(float64(v)))
-	case isa.OpVFSqrt:
-		return float32(math.Sqrt(float64(v)))
-	}
-	panic("coproc: bad unary op")
-}
-
-func binFn(op isa.Opcode, a, b float32) float32 {
-	switch op {
-	case isa.OpVFAdd:
-		return a + b
-	case isa.OpVFSub:
-		return a - b
-	case isa.OpVFMul:
-		return a * b
-	case isa.OpVFDiv:
-		return a / b
-	case isa.OpVFMax:
-		return float32(math.Max(float64(a), float64(b)))
-	case isa.OpVFMin:
-		return float32(math.Min(float64(a), float64(b)))
-	}
-	if out, ok := isa.IntBinFn(op, a, b); ok {
-		return out
-	}
-	panic(fmt.Sprintf("coproc: bad binary op %s", op))
 }
 
 // Snapshot is a read-only copy of one core's co-processor counters.

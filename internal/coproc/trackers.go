@@ -1,6 +1,10 @@
 package coproc
 
-import "math"
+import (
+	"fmt"
+	"math"
+	"slices"
+)
 
 // holdTracker counts resources held by in-flight operations: each entry is a
 // release cycle; Count reports how many are still held at a given cycle.
@@ -43,8 +47,20 @@ func (t *holdTracker) Count(now uint64) int {
 	return len(t.releases)
 }
 
-// Add records a resource held until cycle release.
-func (t *holdTracker) Add(release uint64) {
+// Add records, at cycle now, a resource held until cycle release. A full
+// backing array is drained at now before it may grow: only Count drains
+// otherwise, and callers that stop calling Count while they keep adding
+// (Tick skips the inflight Count while the pool is non-empty) would grow it
+// without bound. Dropping releases <= now is exact, since every query is at
+// a cycle >= now. The array doubles when the drain leaves it more than half
+// full, which keeps the drains amortized O(1) per Add.
+func (t *holdTracker) Add(now, release uint64) {
+	if len(t.releases) == cap(t.releases) {
+		t.drain(now)
+		if 2*len(t.releases) > cap(t.releases) {
+			t.releases = slices.Grow(t.releases, cap(t.releases))
+		}
+	}
 	t.releases = append(t.releases, release)
 	if release < t.nextRel {
 		t.nextRel = release
@@ -93,6 +109,25 @@ func (t *holdTracker) max() uint64 {
 		}
 	}
 	return m
+}
+
+// CheckTrackerBound reports a hold tracker holding more entries than a core
+// can have in flight — the renamed window plus the load and store queues —
+// for tests: Add's drain keeps expired holds from piling up while nothing
+// calls Count.
+func (cp *Coproc) CheckTrackerBound() error {
+	bound := window + cp.cfg.LHQ + cp.cfg.STQ
+	for c, st := range cp.cores {
+		for _, t := range [...]struct {
+			name string
+			h    *holdTracker
+		}{{"inflight", &st.inflight}, {"lhq", &st.lhq}, {"stq", &st.stq}, {"regs", &st.pool.issued}} {
+			if n := len(t.h.releases); n > bound {
+				return fmt.Errorf("%s core %d: %s tracker holds %d entries, bound %d", cp.name, c, t.name, n, bound)
+			}
+		}
+	}
+	return nil
 }
 
 // regPool tracks physical-register occupancy for one rename namespace:

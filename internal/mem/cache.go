@@ -2,6 +2,7 @@ package mem
 
 import (
 	"fmt"
+	"math/bits"
 
 	"occamy/internal/sim"
 )
@@ -35,9 +36,11 @@ type Cache struct {
 	miss  missTracker
 	next  Port
 	stats *sim.Stats
-	// setMask and setShift locate the set index in an address.
+	// setMask and setShift locate the set index in an address; tagShift
+	// (setShift plus the set-index width) strips both from it.
 	setMask  uint64
 	setShift uint
+	tagShift uint
 	// Precomputed counter cells (nil without a stats registry). Bumping a
 	// cell is allocation-free; concatenating the counter name per access —
 	// the previous form — was the simulator's dominant steady-state
@@ -84,6 +87,7 @@ func NewCache(cfg CacheConfig, next Port, stats *sim.Stats) *Cache {
 		miss:     missTracker{slots: cfg.MissSlots, quota: cfg.MissQuota},
 		setMask:  uint64(numSets - 1),
 		setShift: 6, // log2(LineBytes)
+		tagShift: 6 + uint(bits.TrailingZeros(uint(numSets))),
 	}
 	c.sets = make([][]cacheLine, numSets)
 	lines := make([]cacheLine, numSets*cfg.Ways)
@@ -147,7 +151,7 @@ func (c *Cache) AccessFrom(now uint64, addr uint64, size int, write bool, who in
 
 func (c *Cache) accessLine(now uint64, lineAddr uint64, reqBytes int, write bool, who int) (uint64, bool) {
 	set := (lineAddr >> c.setShift) & c.setMask
-	tag := lineAddr >> (c.setShift + popcount(c.setMask))
+	tag := lineAddr >> c.tagShift
 	ways := c.sets[set]
 
 	// Hit path: the port moves only the requested bytes. The first demand
@@ -197,7 +201,7 @@ func (c *Cache) accessLine(now uint64, lineAddr uint64, reqBytes int, write bool
 	if ways[victim].valid && ways[victim].dirty {
 		// Write-back consumes next-level bandwidth but does not delay
 		// the demand fill (eviction buffers).
-		wbAddr := (ways[victim].tag << (c.setShift + popcount(c.setMask))) | (set << c.setShift)
+		wbAddr := (ways[victim].tag << c.tagShift) | (set << c.setShift)
 		c.next.Access(now, wbAddr, LineBytes, true)
 		c.count(c.cWriteback)
 	}
@@ -230,7 +234,7 @@ func (c *Cache) ProbeRetry(now uint64, addr uint64, size int, write bool, who in
 	for i := 0; i < lines; i++ {
 		lineAddr := first + uint64(i*LineBytes)
 		set := (lineAddr >> c.setShift) & c.setMask
-		tag := lineAddr >> (c.setShift + popcount(c.setMask))
+		tag := lineAddr >> c.tagShift
 		resident := false
 		for _, l := range c.sets[set] {
 			if l.valid && l.tag == tag {
@@ -271,7 +275,7 @@ func (c *Cache) ReplayRetries(from, n uint64, addr uint64, size int, write bool,
 	for i := 0; i < lines; i++ {
 		lineAddr := first + uint64(i*LineBytes)
 		set := (lineAddr >> c.setShift) & c.setMask
-		tag := lineAddr >> (c.setShift + popcount(c.setMask))
+		tag := lineAddr >> c.tagShift
 		ways := c.sets[set]
 		var way *cacheLine
 		for k := range ways {
@@ -335,7 +339,7 @@ func (c *Cache) prefetch(now uint64, lineAddr uint64, who int) {
 // present reports whether lineAddr is resident.
 func (c *Cache) present(lineAddr uint64) bool {
 	set := (lineAddr >> c.setShift) & c.setMask
-	tag := lineAddr >> (c.setShift + popcount(c.setMask))
+	tag := lineAddr >> c.tagShift
 	for _, l := range c.sets[set] {
 		if l.valid && l.tag == tag {
 			return true
@@ -347,7 +351,7 @@ func (c *Cache) present(lineAddr uint64) bool {
 // install places a line into its set, evicting LRU (with write-back).
 func (c *Cache) install(now uint64, lineAddr uint64, _ uint64, dirty bool) {
 	set := (lineAddr >> c.setShift) & c.setMask
-	tag := lineAddr >> (c.setShift + popcount(c.setMask))
+	tag := lineAddr >> c.tagShift
 	ways := c.sets[set]
 	victim := 0
 	for w := range ways {
@@ -360,7 +364,7 @@ func (c *Cache) install(now uint64, lineAddr uint64, _ uint64, dirty bool) {
 		}
 	}
 	if ways[victim].valid && ways[victim].dirty {
-		wbAddr := (ways[victim].tag << (c.setShift + popcount(c.setMask))) | (set << c.setShift)
+		wbAddr := (ways[victim].tag << c.tagShift) | (set << c.setShift)
 		c.next.Access(now, wbAddr, LineBytes, true)
 		c.count(c.cWriteback)
 	}
@@ -432,12 +436,4 @@ func (c *Cache) Restore(st CacheState) {
 	c.bw.nextFree = st.nextFree
 	c.miss.pending = append(c.miss.pending[:0], st.pending...)
 	c.miss.recompute()
-}
-
-func popcount(x uint64) uint {
-	var n uint
-	for ; x != 0; x &= x - 1 {
-		n++
-	}
-	return n
 }

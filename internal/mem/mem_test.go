@@ -1,6 +1,9 @@
 package mem
 
 import (
+	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -45,6 +48,61 @@ func TestMemoryFillAndSlice(t *testing.T) {
 			t.Fatalf("elem %d = %v", i, v)
 		}
 	}
+}
+
+// FuzzMemoryF32s checks the page-wise ReadF32s and WriteF32s against the
+// per-element ReadF32 and WriteF32 on twin memories: the same values bit for
+// bit, the same bytes written and the same set of allocated pages (reads
+// allocate none, writes exactly those the element path touches). Ranges of
+// up to 32K elements start at any byte of the first six pages, so they
+// cross page boundaries, straddle them when unaligned and run over absent
+// pages; present selects which of the eight pages start out populated.
+func FuzzMemoryF32s(f *testing.F) {
+	f.Add(uint32(pageSize-8), uint16(4), uint8(0b11), int64(1))       // into a present page
+	f.Add(uint32(pageSize-6), uint16(3), uint8(0b10), int64(2))       // straddle out of an absent page
+	f.Add(uint32(2*pageSize-2), uint16(2), uint8(0b10), int64(3))     // straddle into an absent page
+	f.Add(uint32(3*pageSize+12), uint16(30000), uint8(0), int64(4))   // absent pages only
+	f.Add(uint32(pageSize+4), uint16(20000), uint8(0b1010), int64(5)) // whole page and beyond
+	f.Add(uint32(5), uint16(0), uint8(0xff), int64(6))                // empty range
+	f.Fuzz(func(t *testing.T, off uint32, n uint16, present uint8, seed int64) {
+		addr := uint64(off) % (6 * pageSize)
+		count := int(n) & 0x7fff
+		rng := rand.New(rand.NewSource(seed))
+		bulk := NewMemory()
+		for p := uint64(0); p < 8; p++ {
+			if present&(1<<p) != 0 {
+				rng.Read(bulk.page(p<<pageBits, true))
+			}
+		}
+		elem := NewMemory()
+		elem.Restore(bulk.Snapshot())
+
+		got := make([]float32, count)
+		for i := range got {
+			got[i] = -1 // stale contents every read must overwrite
+		}
+		bulk.ReadF32s(addr, got)
+		for i, g := range got {
+			if w := elem.ReadF32(addr + uint64(4*i)); math.Float32bits(g) != math.Float32bits(w) {
+				t.Fatalf("ReadF32s(%#x)[%d] = %#08x, ReadF32 gives %#08x", addr, i, math.Float32bits(g), math.Float32bits(w))
+			}
+		}
+		if !reflect.DeepEqual(bulk.pages, elem.pages) {
+			t.Fatalf("ReadF32s(%#x, %d elems) changed the allocated pages", addr, count)
+		}
+
+		src := make([]float32, count)
+		for i := range src {
+			src[i] = math.Float32frombits(rng.Uint32())
+		}
+		bulk.WriteF32s(addr, src)
+		for i, v := range src {
+			elem.WriteF32(addr+uint64(4*i), v)
+		}
+		if !reflect.DeepEqual(bulk.pages, elem.pages) {
+			t.Fatalf("WriteF32s(%#x, %d elems) left memory different from WriteF32", addr, count)
+		}
+	})
 }
 
 func TestLineSpan(t *testing.T) {

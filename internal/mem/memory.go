@@ -13,7 +13,10 @@
 //     contention between co-running workloads arises.
 package mem
 
-import "math"
+import (
+	"encoding/binary"
+	"math"
+)
 
 // pageBits selects the functional-page size (64 KiB) for the sparse backing
 // store; workload footprints of hundreds of MB stay cheap to allocate.
@@ -106,12 +109,63 @@ func (m *Memory) FillF32(addr uint64, n int, gen func(i int) float32) {
 	}
 }
 
+// pageRun returns how many of the n consecutive float32 values starting at
+// addr lie whole inside addr's page; zero means the first one straddles the
+// page boundary.
+func pageRun(addr uint64, n int) int {
+	if r := int((pageSize - addr&(pageSize-1)) / 4); r < n {
+		return r
+	}
+	return n
+}
+
+// ReadF32s reads len(dst) consecutive float32 values starting at addr into
+// dst: the result of ReadF32 at addr, addr+4, ..., looking the page up once
+// per page instead of once per element. Only an element that straddles a
+// page boundary takes the per-element path.
+func (m *Memory) ReadF32s(addr uint64, dst []float32) {
+	for len(dst) > 0 {
+		n := pageRun(addr, len(dst))
+		if n == 0 {
+			dst[0] = m.ReadF32(addr)
+			addr, dst = addr+4, dst[1:]
+			continue
+		}
+		if p := m.page(addr, false); p == nil {
+			clear(dst[:n])
+		} else {
+			b := p[addr&(pageSize-1):]
+			for i := range dst[:n] {
+				dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:]))
+			}
+		}
+		addr, dst = addr+uint64(4*n), dst[n:]
+	}
+}
+
+// WriteF32s writes src as consecutive float32 values starting at addr: the
+// effect of WriteF32 at addr, addr+4, ..., page by page (see ReadF32s). An
+// empty src allocates no page.
+func (m *Memory) WriteF32s(addr uint64, src []float32) {
+	for len(src) > 0 {
+		n := pageRun(addr, len(src))
+		if n == 0 {
+			m.WriteF32(addr, src[0])
+			addr, src = addr+4, src[1:]
+			continue
+		}
+		b := m.page(addr, true)[addr&(pageSize-1):]
+		for i, v := range src[:n] {
+			binary.LittleEndian.PutUint32(b[4*i:], math.Float32bits(v))
+		}
+		addr, src = addr+uint64(4*n), src[n:]
+	}
+}
+
 // ReadF32Slice reads n consecutive float32 values starting at addr.
 func (m *Memory) ReadF32Slice(addr uint64, n int) []float32 {
 	out := make([]float32, n)
-	for i := range out {
-		out[i] = m.ReadF32(addr + uint64(4*i))
-	}
+	m.ReadF32s(addr, out)
 	return out
 }
 

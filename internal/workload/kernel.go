@@ -185,25 +185,45 @@ func (k *Kernel) MaxTemps() int {
 // host, for validating the simulator's functional execution. in holds one
 // slice per input stream of length Elems+2*Halo (the halo mirrors the
 // simulated layout); outputs are indexed by output stream.
+//
+// The loop body reads only in and writes only out, so each of the Repeats
+// passes computes the same element values: one pass yields the outputs. A
+// reduction keeps its per-element values and accumulates them Repeats times
+// in the simulated (pass, element) order, which rounds exactly like
+// re-evaluating every pass.
 func (k *Kernel) Reference(in map[int][]float32) (out map[int][]float32, reduction float32) {
 	out = make(map[int][]float32)
 	for _, os := range k.OutStreams() {
 		out[os] = make([]float32, k.Elems)
 	}
+	// slotIn[si][i] is slot si's value at element i; dst[j] receives
+	// statement j's value per element.
+	slotIn := make([][]float32, len(k.Slots))
+	for si, slot := range k.Slots {
+		slotIn[si] = in[slot.Stream][Halo+slot.Offset:]
+	}
+	dst := make([][]float32, len(k.Stmts))
+	for j, s := range k.Stmts {
+		if k.Reduction {
+			dst[j] = make([]float32, k.Elems)
+		} else {
+			dst[j] = out[s.Out]
+		}
+	}
 	slotVals := make([]float32, len(k.Slots))
+	for i := 0; i < k.Elems; i++ {
+		for si, vals := range slotIn {
+			slotVals[si] = vals[i]
+		}
+		for j, s := range k.Stmts {
+			dst[j][i] = evalExpr(s.E, slotVals)
+		}
+	}
 	var acc float32
-	for rep := 0; rep < k.Repeats; rep++ {
-		for i := 0; i < k.Elems; i++ {
-			for si, slot := range k.Slots {
-				slotVals[si] = in[slot.Stream][i+Halo+slot.Offset]
-			}
-			for _, s := range k.Stmts {
-				v := evalExpr(s.E, slotVals)
-				if k.Reduction {
-					acc += v
-				} else {
-					out[s.Out][i] = v
-				}
+	if k.Reduction {
+		for rep := 0; rep < k.Repeats; rep++ {
+			for _, v := range dst[0] {
+				acc += v
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -167,6 +168,91 @@ func TestReferenceRepeatsIdempotentForPureStores(t *testing.T) {
 		if o1[3][i] != o2[3][i] {
 			t.Fatal("repeats changed a pure store kernel's output")
 		}
+	}
+}
+
+// referenceRepeats is the reference loop Reference replaced: the loop body
+// evaluated Repeats times, element by element. TestReferenceOnePass holds
+// the one-pass evaluation to its results bit for bit.
+func referenceRepeats(k *Kernel, in map[int][]float32) (map[int][]float32, float32) {
+	out := make(map[int][]float32)
+	for _, os := range k.OutStreams() {
+		out[os] = make([]float32, k.Elems)
+	}
+	slotVals := make([]float32, len(k.Slots))
+	var acc float32
+	for rep := 0; rep < k.Repeats; rep++ {
+		for i := 0; i < k.Elems; i++ {
+			for si, slot := range k.Slots {
+				slotVals[si] = in[slot.Stream][i+Halo+slot.Offset]
+			}
+			for _, s := range k.Stmts {
+				v := evalExpr(s.E, slotVals)
+				if k.Reduction {
+					acc += v
+				} else {
+					out[s.Out][i] = v
+				}
+			}
+		}
+	}
+	return out, acc
+}
+
+// TestReferenceOnePass checks Reference against the Repeats-pass loop on
+// every registry kernel at its registered size, and on a reduction whose
+// accumulation rounds differently in any other order. Inputs are drawn the
+// way the compiler seeds simulated memory.
+func TestReferenceOnePass(t *testing.T) {
+	r := NewRegistry()
+	kernels := []*Kernel{}
+	for _, name := range r.KernelNames() {
+		kernels = append(kernels, r.Kernel(name))
+	}
+	// 0.1 is inexact in binary, so the float32 total depends on the
+	// summation order: adding each element's value Repeats times in a row,
+	// instead of pass by pass, rounds to a different result.
+	kernels = append(kernels, &Kernel{
+		Name: "sum_tenths", Slots: []LoadSlot{{Stream: 0}},
+		Stmts:     []Stmt{{E: Mul(Slot(0), Const(0.1))}},
+		Reduction: true, Elems: 1000, Repeats: 7,
+	})
+	reductions := 0
+	for _, k := range kernels {
+		if k.Reduction && k.Repeats > 1 {
+			reductions++
+		}
+		rng := rand.New(rand.NewSource(1))
+		in := map[int][]float32{}
+		for _, s := range k.InStreams() {
+			in[s] = make([]float32, k.Elems+2*Halo)
+			for i := range in[s] {
+				if k.IntData {
+					in[s][i] = isa.IntBits(int32(rng.Intn(256)))
+				} else {
+					in[s][i] = 0.5 + rng.Float32()
+				}
+			}
+		}
+		gotOut, gotAcc := k.Reference(in)
+		wantOut, wantAcc := referenceRepeats(k, in)
+		if math.Float32bits(gotAcc) != math.Float32bits(wantAcc) {
+			t.Errorf("%s: reduction %v, the %d-pass loop gives %v", k.Name, gotAcc, k.Repeats, wantAcc)
+		}
+		if len(gotOut) != len(wantOut) {
+			t.Fatalf("%s: %d output streams, want %d", k.Name, len(gotOut), len(wantOut))
+		}
+		for s, want := range wantOut {
+			for i := range want {
+				if math.Float32bits(gotOut[s][i]) != math.Float32bits(want[i]) {
+					t.Fatalf("%s: stream %d elem %d = %v, the %d-pass loop gives %v",
+						k.Name, s, i, gotOut[s][i], k.Repeats, want[i])
+				}
+			}
+		}
+	}
+	if reductions == 0 {
+		t.Fatal("no reduction with Repeats > 1 was checked")
 	}
 }
 
