@@ -54,6 +54,17 @@ func (ctl *faultCtl) restore(st *ctlState) {
 // parameters, tick order, probe sinks) are not in it, so a snapshot restores
 // only onto the System it was taken from (or one built identically).
 type SystemState struct {
+	stateContent
+
+	// digest is the content digest over stateContent, stamped at
+	// Checkpoint time and re-verified by RestoreCheckpoint (see digest.go).
+	// It is what makes a snapshot safe to hold in a cache: a corrupted or
+	// tampered snapshot is refused, never silently restored.
+	digest uint64
+}
+
+// stateContent is everything a SystemState holds but its digest stamp.
+type stateContent struct {
 	engine  sim.EngineState
 	hier    mem.HierarchyState
 	coprocs []coproc.CheckpointState // one per cluster, in fabric order
@@ -63,12 +74,6 @@ type SystemState struct {
 	ctl     *ctlState
 	inj     fault.InjectorState
 	tele    *telemetry.SamplerState
-
-	// digest is the FNV-64a content digest over every other field, stamped
-	// at Checkpoint time and re-verified by RestoreCheckpoint (see
-	// digest.go). It is what makes a snapshot safe to hold in a cache: a
-	// corrupted or tampered snapshot is refused, never silently restored.
-	digest uint64
 }
 
 // Cycle returns the cycle the checkpoint was taken at.
@@ -76,7 +81,7 @@ func (st *SystemState) Cycle() uint64 { return st.engine.Cycle() }
 
 // Checkpoint captures the full machine state at the current cycle.
 func (s *System) Checkpoint() *SystemState {
-	st := &SystemState{
+	st := &SystemState{stateContent: stateContent{
 		engine: s.Engine.Snapshot(),
 		hier:   s.Hier.Snapshot(),
 		cplx:   s.Cplx.Checkpoint(),
@@ -84,7 +89,7 @@ func (s *System) Checkpoint() *SystemState {
 		ctl:    s.faults.snapshot(),
 		inj:    s.inj.Snapshot(),
 		tele:   s.Tele.Snapshot(),
-	}
+	}}
 	for _, cp := range s.Clusters {
 		st.coprocs = append(st.coprocs, cp.Checkpoint())
 	}
@@ -116,10 +121,10 @@ func (s *System) RestoreCheckpoint(st *SystemState) error {
 // re-verifying its content digest. The integrity check exists for snapshots
 // that sat somewhere — an in-process cache, a parked job, a file — between
 // capture and restore; a sweep fork loop that restores the same snapshot it
-// just captured (or one it verified on the first fork) pays the full
-// reflective walk over the memory image on every point for no added safety.
-// Callers own the trust decision: verify the first restore, trust the rest,
-// and keep using RestoreCheckpoint for anything that crossed a cache.
+// just captured (or one it verified on the first fork) gains no safety from
+// re-hashing it on every point. Callers own the trust decision: verify the
+// first restore, trust the rest, and keep using RestoreCheckpoint for
+// anything that crossed a cache.
 func (s *System) RestoreCheckpointTrusted(st *SystemState) { s.restore(st) }
 
 func (s *System) restore(st *SystemState) {

@@ -1,12 +1,14 @@
 package arch
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"testing"
 
 	"occamy/internal/fault"
 	"occamy/internal/obs"
+	"occamy/internal/sim"
 	"occamy/internal/workload"
 )
 
@@ -240,5 +242,110 @@ func TestCheckpointStatsCellStability(t *testing.T) {
 	}
 	if !reflect.DeepEqual(sys.Stats.Counter("vec.hit"), cell) {
 		t.Fatal("Counter returned a different cell after restore")
+	}
+}
+
+// TestCheckpointDigestTamperRejected is the integrity contract: a snapshot
+// with even one flipped bit must be refused by RestoreCheckpoint with a
+// *CorruptCheckpointError, leaving the target system untouched — a corrupted
+// cache entry degrades to a cold run, never to a silently wrong answer.
+func TestCheckpointDigestTamperRejected(t *testing.T) {
+	sys, err := Build(Occamy, ckGroup(), Options{Seed: 7, WireInjector: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.RunTo(500); err != nil {
+		t.Fatal(err)
+	}
+	snap := sys.Checkpoint()
+	if err := snap.Verify(); err != nil {
+		t.Fatalf("fresh snapshot fails Verify: %v", err)
+	}
+	if snap.Digest() == 0 {
+		t.Fatal("snapshot digest not stamped")
+	}
+	if err := sys.RunTo(800); err != nil {
+		t.Fatal(err)
+	}
+	atTamper := sys.Engine.Cycle()
+
+	snap.Tamper()
+	err = sys.RestoreCheckpoint(snap)
+	var cerr *CorruptCheckpointError
+	if !errors.As(err, &cerr) {
+		t.Fatalf("RestoreCheckpoint(tampered) = %v, want *CorruptCheckpointError", err)
+	}
+	if cerr.Want == cerr.Got {
+		t.Fatalf("error reports matching digests: %+v", cerr)
+	}
+	if got := sys.Engine.Cycle(); got != atTamper {
+		t.Fatalf("refused restore still moved the clock: %d, want %d", got, atTamper)
+	}
+
+	// Un-tampering restores integrity: the same snapshot object verifies and
+	// restores again (Tamper is an involution).
+	snap.Tamper()
+	if err := sys.RestoreCheckpoint(snap); err != nil {
+		t.Fatalf("restore after un-tamper: %v", err)
+	}
+	if got := sys.Engine.Cycle(); got != 500 {
+		t.Fatalf("restored clock at %d, want 500", got)
+	}
+}
+
+// TestCheckpointDigestContentAddressed: two snapshots of the same machine
+// state — same build recipe, same cycle — digest identically even across
+// distinct System instances, the property the serve layer's content-addressed
+// checkpoint cache keys on. A snapshot at a different cycle must differ.
+func TestCheckpointDigestContentAddressed(t *testing.T) {
+	build := func() *System {
+		sys, err := Build(VLS, ckGroup(), Options{Seed: 7, WireInjector: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sys
+	}
+	a, b := build(), build()
+	if err := a.RunTo(400); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.RunTo(400); err != nil {
+		t.Fatal(err)
+	}
+	da, db := a.Checkpoint().Digest(), b.Checkpoint().Digest()
+	if da != db {
+		t.Fatalf("identically built systems at the same cycle digest differently: %016x vs %016x", da, db)
+	}
+	if err := a.RunTo(600); err != nil {
+		t.Fatal(err)
+	}
+	if dc := a.Checkpoint().Digest(); dc == da {
+		t.Fatalf("snapshot at cycle 600 digests identically to cycle 400 (%016x)", dc)
+	}
+}
+
+// TestRunCanceledReturnsDiagError: a run whose interrupt fires is killed
+// cooperatively and surfaces the standard diagnostic machinery — errors.As
+// reaches both the DiagError (with its machine dump) and the underlying
+// sim.CanceledError, which is how the serve layer classifies timeouts.
+func TestRunCanceledReturnsDiagError(t *testing.T) {
+	sys, err := Build(Occamy, ckGroup(), Options{Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	close(done)
+	sys.SetInterrupt(done)
+	_, err = sys.Run(50_000_000)
+	var derr *DiagError
+	if !errors.As(err, &derr) {
+		t.Fatalf("canceled run returned %v, want *DiagError", err)
+	}
+	var cerr *sim.CanceledError
+	if !errors.As(err, &cerr) {
+		t.Fatalf("canceled run's error chain lacks *sim.CanceledError: %v", err)
+	}
+	if derr.Dump == nil {
+		t.Fatal("canceled run carries no diagnostic dump")
 	}
 }

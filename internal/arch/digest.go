@@ -1,33 +1,64 @@
 package arch
 
 import (
+	"encoding/binary"
 	"fmt"
-	"math"
 	"reflect"
 	"sort"
+	"sync"
+	"unsafe"
 )
 
-// This file gives SystemState a content digest: a word-wise FNV-64a hash
-// over a deterministic serialization of the entire reachable snapshot — struct
-// fields in declaration order, slices and arrays in index order, maps in
-// sorted-key order, pointers followed once (cycle-safe). Checkpoint stamps
-// the digest at capture time and RestoreCheckpoint recomputes and compares it
-// before touching any component, so a snapshot that was corrupted while
-// cached or parked (Elzar's silent-state-corruption frame: a bit flip must
-// never become a wrong answer) is rejected with a typed error and the target
-// system is left exactly as it was — free to fall back to a cold run.
+// This file gives SystemState a content digest: FNV-1a lifted to 64-bit
+// words over a deterministic word stream of the entire reachable snapshot.
+// Checkpoint stamps the digest at capture time and RestoreCheckpoint
+// recomputes and compares it (through Verify) before touching any
+// component, so a snapshot that was corrupted while cached or parked (Elzar's
+// silent-state-corruption frame: a bit flip must never become a wrong
+// answer) is rejected with a typed error and the target system is left
+// exactly as it was — free to fall back to a cold run.
 //
-// The walk is reflection-based rather than hand-written per component so it
-// is complete by construction: a state field added to any component's
-// checkpoint is hashed automatically, with no way to silently forget one.
-// Reading unexported fields through reflect is legal for every kind the
-// checkpoints contain (only Interface() and mutation are restricted), and
-// []byte payloads — the memory image dominates a snapshot's size — hash
-// through Value.Bytes at slice speed.
+// The word stream is defined leaf by leaf, so a reflective walker can
+// reproduce it (digest_test.go keeps one as the oracle):
+//
+//   - a scalar is one word: its bits for 8-byte integers and float64,
+//     sign- or zero-extended for narrower integers, the raw byte for a bool,
+//     the raw bits for a float32; a complex number is its two parts;
+//   - a byte image (a string or a []byte) is its length, then its bytes
+//     8 per little-endian word, the last word zero-padded;
+//   - a struct is its fields in declaration order, an array its elements;
+//     neither adds a word, since their shape is static;
+//   - shape words carry the rest: a nil slice, map or pointer is tagNil; a
+//     slice is tagSeq, its length and its elements; a pointer is tagPtr and,
+//     on the first visit of that (address, type), its target, which keeps
+//     the walk cycle-safe; a map is tagMap, its length and, in ascending
+//     order of key digest, each key's digest and value; an interface is
+//     tagIface, its dynamic type's name and its value; a func, chan or
+//     unsafe.Pointer is only 0 or 1 for nil or not.
+//
+// The digest is complete by construction: a field added to any component's
+// checkpoint is hashed with no code to write. Reflection runs once per type:
+// compile turns a type into a plan of field offsets and kinds, cached for
+// the process, and the digest runs the plan over the snapshot's memory
+// through unsafe.Add and unsafe.Slice (confined to this file). Runs of
+// pointer-free, padding-free 8-byte leaves — a 64-bit field, a struct or
+// array of them, the whole cache tag array — hash as raw words at memory
+// speed; byte images hash at slice speed. A struct with padding is hashed
+// field by field, so its padding bytes, whose content Go leaves
+// unspecified, never reach the digest.
 
 const (
 	fnvOffset64 = 14695981039346656037
 	fnvPrime64  = 1099511628211
+)
+
+// Shape words: the only words of the stream that are not leaf values.
+const (
+	tagNil uint64 = iota
+	tagPtr
+	tagSeq
+	tagMap
+	tagIface
 )
 
 // CorruptCheckpointError is the typed error RestoreCheckpoint returns when a
@@ -48,221 +79,390 @@ func (e *CorruptCheckpointError) Error() string {
 		e.Cycle, e.Got, e.Want)
 }
 
-// digestState is one digest computation: the running hash plus a visited set
-// so pointer cycles (none exist today, but the walker must not depend on
-// that) terminate.
-//
-// The mixing is FNV-1a lifted to 64-bit words: one xor-multiply per word
-// instead of one per byte. Byte images fold 8 bytes into a word first, so
-// the memory image — the bulk of every snapshot — hashes at one multiply per
-// 8 bytes. The digest only ever lives next to the snapshot it stamps (the
-// in-process checkpoint cache, a parked job), so the exact function is free
-// to favor speed: restore-time verification is paid on every cache load and
-// every sweep-point fork, and at byte-serial FNV speed it was eating the
-// checkpoint fork's wall-clock win.
-type digestState struct {
-	h       uint64
-	visited map[visitKey]struct{}
-}
+// opKind is what one plan step reads at its offset.
+type opKind uint8
 
-type visitKey struct {
-	ptr uintptr
-	typ reflect.Type
-}
-
-func (d *digestState) byte(b byte) {
-	d.h = (d.h ^ uint64(b)) * fnvPrime64
-}
-
-func (d *digestState) u64(v uint64) {
-	d.h = (d.h ^ v) * fnvPrime64
-}
-
-func (d *digestState) bytes(b []byte) {
-	for len(b) >= 8 {
-		d.u64(uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-			uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56)
-		b = b[8:]
-	}
-	for _, c := range b {
-		d.byte(c)
-	}
-}
-
-func (d *digestState) str(s string) {
-	d.u64(uint64(len(s)))
-	for i := 0; i < len(s); i++ {
-		d.byte(s[i])
-	}
-}
-
-// kind tags keep distinct shapes from colliding (nil vs empty, 0 vs absent).
 const (
-	tagNil byte = iota
-	tagPtr
-	tagBool
-	tagInt
-	tagUint
-	tagFloat
-	tagComplex
-	tagString
-	tagSeq
-	tagMap
-	tagStruct
-	tagIface
-	tagOpaque // func/chan/unsafe.Pointer: nil-ness only
+	opWords  opKind = iota // n raw 64-bit words
+	opU8                   // zero-extended byte (uint8, bool)
+	opU16                  // zero-extended uint16
+	opU32                  // zero-extended uint32 (float32 bits)
+	opI8                   // sign-extended int8
+	opI16                  // sign-extended int16
+	opI32                  // sign-extended int32
+	opString               // byte image of a string
+	opBytes                // nil or tagSeq and the byte image of a []byte
+	opSlice                // nil or tagSeq, length and elements
+	opArray                // n elements of a padded element type
+	opPtr                  // nil or tagPtr and, on first visit, the target
+	opMap                  // nil or tagMap, length and sorted entries
+	opIface                // nil or tagIface, type name and value
+	opOpaque               // func, chan, unsafe.Pointer: 0 or 1
 )
 
-func (d *digestState) walk(v reflect.Value) {
-	if !v.IsValid() {
-		d.byte(tagNil)
-		return
+// op is one step of a plan.
+type op struct {
+	kind opKind
+	off  uintptr
+	n    int          // opWords: word count; opArray: length
+	elem *plan        // opSlice, opArray, opPtr: element; opMap: value
+	key  *plan        // opMap: key
+	typ  reflect.Type // opPtr: pointer type (the visit key); opMap, opIface: field type
+}
+
+// plan hashes one type: either size/8 raw words, or its steps in order.
+type plan struct {
+	size uintptr
+	raw  bool
+	ops  []op
+}
+
+// plans caches one plan per type. Plans are immutable once compile returns,
+// so a digest runs them without the lock.
+var plans struct {
+	sync.Mutex
+	m map[reflect.Type]*plan
+}
+
+// planOf returns t's plan, compiling it on first use.
+func planOf(t reflect.Type) *plan {
+	plans.Lock()
+	defer plans.Unlock()
+	if plans.m == nil {
+		plans.m = make(map[reflect.Type]*plan)
 	}
-	switch v.Kind() {
-	case reflect.Bool:
-		d.byte(tagBool)
-		if v.Bool() {
-			d.byte(1)
-		} else {
-			d.byte(0)
-		}
-	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		d.byte(tagInt)
-		d.u64(uint64(v.Int()))
-	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
-		d.byte(tagUint)
-		d.u64(v.Uint())
-	case reflect.Float32, reflect.Float64:
-		d.byte(tagFloat)
-		d.u64(math.Float64bits(v.Float()))
-	case reflect.Complex64, reflect.Complex128:
-		c := v.Complex()
-		d.byte(tagComplex)
-		d.u64(math.Float64bits(real(c)))
-		d.u64(math.Float64bits(imag(c)))
-	case reflect.String:
-		d.byte(tagString)
-		d.str(v.String())
-	case reflect.Slice:
-		if v.IsNil() {
-			d.byte(tagNil)
-			return
-		}
-		d.walkSeq(v)
+	return compile(t)
+}
+
+// compile returns t's plan; the caller holds plans. A plan is registered
+// before its steps are filled in, so a recursive type reached again through
+// a pointer, slice or map links to the plan being built.
+func compile(t reflect.Type) *plan {
+	if p := plans.m[t]; p != nil {
+		return p
+	}
+	p := &plan{size: t.Size(), raw: rawWords(t)}
+	plans.m[t] = p
+	if !p.raw {
+		p.ops = appendOps(nil, t, 0)
+	}
+	return p
+}
+
+// rawWords reports whether a t is nothing but 8-byte integer and float
+// leaves with no padding, so its memory is its word stream.
+func rawWords(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Int, reflect.Int64, reflect.Uint, reflect.Uint64, reflect.Uintptr, reflect.Float64, reflect.Complex128:
+		return t.Size()%8 == 0 // int, uint and uintptr are narrower on 32-bit hosts
 	case reflect.Array:
-		d.walkSeq(v)
-	case reflect.Map:
-		if v.IsNil() {
-			d.byte(tagNil)
-			return
-		}
-		d.walkMap(v)
-	case reflect.Pointer:
-		if v.IsNil() {
-			d.byte(tagNil)
-			return
-		}
-		d.byte(tagPtr)
-		key := visitKey{ptr: v.Pointer(), typ: v.Type()}
-		if _, seen := d.visited[key]; seen {
-			return // already hashed this object
-		}
-		d.visited[key] = struct{}{}
-		d.walk(v.Elem())
-	case reflect.Interface:
-		if v.IsNil() {
-			d.byte(tagNil)
-			return
-		}
-		d.byte(tagIface)
-		d.str(v.Elem().Type().String())
-		d.walk(v.Elem())
+		return rawWords(t.Elem())
 	case reflect.Struct:
-		d.byte(tagStruct)
-		n := v.NumField()
-		d.u64(uint64(n))
-		for i := 0; i < n; i++ {
-			d.walk(v.Field(i))
+		var end uintptr
+		for i := 0; i < t.NumField(); i++ {
+			f := t.Field(i)
+			if f.Offset != end || !rawWords(f.Type) {
+				return false
+			}
+			end += f.Type.Size()
 		}
+		return end == t.Size()
+	}
+	return false
+}
+
+// appendOps appends the steps that hash a t stored at off. Nested structs
+// are flattened into the caller's steps so adjacent raw fields merge into
+// one opWords run across struct boundaries.
+func appendOps(ops []op, t reflect.Type, off uintptr) []op {
+	if rawWords(t) {
+		n := int(t.Size() / 8)
+		if last := len(ops) - 1; last >= 0 && ops[last].kind == opWords && ops[last].off+uintptr(ops[last].n)*8 == off {
+			ops[last].n += n
+			return ops
+		}
+		if n == 0 {
+			return ops
+		}
+		return append(ops, op{kind: opWords, off: off, n: n})
+	}
+	switch t.Kind() {
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			f := t.Field(i)
+			ops = appendOps(ops, f.Type, off+f.Offset)
+		}
+		return ops
+	case reflect.Array:
+		return append(ops, op{kind: opArray, off: off, n: t.Len(), elem: compile(t.Elem())})
+	case reflect.Bool, reflect.Uint8:
+		return append(ops, op{kind: opU8, off: off})
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		// 8-byte integers are raw words; the narrower ones land here.
+		return append(ops, op{kind: map[uintptr]opKind{1: opI8, 2: opI16, 4: opI32}[t.Size()], off: off})
+	case reflect.Uint, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
+		return append(ops, op{kind: map[uintptr]opKind{2: opU16, 4: opU32}[t.Size()], off: off})
+	case reflect.Float32:
+		return append(ops, op{kind: opU32, off: off})
+	case reflect.Complex64:
+		return append(ops, op{kind: opU32, off: off}, op{kind: opU32, off: off + 4})
+	case reflect.String:
+		return append(ops, op{kind: opString, off: off})
+	case reflect.Slice:
+		if t.Elem().Kind() == reflect.Uint8 {
+			return append(ops, op{kind: opBytes, off: off})
+		}
+		return append(ops, op{kind: opSlice, off: off, elem: compile(t.Elem())})
+	case reflect.Pointer:
+		return append(ops, op{kind: opPtr, off: off, elem: compile(t.Elem()), typ: t})
+	case reflect.Map:
+		return append(ops, op{kind: opMap, off: off, key: compile(t.Key()), elem: compile(t.Elem()), typ: t})
+	case reflect.Interface:
+		return append(ops, op{kind: opIface, off: off, typ: t})
 	case reflect.Func, reflect.Chan, reflect.UnsafePointer:
 		// Not data: hash presence only. Checkpoint states are plain data
 		// today; if one ever carries a closure, its identity is
 		// configuration, not state.
-		d.byte(tagOpaque)
-		if v.IsNil() {
-			d.byte(0)
-		} else {
-			d.byte(1)
-		}
-	default:
-		panic(fmt.Sprintf("arch: snapshot digest: unhashable kind %v", v.Kind()))
+		return append(ops, op{kind: opOpaque, off: off})
+	}
+	panic(fmt.Sprintf("arch: snapshot digest: unhashable kind %v", t.Kind()))
+}
+
+// hasher is one digest computation: the mixing state plus the pointers
+// already followed.
+//
+// The mixing is FNV-1a lifted to 64-bit words, in four interleaved lanes:
+// word i of the stream goes to lane i mod 4, and sum folds the lanes into
+// one word. Each lane step is a bijection of the lane, so changing any one
+// word always changes the digest; the lanes let the multiply chains of
+// consecutive words overlap, which is what brings a raw run to memory
+// speed. The digest only ever lives next to the snapshot it stamps (the
+// in-process checkpoint cache, a parked job), so the exact function is free
+// to favor speed: verification is paid on every cache load and every
+// sweep-point fork.
+type hasher struct {
+	lanes   [4]uint64
+	n       int // words mixed so far
+	visited map[visitKey]struct{}
+}
+
+type visitKey struct {
+	ptr unsafe.Pointer
+	typ reflect.Type
+}
+
+// sliceHeader is the memory layout of every Go slice.
+type sliceHeader struct {
+	data     unsafe.Pointer
+	len, cap int
+}
+
+func newHasher() hasher {
+	return hasher{lanes: [4]uint64{fnvOffset64, fnvOffset64 + 1, fnvOffset64 + 2, fnvOffset64 + 3}}
+}
+
+func (d *hasher) word(w uint64) {
+	l := &d.lanes[d.n&3]
+	*l = (*l ^ w) * fnvPrime64
+	d.n++
+}
+
+// sum folds the lanes into the digest.
+func (d *hasher) sum() uint64 {
+	h := uint64(fnvOffset64)
+	for _, l := range d.lanes {
+		h = (h ^ l) * fnvPrime64
+	}
+	return h
+}
+
+// words hashes n raw words starting at p.
+func (d *hasher) words(p unsafe.Pointer, n int) {
+	ws := unsafe.Slice((*uint64)(p), n)
+	for len(ws) > 0 && d.n&3 != 0 {
+		d.word(ws[0])
+		ws = ws[1:]
+	}
+	a, b, c, e := d.lanes[0], d.lanes[1], d.lanes[2], d.lanes[3]
+	d.n += len(ws) &^ 3
+	for ; len(ws) >= 4; ws = ws[4:] {
+		a = (a ^ ws[0]) * fnvPrime64
+		b = (b ^ ws[1]) * fnvPrime64
+		c = (c ^ ws[2]) * fnvPrime64
+		e = (e ^ ws[3]) * fnvPrime64
+	}
+	d.lanes = [4]uint64{a, b, c, e}
+	for _, w := range ws {
+		d.word(w)
 	}
 }
 
-// walkSeq hashes a slice or array. Byte slices — the simulated memory image,
-// the bulk of every snapshot — go through Value.Bytes (readable even on
-// unexported fields) instead of a per-element reflect loop.
-func (d *digestState) walkSeq(v reflect.Value) {
-	n := v.Len()
-	d.byte(tagSeq)
-	d.u64(uint64(n))
-	if v.Kind() == reflect.Slice && v.Type().Elem().Kind() == reflect.Uint8 {
-		d.bytes(v.Bytes())
+// image hashes a byte image: its length, then 8 bytes per little-endian
+// word, the last one zero-padded.
+func (d *hasher) image(b []byte) {
+	d.word(uint64(len(b)))
+	for len(b) >= 8 && d.n&3 != 0 {
+		d.word(binary.LittleEndian.Uint64(b))
+		b = b[8:]
+	}
+	a, c, e, f := d.lanes[0], d.lanes[1], d.lanes[2], d.lanes[3]
+	d.n += len(b) / 32 * 4
+	for ; len(b) >= 32; b = b[32:] {
+		a = (a ^ binary.LittleEndian.Uint64(b)) * fnvPrime64
+		c = (c ^ binary.LittleEndian.Uint64(b[8:])) * fnvPrime64
+		e = (e ^ binary.LittleEndian.Uint64(b[16:])) * fnvPrime64
+		f = (f ^ binary.LittleEndian.Uint64(b[24:])) * fnvPrime64
+	}
+	d.lanes = [4]uint64{a, c, e, f}
+	for ; len(b) >= 8; b = b[8:] {
+		d.word(binary.LittleEndian.Uint64(b))
+	}
+	if len(b) > 0 {
+		var tail [8]byte
+		copy(tail[:], b)
+		d.word(binary.LittleEndian.Uint64(tail[:]))
+	}
+}
+
+// run hashes the value of p's type stored at base.
+func (d *hasher) run(p *plan, base unsafe.Pointer) {
+	if p.raw {
+		d.words(base, int(p.size/8))
 		return
 	}
-	switch v.Type().Elem().Kind() {
-	case reflect.Uint64: // stats rings, release lists: skip per-element tags
-		for i := 0; i < n; i++ {
-			d.u64(v.Index(i).Uint())
-		}
-	case reflect.Float64:
-		for i := 0; i < n; i++ {
-			d.u64(math.Float64bits(v.Index(i).Float()))
-		}
-	default:
-		for i := 0; i < n; i++ {
-			d.walk(v.Index(i))
+	for i := range p.ops {
+		o := &p.ops[i]
+		at := unsafe.Add(base, o.off)
+		switch o.kind {
+		case opWords:
+			d.words(at, o.n)
+		case opU8:
+			d.word(uint64(*(*uint8)(at)))
+		case opU16:
+			d.word(uint64(*(*uint16)(at)))
+		case opU32:
+			d.word(uint64(*(*uint32)(at)))
+		case opI8:
+			d.word(uint64(*(*int8)(at)))
+		case opI16:
+			d.word(uint64(*(*int16)(at)))
+		case opI32:
+			d.word(uint64(*(*int32)(at)))
+		case opString:
+			s := *(*string)(at)
+			d.image(unsafe.Slice(unsafe.StringData(s), len(s)))
+		case opBytes:
+			if b := *(*[]byte)(at); b == nil {
+				d.word(tagNil)
+			} else {
+				d.word(tagSeq)
+				d.image(b)
+			}
+		case opSlice:
+			s := (*sliceHeader)(at)
+			if s.data == nil {
+				d.word(tagNil)
+				continue
+			}
+			d.word(tagSeq)
+			d.word(uint64(s.len))
+			d.seq(o.elem, s.data, s.len)
+		case opArray:
+			d.seq(o.elem, at, o.n)
+		case opPtr:
+			target := *(*unsafe.Pointer)(at)
+			if target == nil {
+				d.word(tagNil)
+				continue
+			}
+			d.word(tagPtr)
+			key := visitKey{target, o.typ}
+			if _, seen := d.visited[key]; seen {
+				continue
+			}
+			if d.visited == nil {
+				d.visited = make(map[visitKey]struct{})
+			}
+			d.visited[key] = struct{}{}
+			d.run(o.elem, target)
+		case opMap:
+			d.mapEntries(o, reflect.NewAt(o.typ, at).Elem())
+		case opIface:
+			d.iface(reflect.NewAt(o.typ, at).Elem())
+		case opOpaque:
+			if *(*unsafe.Pointer)(at) == nil {
+				d.word(0)
+			} else {
+				d.word(1)
+			}
 		}
 	}
 }
 
-// walkMap hashes a map in deterministic order: entries are sorted by the
-// digest of their key (lexical for the common string and integer keys would
-// do, but key-digest order covers every key type uniformly).
-func (d *digestState) walkMap(v reflect.Value) {
-	keys := v.MapKeys()
+// seq hashes n consecutive elements starting at data.
+func (d *hasher) seq(elem *plan, data unsafe.Pointer, n int) {
+	if elem.raw {
+		d.words(data, n*int(elem.size/8))
+		return
+	}
+	for i := 0; i < n; i++ {
+		d.run(elem, unsafe.Add(data, uintptr(i)*elem.size))
+	}
+}
+
+// mapEntries hashes a map in ascending order of key digest. Keys and values
+// are copied out of the map into slices, where the plans can address them.
+func (d *hasher) mapEntries(o *op, m reflect.Value) {
+	if m.IsNil() {
+		d.word(tagNil)
+		return
+	}
+	n := m.Len()
+	keys := reflect.MakeSlice(reflect.SliceOf(o.typ.Key()), n, n)
+	vals := reflect.MakeSlice(reflect.SliceOf(o.typ.Elem()), n, n)
 	type entry struct {
-		kd  uint64
-		key reflect.Value
+		kd uint64
+		i  int
 	}
-	entries := make([]entry, len(keys))
-	for i, k := range keys {
-		sub := digestState{h: fnvOffset64, visited: d.visited}
-		sub.walk(k)
-		entries[i] = entry{kd: sub.h, key: k}
+	order := make([]entry, 0, n)
+	for it := m.MapRange(); it.Next(); {
+		i := len(order)
+		keys.Index(i).SetIterKey(it)
+		vals.Index(i).SetIterValue(it)
+		kd := newHasher()
+		kd.run(o.key, unsafe.Add(keys.UnsafePointer(), uintptr(i)*o.key.size))
+		order = append(order, entry{kd.sum(), i})
 	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].kd < entries[j].kd })
-	d.byte(tagMap)
-	d.u64(uint64(len(entries)))
-	for _, e := range entries {
-		d.u64(e.kd)
-		d.walk(v.MapIndex(e.key))
+	sort.Slice(order, func(a, b int) bool { return order[a].kd < order[b].kd })
+	d.word(tagMap)
+	d.word(uint64(n))
+	for _, e := range order {
+		d.word(e.kd)
+		d.run(o.elem, unsafe.Add(vals.UnsafePointer(), uintptr(e.i)*o.elem.size))
 	}
 }
 
-// computeDigest hashes every field of the snapshot except the digest stamp
-// itself.
-func (st *SystemState) computeDigest() uint64 {
-	d := digestState{h: fnvOffset64, visited: make(map[visitKey]struct{})}
-	v := reflect.ValueOf(st).Elem()
-	t := v.Type()
-	for i := 0; i < v.NumField(); i++ {
-		if t.Field(i).Name == "digest" {
-			continue
-		}
-		d.walk(v.Field(i))
+// iface hashes an interface through its dynamic type's plan, run over a
+// copy of the value.
+func (d *hasher) iface(v reflect.Value) {
+	if v.IsNil() {
+		d.word(tagNil)
+		return
 	}
-	return d.h
+	dyn := v.Elem()
+	d.word(tagIface)
+	name := dyn.Type().String()
+	d.image(unsafe.Slice(unsafe.StringData(name), len(name)))
+	tmp := reflect.New(dyn.Type())
+	tmp.Elem().Set(dyn)
+	d.run(planOf(dyn.Type()), tmp.UnsafePointer())
+}
+
+// computeDigest hashes the snapshot's content: every field but the stamp.
+func (st *SystemState) computeDigest() uint64 {
+	d := newHasher()
+	d.run(planOf(reflect.TypeFor[stateContent]()), unsafe.Pointer(&st.stateContent))
+	return d.sum()
 }
 
 // Digest returns the content digest stamped when the snapshot was captured.
@@ -281,8 +481,9 @@ func (st *SystemState) Verify() error {
 	return nil
 }
 
-// Tamper flips one bit of the snapshot's payload — deterministic simulated
-// memory corruption for integrity tests and the serve layer's
-// fault-injection endpoints. A tampered snapshot fails Verify and is refused
-// by RestoreCheckpoint.
-func (st *SystemState) Tamper() { st.engine.Corrupt() }
+// Tamper flips one bit of the L2 tag array in the snapshot — deterministic
+// simulated memory corruption of the bulk, raw-word part of a checkpoint,
+// for integrity tests and the serve layer's fault-injection endpoints. A
+// tampered snapshot fails Verify and is refused by RestoreCheckpoint;
+// tampering twice restores it.
+func (st *SystemState) Tamper() { st.hier.L2.Corrupt() }

@@ -1,134 +1,529 @@
-package arch
+package arch_test
 
 import (
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"math"
+	"reflect"
+	"slices"
+	"sort"
+	"strings"
+	"sync"
 	"testing"
+	"unsafe"
 
-	"occamy/internal/sim"
+	"occamy/internal/arch"
+	"occamy/internal/coproc"
+	"occamy/internal/experiments"
+	"occamy/internal/fault"
+	"occamy/internal/telemetry"
+	"occamy/internal/traffic"
+	"occamy/internal/workload"
 )
 
-// TestCheckpointDigestTamperRejected is the integrity contract: a snapshot
-// with even one flipped bit must be refused by RestoreCheckpoint with a
-// *CorruptCheckpointError, leaving the target system untouched — a corrupted
-// cache entry degrades to a cold run, never to a silently wrong answer.
-func TestCheckpointDigestTamperRejected(t *testing.T) {
-	sys, err := Build(Occamy, ckGroup(), Options{Seed: 7, WireInjector: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.RunTo(500); err != nil {
-		t.Fatal(err)
-	}
-	snap := sys.Checkpoint()
-	if err := snap.Verify(); err != nil {
-		t.Fatalf("fresh snapshot fails Verify: %v", err)
-	}
-	if snap.Digest() == 0 {
-		t.Fatal("snapshot digest not stamped")
-	}
-	if err := sys.RunTo(800); err != nil {
-		t.Fatal(err)
-	}
-	atTamper := sys.Engine.Cycle()
+// oracle is the reference for the compiled snapshot digest: a reflective
+// walker that produces digest.go's word stream leaf by leaf, with no use of
+// the compiled plans, and mixes it the same way: FNV-1a over 64-bit words
+// in four interleaved lanes, folded at the end.
+type oracle struct {
+	lanes   [4]uint64
+	n       int
+	visited map[oracleVisit]bool
+}
 
-	snap.Tamper()
-	err = sys.RestoreCheckpoint(snap)
-	var cerr *CorruptCheckpointError
-	if !errors.As(err, &cerr) {
-		t.Fatalf("RestoreCheckpoint(tampered) = %v, want *CorruptCheckpointError", err)
-	}
-	if cerr.Want == cerr.Got {
-		t.Fatalf("error reports matching digests: %+v", cerr)
-	}
-	if got := sys.Engine.Cycle(); got != atTamper {
-		t.Fatalf("refused restore still moved the clock: %d, want %d", got, atTamper)
-	}
+type oracleVisit struct {
+	ptr uintptr
+	typ reflect.Type
+}
 
-	// Un-tampering restores integrity: the same snapshot object verifies and
-	// restores again (Tamper is an involution).
-	snap.Tamper()
-	if err := sys.RestoreCheckpoint(snap); err != nil {
-		t.Fatalf("restore after un-tamper: %v", err)
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// The shape words of digest.go's stream.
+const (
+	tagNil uint64 = iota
+	tagPtr
+	tagSeq
+	tagMap
+	tagIface
+)
+
+func oracleDigest(v reflect.Value) uint64 {
+	o := oracle{visited: map[oracleVisit]bool{}}
+	for k := range o.lanes {
+		o.lanes[k] = fnvOffset64 + uint64(k)
 	}
-	if got := sys.Engine.Cycle(); got != 500 {
-		t.Fatalf("restored clock at %d, want 500", got)
+	o.walk(v)
+	h := uint64(fnvOffset64)
+	for _, l := range o.lanes {
+		h = (h ^ l) * fnvPrime64
+	}
+	return h
+}
+
+// snapshotOracle digests a snapshot's content, every field but the stamp.
+func snapshotOracle(st *arch.SystemState) uint64 {
+	return oracleDigest(reflect.ValueOf(st).Elem().FieldByName("stateContent"))
+}
+
+func (o *oracle) word(w uint64) {
+	o.lanes[o.n%4] = (o.lanes[o.n%4] ^ w) * fnvPrime64
+	o.n++
+}
+
+func (o *oracle) image(b []byte) {
+	o.word(uint64(len(b)))
+	for i := 0; i < len(b); i += 8 {
+		var w [8]byte
+		copy(w[:], b[i:])
+		o.word(binary.LittleEndian.Uint64(w[:]))
 	}
 }
 
-// TestCheckpointDigestContentAddressed: two snapshots of the same machine
-// state — same build recipe, same cycle — digest identically even across
-// distinct System instances, the property the serve layer's content-addressed
-// checkpoint cache keys on. A snapshot at a different cycle must differ.
-func TestCheckpointDigestContentAddressed(t *testing.T) {
-	build := func() *System {
-		sys, err := Build(VLS, ckGroup(), Options{Seed: 7, WireInjector: true})
+func (o *oracle) walk(v reflect.Value) {
+	switch v.Kind() {
+	case reflect.Bool:
+		if v.Bool() {
+			o.word(1)
+		} else {
+			o.word(0)
+		}
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		o.word(uint64(v.Int()))
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
+		o.word(v.Uint())
+	case reflect.Float32:
+		o.word(uint64(math.Float32bits(float32(v.Float()))))
+	case reflect.Float64:
+		o.word(math.Float64bits(v.Float()))
+	case reflect.Complex64:
+		c := v.Complex()
+		o.word(uint64(math.Float32bits(float32(real(c)))))
+		o.word(uint64(math.Float32bits(float32(imag(c)))))
+	case reflect.Complex128:
+		c := v.Complex()
+		o.word(math.Float64bits(real(c)))
+		o.word(math.Float64bits(imag(c)))
+	case reflect.String:
+		o.image([]byte(v.String()))
+	case reflect.Slice:
+		if v.IsNil() {
+			o.word(tagNil)
+			return
+		}
+		o.word(tagSeq)
+		if v.Type().Elem().Kind() == reflect.Uint8 {
+			o.image(v.Bytes())
+			return
+		}
+		o.word(uint64(v.Len()))
+		for i := 0; i < v.Len(); i++ {
+			o.walk(v.Index(i))
+		}
+	case reflect.Array:
+		for i := 0; i < v.Len(); i++ {
+			o.walk(v.Index(i))
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			o.walk(v.Field(i))
+		}
+	case reflect.Pointer:
+		if v.IsNil() {
+			o.word(tagNil)
+			return
+		}
+		o.word(tagPtr)
+		key := oracleVisit{v.Pointer(), v.Type()}
+		if o.visited[key] {
+			return
+		}
+		o.visited[key] = true
+		o.walk(v.Elem())
+	case reflect.Map:
+		if v.IsNil() {
+			o.word(tagNil)
+			return
+		}
+		type entry struct {
+			kd  uint64
+			key reflect.Value
+		}
+		var entries []entry
+		for _, k := range v.MapKeys() {
+			entries = append(entries, entry{oracleDigest(k), k})
+		}
+		sort.Slice(entries, func(i, j int) bool { return entries[i].kd < entries[j].kd })
+		o.word(tagMap)
+		o.word(uint64(len(entries)))
+		for _, e := range entries {
+			o.word(e.kd)
+			o.walk(v.MapIndex(e.key))
+		}
+	case reflect.Interface:
+		if v.IsNil() {
+			o.word(tagNil)
+			return
+		}
+		o.word(tagIface)
+		o.image([]byte(v.Elem().Type().String()))
+		o.walk(v.Elem())
+	case reflect.Func, reflect.Chan, reflect.UnsafePointer:
+		if v.IsNil() {
+			o.word(0)
+		} else {
+			o.word(1)
+		}
+	default:
+		panic(fmt.Sprintf("oracle: unhashable kind %v", v.Kind()))
+	}
+}
+
+// servePair and serveOptions build occamy-serve's campaign machine: the
+// spec/WL20+spec/WL17 pair with the service's options (16 lanes per core,
+// injector wired, watchdog armed).
+func servePair() workload.CoSchedule {
+	reg := workload.NewRegistry()
+	return workload.CoSchedule{Name: "spec/WL20+spec/WL17",
+		W: []*workload.Workload{reg.Workload("spec/WL20"), reg.Workload("spec/WL17")}}
+}
+
+var serveOptions = arch.Options{ExeBUs: 8, Seed: 7, WireInjector: true, StallCycles: 2_000_000}
+
+// serveShaped is the snapshot occamy-serve's campaign path caches: the
+// campaign machine warmed up to cycle 20,000.
+func serveShaped(tb testing.TB, kind arch.Kind) *arch.SystemState {
+	tb.Helper()
+	sys, err := arch.Build(kind, servePair(), serveOptions)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := sys.RunTo(20_000); err != nil {
+		tb.Fatal(err)
+	}
+	return sys.Checkpoint()
+}
+
+// digestStates builds kind's snapshots in the four shapes the digest must
+// cover: the serve-shaped warm-up, the 64-core/4-cluster group, a fork past
+// an applied ExeBU failure and a finished traffic run with telemetry on.
+func digestStates(t *testing.T, kind arch.Kind) map[string]*arch.SystemState {
+	t.Helper()
+	reg := workload.NewRegistry()
+	states := map[string]*arch.SystemState{"serve": serveShaped(t, kind)}
+
+	group := experiments.ScaleGroup(reg, 64)
+	for _, w := range group.W {
+		for _, k := range w.Phases {
+			k.Repeats = 1
+		}
+	}
+	sys, err := arch.Build(kind, group, arch.Options{Seed: 11, Topology: &coproc.Topology{
+		Clusters: 4, HopLatency: experiments.ScaleHopLatency, HopBandwidth: experiments.ScaleHopBandwidth}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.RunTo(3000); err != nil {
+		t.Fatal(err)
+	}
+	states["topo64"] = sys.Checkpoint()
+
+	faults, err := fault.ParseSpec("exebu:1@25000")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err = arch.Build(kind, workload.MotivatingPair(reg), arch.Options{Seed: 11, WireInjector: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.RunTo(20_000); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.RestoreCheckpoint(sys.Checkpoint()); err != nil {
+		t.Fatal(err)
+	}
+	sys.SetFaultSchedule(faults)
+	if err := sys.RunTo(26_000); err != nil {
+		t.Fatal(err)
+	}
+	states["fork"] = sys.Checkpoint()
+	// Occamy recovers by repartitioning its lanes; the other three carry
+	// the failure in the co-processor's fault state.
+	if flt := reflect.ValueOf(states["fork"]).Elem().FieldByName("coprocs").Index(0).FieldByName("flt"); flt.IsNil() != (kind == arch.Occamy) {
+		t.Fatalf("fork snapshot: co-processor fault state nil = %v", flt.IsNil())
+	}
+
+	ts, err := traffic.ParseSpec("poisson:load=2,tenants=3,cores=2,horizon=12000,slice=400,elems=384,repeats=1,churn=900:1300")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := traffic.Build(kind, ts, arch.Options{Seed: 11, Telemetry: &telemetry.Config{Window: 128}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sc.Run(sc.DefaultBudget()); err != nil {
+		t.Fatal(err)
+	}
+	states["traffic"] = sc.Sys.Checkpoint()
+	return states
+}
+
+// TestSnapshotDigestMatchesOracle: the compiled digest — stamped by
+// Checkpoint and recomputed by Verify — equals the reflective oracle on
+// every architecture in every snapshot shape.
+func TestSnapshotDigestMatchesOracle(t *testing.T) {
+	for _, kind := range arch.Kinds {
+		t.Run(kind.String(), func(t *testing.T) {
+			for name, st := range digestStates(t, kind) {
+				if err := st.Verify(); err != nil {
+					t.Errorf("%s: %v", name, err)
+				}
+				if got, want := st.Digest(), snapshotOracle(st); got != want {
+					t.Errorf("%s: compiled digest %016x, oracle %016x", name, got, want)
+				}
+			}
+		})
+	}
+}
+
+// TestSnapshotDigestIgnoresPadding: garbage in the padding bytes of the
+// co-processor's pool-ring entries (XInst has padding between its narrow
+// fields) leaves the digest unchanged — padding is not state.
+func TestSnapshotDigestIgnoresPadding(t *testing.T) {
+	st := serveShaped(t, arch.Occamy)
+	typ := reflect.TypeOf(coproc.XInst{})
+	var pad []uintptr
+	var end uintptr
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		for b := end; b < f.Offset; b++ {
+			pad = append(pad, b)
+		}
+		end = f.Offset + f.Type.Size()
+	}
+	for b := end; b < typ.Size(); b++ {
+		pad = append(pad, b)
+	}
+	if len(pad) == 0 {
+		t.Fatal("XInst has no padding; the test needs a padded type")
+	}
+	entries := 0
+	cores := reflect.ValueOf(st).Elem().FieldByName("coprocs").Index(0).FieldByName("cores")
+	for c := 0; c < cores.Len(); c++ {
+		queue := cores.Index(c).FieldByName("queue")
+		for i := 0; i < queue.Len(); i++ {
+			base := unsafe.Pointer(queue.Index(i).UnsafeAddr())
+			for _, b := range pad {
+				*(*byte)(unsafe.Add(base, b)) = 0xa5
+			}
+			entries++
+		}
+	}
+	if entries == 0 {
+		t.Fatal("snapshot has no pool-ring entries")
+	}
+	if err := st.Verify(); err != nil {
+		t.Fatalf("garbage in %d padding bytes of %d ring entries changed the digest: %v", len(pad), entries, err)
+	}
+}
+
+// TestSnapshotDigestConcurrentColdPlans digests two architectures'
+// snapshots from parallel goroutines on an empty plan cache, so both
+// compile plans at once; run under -race it checks the cache's locking.
+func TestSnapshotDigestConcurrentColdPlans(t *testing.T) {
+	snaps := []*arch.SystemState{serveShaped(t, arch.Occamy), serveShaped(t, arch.FTS)}
+	arch.ResetDigestPlans()
+	var wg sync.WaitGroup
+	errs := make([]error, len(snaps))
+	for i, st := range snaps {
+		wg.Add(1)
+		go func(i int, st *arch.SystemState) {
+			defer wg.Done()
+			errs[i] = st.Verify()
+		}(i, st)
+	}
+	wg.Wait()
+	for i, err := range errs {
 		if err != nil {
-			t.Fatal(err)
+			t.Errorf("snapshot %d: %v", i, err)
+		}
+	}
+}
+
+// tamperLeaf is one leaf of a snapshot FuzzCheckpointTamper can flip a bit
+// of: a scalar, a byte image or a string.
+type tamperLeaf struct {
+	path   string
+	addr   unsafe.Pointer
+	bytes  int
+	str    bool   // flipped by replacing the string with a flipped copy
+	commit func() // writes a copied map value back; nil when flipped in place
+}
+
+// flip toggles one bit of the leaf; flipping the same bit again undoes it.
+func (l *tamperLeaf) flip(bit int) {
+	if l.str {
+		s := (*string)(l.addr)
+		b := []byte(*s)
+		b[bit/8] ^= 1 << (bit % 8)
+		*s = string(b)
+	} else {
+		*(*byte)(unsafe.Add(l.addr, bit/8)) ^= 1 << (bit % 8)
+	}
+	if l.commit != nil {
+		l.commit()
+	}
+}
+
+// tamperLeaves enumerates v's leaves reflectively, independent of the
+// digest's plans: fields in order, elements by index, map values in key
+// order (through a copy that commit writes back), pointers followed once.
+// Shape (lengths, nil-ness, map keys) is not a leaf.
+func tamperLeaves(v reflect.Value, path string, commit func(), seen map[uintptr]bool, out []tamperLeaf) []tamperLeaf {
+	switch v.Kind() {
+	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
+		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+		return append(out, tamperLeaf{path: path, addr: unsafe.Pointer(v.UnsafeAddr()), bytes: int(v.Type().Size()), commit: commit})
+	case reflect.String:
+		if v.Len() == 0 {
+			return out
+		}
+		return append(out, tamperLeaf{path: path, addr: unsafe.Pointer(v.UnsafeAddr()), bytes: v.Len(), str: true, commit: commit})
+	case reflect.Slice:
+		if v.Type().Elem().Kind() == reflect.Uint8 {
+			if v.Len() == 0 {
+				return out
+			}
+			return append(out, tamperLeaf{path: path, addr: v.UnsafePointer(), bytes: v.Len(), commit: commit})
+		}
+		fallthrough
+	case reflect.Array:
+		for i := 0; i < v.Len(); i++ {
+			out = tamperLeaves(v.Index(i), fmt.Sprintf("%s[%d]", path, i), commit, seen, out)
+		}
+	case reflect.Struct:
+		sep := "."
+		if path == "" || strings.HasSuffix(path, "->") {
+			sep = ""
+		}
+		for i := 0; i < v.NumField(); i++ {
+			out = tamperLeaves(v.Field(i), path+sep+v.Type().Field(i).Name, commit, seen, out)
+		}
+	case reflect.Pointer:
+		if v.IsNil() || seen[v.Pointer()] {
+			return out
+		}
+		seen[v.Pointer()] = true
+		return tamperLeaves(v.Elem(), path+"->", commit, seen, out)
+	case reflect.Map:
+		m := reflect.NewAt(v.Type(), unsafe.Pointer(v.UnsafeAddr())).Elem() // writable view
+		keys := m.MapKeys()
+		sort.Slice(keys, func(i, j int) bool { return fmt.Sprint(keys[i]) < fmt.Sprint(keys[j]) })
+		for _, k := range keys {
+			val := reflect.New(m.Type().Elem()).Elem()
+			val.Set(m.MapIndex(k))
+			write := func() {
+				m.SetMapIndex(k, val)
+				if commit != nil {
+					commit()
+				}
+			}
+			out = tamperLeaves(val, fmt.Sprintf("%s[%v]", path, k), write, seen, out)
+		}
+	case reflect.Interface:
+		if !v.IsNil() {
+			panic("tamperLeaves: snapshots hold no interfaces; enumerate " + path)
+		}
+	}
+	return out
+}
+
+// FuzzCheckpointTamper flips one bit of one leaf of a snapshot. The digest
+// must catch it: RestoreCheckpoint returns *CorruptCheckpointError and
+// leaves the target exactly as it was (its own checkpoint digest does not
+// move), and flipping the bit back restores cleanly. The target checkpoints
+// after the flip, so a leaf the snapshot shares with live systems (the
+// program, held by reference) is compared flipped on both sides.
+func FuzzCheckpointTamper(f *testing.F) {
+	build := func(cycle uint64) *arch.System {
+		sys, err := arch.Build(arch.Occamy, servePair(), serveOptions)
+		if err != nil {
+			f.Fatal(err)
+		}
+		if err := sys.RunTo(cycle); err != nil {
+			f.Fatal(err)
 		}
 		return sys
 	}
-	a, b := build(), build()
-	if err := a.RunTo(400); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.RunTo(400); err != nil {
-		t.Fatal(err)
-	}
-	da, db := a.Checkpoint().Digest(), b.Checkpoint().Digest()
-	if da != db {
-		t.Fatalf("identically built systems at the same cycle digest differently: %016x vs %016x", da, db)
-	}
-	if err := a.RunTo(600); err != nil {
-		t.Fatal(err)
-	}
-	if dc := a.Checkpoint().Digest(); dc == da {
-		t.Fatalf("snapshot at cycle 600 digests identically to cycle 400 (%016x)", dc)
-	}
-}
+	snap := build(2000).Checkpoint()
+	target := build(1500)
+	leaves := tamperLeaves(reflect.ValueOf(snap).Elem(), "", nil, map[uintptr]bool{}, nil)
 
-// TestRunCanceledReturnsDiagError: a run whose interrupt fires is killed
-// cooperatively and surfaces the standard diagnostic machinery — errors.As
-// reaches both the DiagError (with its machine dump) and the underlying
-// sim.CanceledError, which is how the serve layer classifies timeouts.
-func TestRunCanceledReturnsDiagError(t *testing.T) {
-	sys, err := Build(Occamy, ckGroup(), Options{Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan struct{})
-	close(done)
-	sys.SetInterrupt(done)
-	_, err = sys.Run(50_000_000)
-	var derr *DiagError
-	if !errors.As(err, &derr) {
-		t.Fatalf("canceled run returned %v, want *DiagError", err)
-	}
-	var cerr *sim.CanceledError
-	if !errors.As(err, &cerr) {
-		t.Fatalf("canceled run's error chain lacks *sim.CanceledError: %v", err)
-	}
-	if derr.Dump == nil {
-		t.Fatal("canceled run carries no diagnostic dump")
-	}
-}
-
-// BenchmarkSnapshotDigest is the integrity tax: one digest walk over a full
-// warm snapshot. Checkpoint pays it once at capture; RestoreCheckpoint pays
-// it once per restore — so it bounds how often checkpoint forks and cache
-// loads can recycle state without the verify dominating the simulation.
-func BenchmarkSnapshotDigest(b *testing.B) {
-	sys, err := Build(Occamy, ckGroup(), Options{Seed: 7, WireInjector: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := sys.RunTo(500); err != nil {
-		b.Fatal(err)
-	}
-	snap := sys.Checkpoint()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if snap.computeDigest() != snap.Digest() {
-			b.Fatal("digest mismatch")
+	// One seed per plan kind: a raw tag-array word, a byte image, a field
+	// of a padded struct, a map value and a field behind a pointer.
+	for _, want := range []string{"hier.L2.lines[", "hier.Mem.pages[", ".queue[", "engine.stats[", "ctl->"} {
+		i := slices.IndexFunc(leaves, func(l tamperLeaf) bool { return strings.Contains(l.path, want) })
+		if i < 0 {
+			f.Fatalf("no leaf under %q", want)
 		}
+		f.Add(uint32(i), uint32(3))
+	}
+
+	f.Fuzz(func(t *testing.T, leaf, bit uint32) {
+		l := &leaves[leaf%uint32(len(leaves))]
+		b := int(bit % uint32(8*l.bytes))
+		l.flip(b)
+		before := target.Checkpoint().Digest()
+		err := target.RestoreCheckpoint(snap)
+		after := target.Checkpoint().Digest()
+		l.flip(b)
+		var cerr *arch.CorruptCheckpointError
+		if !errors.As(err, &cerr) {
+			t.Fatalf("%s bit %d: RestoreCheckpoint = %v, want *CorruptCheckpointError", l.path, b, err)
+		}
+		if before != after {
+			t.Fatalf("%s bit %d: refused restore changed the target (digest %016x -> %016x)", l.path, b, before, after)
+		}
+		if err := target.RestoreCheckpoint(snap); err != nil {
+			t.Fatalf("%s bit %d: restore after flipping back: %v", l.path, b, err)
+		}
+	})
+}
+
+// BenchmarkSnapshotDigest is the integrity tax on occamy-serve's campaign
+// path: one Verify of the snapshot it caches (serveShaped), per
+// architecture, and the reflective oracle over the same snapshots for
+// scale. Checkpoint pays the digest once at capture; every cache hit and
+// every campaign point pays it again through RestoreCheckpoint.
+func BenchmarkSnapshotDigest(b *testing.B) {
+	snaps := map[arch.Kind]*arch.SystemState{}
+	for _, kind := range arch.Kinds {
+		snaps[kind] = serveShaped(b, kind)
+	}
+	for _, kind := range arch.Kinds {
+		st := snaps[kind]
+		b.Run(kind.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := st.Verify(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+	for _, kind := range arch.Kinds {
+		st := snaps[kind]
+		b.Run("oracle/"+kind.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if snapshotOracle(st) != st.Digest() {
+					b.Fatal("oracle disagrees with the stamp")
+				}
+			}
+		})
 	}
 }

@@ -31,7 +31,7 @@ type CacheConfig struct {
 // LRU replacement. It tracks tags only; data lives in the functional Memory.
 type Cache struct {
 	cfg   CacheConfig
-	sets  [][]cacheLine // [set][way]
+	lines []cacheLine // set-major: set s holds lines[s*Ways : (s+1)*Ways]
 	bw    bwMeter
 	miss  missTracker
 	next  Port
@@ -56,14 +56,30 @@ type hitLine struct {
 	b   int
 }
 
+// cacheLine is one way of the tag array: the tag and the state bits share
+// one word, beside the LRU word. Lines are 16 bytes with no padding, so a
+// tag-array copy is one memmove and the checkpoint digest hashes the array
+// as raw 64-bit words.
 type cacheLine struct {
-	valid bool
-	dirty bool
-	// prefetched marks a line brought in by the prefetcher and not yet
-	// demanded; the first demand hit re-arms the stream prefetch.
-	prefetched bool
-	tag        uint64
-	lru        uint64 // last-touch stamp; larger = more recent
+	meta uint64 // tag<<lineFlagBits | lineValid | lineDirty | linePrefetched
+	lru  uint64 // last-touch stamp; larger = more recent
+}
+
+// The state bits of cacheLine.meta. linePrefetched marks a line brought in
+// by the prefetcher and not yet demanded; the first demand hit re-arms the
+// stream prefetch. A tag is an address shifted right by at least the 6
+// line-offset bits, so it fits above the flags.
+const (
+	lineValid uint64 = 1 << iota
+	lineDirty
+	linePrefetched
+)
+
+const lineFlagBits = 3
+
+// holds reports whether l is the valid line with the given tag.
+func (l *cacheLine) holds(tag uint64) bool {
+	return l.meta&^(lineDirty|linePrefetched) == tag<<lineFlagBits|lineValid
 }
 
 // NewCache builds a cache in front of next. Stats may be nil.
@@ -89,11 +105,7 @@ func NewCache(cfg CacheConfig, next Port, stats *sim.Stats) *Cache {
 		setShift: 6, // log2(LineBytes)
 		tagShift: 6 + uint(bits.TrailingZeros(uint(numSets))),
 	}
-	c.sets = make([][]cacheLine, numSets)
-	lines := make([]cacheLine, numSets*cfg.Ways)
-	for i := range c.sets {
-		c.sets[i], lines = lines[:cfg.Ways], lines[cfg.Ways:]
-	}
+	c.lines = make([]cacheLine, numSets*cfg.Ways)
 	if stats != nil {
 		c.cHit = stats.Counter(cfg.Name + ".hit")
 		c.cMiss = stats.Counter(cfg.Name + ".miss")
@@ -150,28 +162,22 @@ func (c *Cache) AccessFrom(now uint64, addr uint64, size int, write bool, who in
 }
 
 func (c *Cache) accessLine(now uint64, lineAddr uint64, reqBytes int, write bool, who int) (uint64, bool) {
-	set := (lineAddr >> c.setShift) & c.setMask
-	tag := lineAddr >> c.tagShift
-	ways := c.sets[set]
-
 	// Hit path: the port moves only the requested bytes. The first demand
 	// hit on a prefetched line chases the stream: it issues the next
 	// prefetches so a unit-stride stream keeps its lines in flight
 	// continuously.
-	for w := range ways {
-		if ways[w].valid && ways[w].tag == tag {
-			ways[w].lru = now
-			if write {
-				ways[w].dirty = true
-			}
-			if ways[w].prefetched {
-				ways[w].prefetched = false
-				c.prefetch(now, lineAddr, who)
-			}
-			c.count(c.cHit)
-			xfer := c.bw.consume(now, reqBytes)
-			return maxU64(xfer, now+c.cfg.LatencyCycles), true
+	if l := c.lookup(lineAddr); l != nil {
+		l.lru = now
+		if write {
+			l.meta |= lineDirty
 		}
+		if l.meta&linePrefetched != 0 {
+			l.meta &^= linePrefetched
+			c.prefetch(now, lineAddr, who)
+		}
+		c.count(c.cHit)
+		xfer := c.bw.consume(now, reqBytes)
+		return maxU64(xfer, now+c.cfg.LatencyCycles), true
 	}
 
 	// Miss path: fill from the next level, evicting the LRU way. The MSHR
@@ -188,9 +194,43 @@ func (c *Cache) accessLine(now uint64, lineAddr uint64, reqBytes int, write bool
 	c.count(c.cMiss)
 	c.miss.reserve(fillDone, who)
 	c.prefetch(now, lineAddr, who)
+	meta := (lineAddr>>c.tagShift)<<lineFlagBits | lineValid
+	if write {
+		meta |= lineDirty
+	}
+	*c.evict(now, lineAddr) = cacheLine{meta: meta, lru: now}
+	xfer := c.bw.consume(now, LineBytes)
+	return maxU64(fillDone, xfer), true
+}
+
+// set returns the ways of the set lineAddr maps to.
+func (c *Cache) set(lineAddr uint64) []cacheLine {
+	w := uint64(c.cfg.Ways)
+	base := ((lineAddr >> c.setShift) & c.setMask) * w
+	return c.lines[base : base+w : base+w]
+}
+
+// lookup returns lineAddr's resident line, or nil when it is absent.
+func (c *Cache) lookup(lineAddr uint64) *cacheLine {
+	tag := lineAddr >> c.tagShift
+	ways := c.set(lineAddr)
+	for w := range ways {
+		if ways[w].holds(tag) {
+			return &ways[w]
+		}
+	}
+	return nil
+}
+
+// evict picks the way of lineAddr's set to refill — the first invalid way,
+// else the first way with the lowest LRU stamp — and writes a dirty victim
+// back first. The write-back consumes next-level bandwidth but does not
+// delay the fill (eviction buffers).
+func (c *Cache) evict(now uint64, lineAddr uint64) *cacheLine {
+	ways := c.set(lineAddr)
 	victim := 0
 	for w := range ways {
-		if !ways[w].valid {
+		if ways[w].meta&lineValid == 0 {
 			victim = w
 			break
 		}
@@ -198,16 +238,14 @@ func (c *Cache) accessLine(now uint64, lineAddr uint64, reqBytes int, write bool
 			victim = w
 		}
 	}
-	if ways[victim].valid && ways[victim].dirty {
-		// Write-back consumes next-level bandwidth but does not delay
-		// the demand fill (eviction buffers).
-		wbAddr := (ways[victim].tag << c.tagShift) | (set << c.setShift)
+	v := &ways[victim]
+	if v.meta&(lineValid|lineDirty) == lineValid|lineDirty {
+		set := (lineAddr >> c.setShift) & c.setMask
+		wbAddr := (v.meta>>lineFlagBits)<<c.tagShift | set<<c.setShift
 		c.next.Access(now, wbAddr, LineBytes, true)
 		c.count(c.cWriteback)
 	}
-	ways[victim] = cacheLine{valid: true, dirty: write, tag: tag, lru: now}
-	xfer := c.bw.consume(now, LineBytes)
-	return maxU64(fillDone, xfer), true
+	return v
 }
 
 // ProbeRetry reports whether AccessFrom(now, addr, size, write, who) would
@@ -232,20 +270,10 @@ func (c *Cache) ProbeRetry(now uint64, addr uint64, size int, write bool, who in
 	}
 	first, lines := lineSpan(addr, size)
 	for i := 0; i < lines; i++ {
-		lineAddr := first + uint64(i*LineBytes)
-		set := (lineAddr >> c.setShift) & c.setMask
-		tag := lineAddr >> c.tagShift
-		resident := false
-		for _, l := range c.sets[set] {
-			if l.valid && l.tag == tag {
-				if l.prefetched {
-					return 0, false // first demand hit re-arms the prefetcher
-				}
-				resident = true
-				break
+		if l := c.lookup(first + uint64(i*LineBytes)); l != nil {
+			if l.meta&linePrefetched != 0 {
+				return 0, false // first demand hit re-arms the prefetcher
 			}
-		}
-		if resident {
 			continue
 		}
 		if c.miss.hasSlot(now, who) {
@@ -274,16 +302,7 @@ func (c *Cache) ReplayRetries(from, n uint64, addr uint64, size int, write bool,
 	hits := c.retryHits[:0]
 	for i := 0; i < lines; i++ {
 		lineAddr := first + uint64(i*LineBytes)
-		set := (lineAddr >> c.setShift) & c.setMask
-		tag := lineAddr >> c.tagShift
-		ways := c.sets[set]
-		var way *cacheLine
-		for k := range ways {
-			if ways[k].valid && ways[k].tag == tag {
-				way = &ways[k]
-				break
-			}
-		}
+		way := c.lookup(lineAddr)
 		if way == nil {
 			break // the rejecting line; each attempt stops here
 		}
@@ -304,7 +323,7 @@ func (c *Cache) ReplayRetries(from, n uint64, addr uint64, size int, write bool,
 	for _, h := range hits {
 		h.way.lru = from + n - 1
 		if write {
-			h.way.dirty = true
+			h.way.meta |= lineDirty
 		}
 	}
 	if c.cHit != nil {
@@ -320,7 +339,7 @@ func (c *Cache) ReplayRetries(from, n uint64, addr uint64, size int, write bool,
 func (c *Cache) prefetch(now uint64, lineAddr uint64, who int) {
 	for i := 1; i <= c.cfg.PrefetchDegree; i++ {
 		pf := lineAddr + uint64(i*LineBytes)
-		if c.present(pf) {
+		if c.lookup(pf) != nil {
 			continue
 		}
 		if !c.miss.hasSlot(now, who) {
@@ -331,49 +350,21 @@ func (c *Cache) prefetch(now uint64, lineAddr uint64, who int) {
 			return
 		}
 		c.miss.reserve(fillDone, who)
-		c.install(now, pf, fillDone, false)
+		c.install(now, pf)
 		c.count(c.cPrefetch)
 	}
 }
 
-// present reports whether lineAddr is resident.
-func (c *Cache) present(lineAddr uint64) bool {
-	set := (lineAddr >> c.setShift) & c.setMask
-	tag := lineAddr >> c.tagShift
-	for _, l := range c.sets[set] {
-		if l.valid && l.tag == tag {
-			return true
-		}
-	}
-	return false
-}
-
-// install places a line into its set, evicting LRU (with write-back).
-func (c *Cache) install(now uint64, lineAddr uint64, _ uint64, dirty bool) {
-	set := (lineAddr >> c.setShift) & c.setMask
-	tag := lineAddr >> c.tagShift
-	ways := c.sets[set]
-	victim := 0
-	for w := range ways {
-		if !ways[w].valid {
-			victim = w
-			break
-		}
-		if ways[w].lru < ways[victim].lru {
-			victim = w
-		}
-	}
-	if ways[victim].valid && ways[victim].dirty {
-		wbAddr := (ways[victim].tag << c.tagShift) | (set << c.setShift)
-		c.next.Access(now, wbAddr, LineBytes, true)
-		c.count(c.cWriteback)
-	}
-	// Install with slightly-stale LRU so demand lines outrank prefetches.
+// install places a prefetched line into its set, evicting LRU (with
+// write-back). It installs with a slightly stale LRU stamp so demand lines
+// outrank prefetches.
+func (c *Cache) install(now uint64, lineAddr uint64) {
 	lru := uint64(0)
 	if now > 0 {
 		lru = now - 1
 	}
-	ways[victim] = cacheLine{valid: true, dirty: dirty, prefetched: true, tag: tag, lru: lru}
+	meta := (lineAddr>>c.tagShift)<<lineFlagBits | lineValid | linePrefetched
+	*c.evict(now, lineAddr) = cacheLine{meta: meta, lru: lru}
 }
 
 func (c *Cache) count(cell *uint64) {
@@ -412,28 +403,27 @@ type CacheState struct {
 
 // Snapshot captures the cache's full timing state.
 func (c *Cache) Snapshot() CacheState {
-	ways := len(c.sets[0])
-	st := CacheState{
-		lines:         make([]cacheLine, 0, len(c.sets)*ways),
+	return CacheState{
+		lines:         append([]cacheLine(nil), c.lines...),
 		bytesPerCycle: c.bw.bytesPerCycle,
 		nextFree:      c.bw.nextFree,
 		pending:       append([]missEntry(nil), c.miss.pending...),
 	}
-	for _, set := range c.sets {
-		st.lines = append(st.lines, set...)
-	}
-	return st
 }
 
 // Restore rewinds the cache to a Snapshot taken on an identically configured
 // instance.
 func (c *Cache) Restore(st CacheState) {
-	ways := len(c.sets[0])
-	for i, set := range c.sets {
-		copy(set, st.lines[i*ways:(i+1)*ways])
-	}
+	copy(c.lines, st.lines)
 	c.bw.bytesPerCycle = st.bytesPerCycle
 	c.bw.nextFree = st.nextFree
 	c.miss.pending = append(c.miss.pending[:0], st.pending...)
 	c.miss.recompute()
 }
+
+// Corrupt flips one tag bit of the middle line of the snapshot's tag array —
+// a stand-in for silent in-memory corruption of a stored checkpoint, used by
+// the integrity tests and the serve layer's fault-injection hook. Applying
+// it twice restores the snapshot. Callers hold the only reference paths
+// into a snapshot, so this never races with a restore.
+func (st *CacheState) Corrupt() { st.lines[len(st.lines)/2].meta ^= 1 << lineFlagBits }

@@ -293,6 +293,56 @@ func TestCacheMSHRRejection(t *testing.T) {
 	}
 }
 
+// TestCacheStateCorruptFlipsState: Corrupt changes the snapshot's tag
+// array, and a second Corrupt restores it exactly.
+func TestCacheStateCorruptFlipsState(t *testing.T) {
+	c := newTestCache(4096, 4, 1, NewDRAM(DRAMConfig{LatencyCycles: 10, BytesPerCycle: 64}, nil), nil)
+	if _, ok := c.Access(0, 0x100, 4, true); !ok {
+		t.Fatal("access rejected")
+	}
+	st := c.Snapshot()
+	orig := append([]cacheLine(nil), st.lines...)
+	st.Corrupt()
+	if reflect.DeepEqual(st.lines, orig) {
+		t.Fatal("Corrupt() did not change the tag array")
+	}
+	st.Corrupt()
+	if !reflect.DeepEqual(st.lines, orig) {
+		t.Fatal("Corrupt() twice did not restore the tag array")
+	}
+}
+
+// TestCacheHighAddressTags: the widest tags, which share their word with the
+// line's state bits, still hit, miss and write back at their own address.
+func TestCacheHighAddressTags(t *testing.T) {
+	stats := sim.NewStats()
+	dram := NewDRAM(DRAMConfig{LatencyCycles: 10, BytesPerCycle: 64}, stats)
+	c := newTestCache(256, 2, 1, dram, stats) // 2 sets, 2 ways
+	top := ^uint64(0) &^ (LineBytes - 1)      // the last line of the address space
+	alias := top &^ (1 << 63)                 // same set, tag differs in its top bit
+	now := uint64(0)
+	for i, addr := range []uint64{top, alias, top, alias} {
+		done, ok := c.Access(now, addr, 4, true)
+		if !ok {
+			t.Fatalf("access %d rejected", i)
+		}
+		now = done + 1
+	}
+	if c.Misses() != 2 || c.Hits() != 2 {
+		t.Fatalf("misses=%d hits=%d, want 2/2", c.Misses(), c.Hits())
+	}
+	st := c.Snapshot()
+	set := (top >> 6) & c.setMask
+	for _, l := range st.lines[set*2 : set*2+2] {
+		if l.meta&lineDirty == 0 {
+			t.Fatalf("line %#x not dirty after a write", l.meta)
+		}
+		if got := (l.meta>>lineFlagBits)<<c.tagShift | set<<c.setShift; got != top && got != alias {
+			t.Fatalf("line rebuilds to address %#x, want %#x or %#x", got, top, alias)
+		}
+	}
+}
+
 func TestDRAMBandwidthContention(t *testing.T) {
 	d := NewDRAM(DRAMConfig{LatencyCycles: 100, BytesPerCycle: 32}, nil)
 	// Two streams each asking 64B at the same cycle: the second is delayed

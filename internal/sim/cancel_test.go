@@ -61,13 +61,3 @@ func TestRunUntilInterruptBitIdentical(t *testing.T) {
 			nPlain, nArmed, tPlain, tArmed)
 	}
 }
-
-func TestEngineStateCorruptFlipsState(t *testing.T) {
-	e := NewEngine()
-	st := e.Snapshot()
-	before := st.skippedTicks
-	st.Corrupt()
-	if st.skippedTicks == before {
-		t.Fatal("Corrupt() did not change the snapshot")
-	}
-}

@@ -222,13 +222,6 @@ type EngineState struct {
 // Cycle returns the cycle the snapshot was taken at.
 func (st EngineState) Cycle() uint64 { return st.cycle }
 
-// Corrupt flips one bit of the snapshot's skip bookkeeping — a minimal
-// stand-in for silent in-memory corruption of a stored checkpoint, used by
-// the integrity tests and the serve layer's fault-injection hooks. Callers
-// hold the only reference paths into a snapshot, so this never races with a
-// restore.
-func (st *EngineState) Corrupt() { st.skippedTicks ^= 1 }
-
 // Snapshot captures the engine's clock and counters.
 func (e *Engine) Snapshot() EngineState {
 	st := EngineState{
