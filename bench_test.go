@@ -10,7 +10,6 @@ package occamy
 // the paper-vs-measured comparison).
 
 import (
-	"context"
 	"fmt"
 	"testing"
 
@@ -21,7 +20,6 @@ import (
 	"occamy/internal/isa"
 	"occamy/internal/lanemgr"
 	"occamy/internal/roofline"
-	"occamy/internal/sim"
 	"occamy/internal/traffic"
 	"occamy/internal/workload"
 )
@@ -284,7 +282,7 @@ func BenchmarkEngineSkipAhead(b *testing.B) {
 // the committed BENCH_PR14.json baseline (±10%) and fails on any nonzero
 // allocs/op. Refresh the baseline (every gated benchmark) with:
 //
-//	{ go test -run xxx -bench 'SteadyStateTick|BatchTick|IssueScan' -benchmem -count 3 . ./internal/coproc ;
+//	{ go test -run xxx -bench 'SteadyStateTick|IssueScan' -benchmem -count 3 . ./internal/coproc ;
 //	  go test -run xxx -bench SweepWallClock -benchtime 1x -count 3 . ; } |
 //	    go run ./cmd/occamy-benchgate -baseline BENCH_PR14.json -update
 func BenchmarkSteadyStateTick(b *testing.B) {
@@ -332,118 +330,24 @@ func steadyGroup() workload.CoSchedule {
 	}}
 }
 
-// steadyBatchTask adapts the steady-state workload to sim.Task for
-// BenchmarkBatchTick: every segment replays the same span of warm dense
-// execution (restored from a checkpoint between segments), and the shared
-// countdown retires the task once the batch has simulated enough aggregate
-// cycles for the harness's b.N.
-type steadyBatchTask struct {
-	sys     *arch.System
-	snap    *arch.SystemState
-	label   string
-	span    uint64
-	target  uint64
-	started bool
-	left    *int // shared remaining-segment countdown
-}
-
-func (t *steadyBatchTask) Engine() *sim.Engine { return t.sys.Engine }
-func (t *steadyBatchTask) Label() string       { return t.label }
-
-func (t *steadyBatchTask) Begin(prev error) (func() bool, uint64, error) {
-	if prev != nil {
-		return nil, 0, prev
-	}
-	if *t.left <= 0 {
-		return nil, 0, nil
-	}
-	*t.left--
-	if t.started {
-		t.sys.RestoreCheckpointTrusted(t.snap)
-	}
-	t.started = true
-	t.target = t.sys.Engine.Cycle() + t.span
-	return t.done, 2 * t.span, nil
-}
-
-func (t *steadyBatchTask) done() bool { return t.sys.Engine.Cycle() >= t.target }
-
-// BenchmarkBatchTick measures the lockstep batch engine's warm per-cycle
-// cost: K independent warm systems stepped round-robin through sim.Batch in
-// DefaultQuantum slices. ns/op is ns per aggregate simulated cycle — directly
-// comparable to BenchmarkSteadyStateTick's per-system number, so B1 exposes
-// the batching overhead (it must be negligible) and B4 the cache-sharing
-// effect. allocs/op must stay 0: steady-state batch ticking allocates
-// nothing per cycle (admission, label contexts and the rare per-segment
-// checkpoint recycle amortize to zero).
-//
-// CI gates this family alongside SteadyStateTick (see cmd/occamy-benchgate).
-func BenchmarkBatchTick(b *testing.B) {
-	const warm, span = 2001, 8192
-	run := func(b *testing.B, kind arch.Kind, group workload.CoSchedule, k int) {
-		left := (b.N + span - 1) / span
-		batch := sim.NewBatch(context.Background(), "bench")
-		for i := 0; i < k; i++ {
-			sys, err := arch.Build(kind, group, arch.Options{Seed: uint64(5 + i)})
-			if err != nil {
-				b.Fatal(err)
-			}
-			sys.Engine.SetSkipAhead(false)
-			if err := sys.RunTo(warm); err != nil {
-				b.Fatal(err)
-			}
-			t := &steadyBatchTask{
-				sys: sys, snap: sys.Checkpoint(), span: span, left: &left,
-				label: fmt.Sprintf("%s/b%d", kind, i),
-			}
-			if err := batch.Add(t); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		if err := batch.Run(0); err != nil {
-			b.Fatal(err)
-		}
-		b.StopTimer()
-		b.ReportMetric(float64(batch.Cycles())/b.Elapsed().Seconds(), "sim-cycles/s")
-	}
-	for _, kind := range arch.Kinds {
-		for _, k := range []int{1, 4} {
-			b.Run(fmt.Sprintf("%s/B%d", kind, k), func(b *testing.B) {
-				run(b, kind, steadyGroup(), k)
-			})
-		}
-	}
-	// The ISSUE's headline point: the Figure 2 motivating pair (WL20+WL21),
-	// batched, on the elastic machine.
-	b.Run("Fig2Pair/Occamy/B4", func(b *testing.B) {
-		run(b, arch.Occamy, workload.MotivatingPair(workload.NewRegistry()), 4)
-	})
-}
-
-// BenchmarkSweepWallClock measures whole-sweep wall clock on the batched
-// execution shape the campaign runner uses (-j 1 -batch 8): the degradation
-// study and a small hierarchical scalability slice. These gate end-to-end
-// sweep throughput — construction, checkpoint forking, verification and
-// rendering included — so cmd/occamy-benchgate compares them against the
-// baseline with a wider tolerance than the per-tick gates (-sweep /
-// -sweeptolerance) and exempts them from the zero-allocation contract.
+// BenchmarkSweepWallClock measures whole-sweep wall clock on one worker
+// (Parallel = 1): the degradation study and a small hierarchical
+// scalability slice. These gate end-to-end sweep throughput — construction,
+// checkpoint forking and verification included — so cmd/occamy-benchgate
+// compares them against the baseline with a wider tolerance than the
+// per-tick gates (-sweep / -sweeptolerance) and exempts them from the
+// zero-allocation contract.
 func BenchmarkSweepWallClock(b *testing.B) {
-	b.Run("DegradationBatched", func(b *testing.B) {
-		cfg := experiments.Quick()
-		cfg.Parallel = 1
-		cfg.Batch = 8
+	cfg := experiments.Quick()
+	cfg.Parallel = 1
+	b.Run("Degradation", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := cfg.Degradation(); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
-	b.Run("ScaleBatched", func(b *testing.B) {
-		cfg := experiments.Quick()
-		cfg.Parallel = 1
-		cfg.Batch = 8
+	b.Run("Scale", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := cfg.Scalability([]int{4, 8}, []int{1, 2}); err != nil {
 				b.Fatal(err)
@@ -542,30 +446,6 @@ func BenchmarkSteadyStateTickTraffic(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkDegradationSweep measures the checkpoint/restore payoff on the
-// sweep that motivates it: every point of the fault-degradation study shares
-// a warm-up prefix, which Snapshot runs once per architecture and forks,
-// while NoSnapshot re-simulates from cycle zero for every point. Results are
-// bit-identical (TestDegradationSnapshotPathIdentical); only wall time
-// differs. Run serially (-j 1 inside the config) so the ratio reflects
-// simulated work, not scheduling:
-//
-//	go test -bench DegradationSweep -benchtime 3x .
-func BenchmarkDegradationSweep(b *testing.B) {
-	run := func(b *testing.B, nosnap bool) {
-		cfg := experiments.Quick()
-		cfg.Parallel = 1
-		cfg.NoSnapshot = nosnap
-		for i := 0; i < b.N; i++ {
-			if _, err := cfg.Degradation(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.Run("Snapshot", func(b *testing.B) { run(b, false) })
-	b.Run("NoSnapshot", func(b *testing.B) { run(b, true) })
 }
 
 // BenchmarkObsOverhead guards the observability layer's cost contract: with

@@ -22,7 +22,7 @@
 //
 // Usage:
 //
-//	go test -run xxx -bench 'SteadyStateTick|BatchTick|IssueScan' -benchmem -count 3 . ./internal/coproc |
+//	go test -run xxx -bench 'SteadyStateTick|IssueScan' -benchmem -count 3 . ./internal/coproc |
 //	    occamy-benchgate -baseline BENCH_PR14.json           # gate
 //	go test ... | occamy-benchgate -baseline BENCH_PR14.json -update
 package main
@@ -120,7 +120,7 @@ func main() {
 		basePath  = flag.String("baseline", "BENCH_PR14.json", "committed baseline JSON")
 		update    = flag.Bool("update", false, "rewrite the baseline from stdin instead of gating")
 		tolerance = flag.Float64("tolerance", 0.10, "allowed relative ns/op drift vs baseline")
-		sweep     = flag.String("sweep", "SweepWallClock|DegradationSweep", "regexp of whole-sweep wall-clock benchmarks: gated with -sweeptolerance, exempt from -zeroalloc")
+		sweep     = flag.String("sweep", "SweepWallClock", "regexp of whole-sweep wall-clock benchmarks: gated with -sweeptolerance, exempt from -zeroalloc")
 		sweepTol  = flag.Float64("sweeptolerance", 0.30, "allowed relative ns/op drift for -sweep benchmarks")
 		zeroalloc = flag.String("zeroalloc", ".", "regexp of benchmarks whose allocs/op must be exactly 0")
 		note      = flag.String("note", "", "provenance note to store with -update")

@@ -578,10 +578,9 @@ func (s *System) Run(maxCycles uint64) (*Result, error) {
 }
 
 // FinishRun folds a run's terminal engine error (nil for a clean finish) into
-// Run's result shape: the Result plus, for aborted runs, the same *DiagError
-// Run would have returned. Sliced drivers — sim.Batch tasks that step the
-// engine through Engine.RunSlice themselves — use it so results and error
-// text stay bit-identical to an unsliced Run.
+// Run's result shape: the Result plus, for aborted runs, a *DiagError. Run
+// ends with it; callers that drive the engine themselves, such as a traffic
+// scenario's Run, call it to collect the same Result.
 func (s *System) FinishRun(err error) (*Result, error) {
 	if err != nil {
 		werr := fmt.Errorf("arch: %s on %s: %w (pcs: %s)", s.Sched.Name, s.Kind, err, s.pcDump())

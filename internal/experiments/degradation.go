@@ -1,13 +1,10 @@
 package experiments
 
 import (
-	"context"
 	"errors"
 	"fmt"
-	"runtime/pprof"
 	"sort"
 	"strings"
-	"sync"
 
 	"occamy/internal/arch"
 	"occamy/internal/fault"
@@ -136,13 +133,12 @@ type Degradation struct {
 // every phase is still in flight (the group is already sized for quick runs).
 //
 // All of an architecture's points share the fault-free prefix [0, degFaultAt)
-// bit-exactly, so by default the sweep simulates that prefix once per
-// architecture, checkpoints, and forks every failure count from the snapshot
-// with a swapped-in fault schedule — the points run serially per architecture
-// (they reuse one System), with the four architectures in parallel.
-// Config.NoSnapshot selects the legacy shape instead: every point an
-// independent full simulation, parallel across all points. Both paths produce
-// bit-identical sweeps (TestDegradationSnapshotPathIdentical).
+// bit-exactly, so the sweep simulates that prefix once per architecture,
+// checkpoints, and forks every failure count from the snapshot with a
+// swapped-in fault schedule — the points run serially per architecture (they
+// reuse one System), with the four architectures in parallel. Every fork is
+// bit-identical to an independent run from cycle zero
+// (TestDegradationSnapshotPathIdentical).
 func (c Config) Degradation() (*Degradation, error) {
 	pair := degradationGroup()
 	probe, err := arch.Build(arch.Occamy, pair, arch.Options{Seed: c.Seed})
@@ -155,16 +151,26 @@ func (c Config) Degradation() (*Degradation, error) {
 	for _, kind := range arch.Kinds {
 		out.Points[kind] = make([]DegPoint, units)
 	}
-
-	if err := c.degradationPoints(pair, units, out); err != nil {
+	err = c.runPoints("degradation", len(arch.Kinds), func(i int) string { return arch.Kinds[i].String() }, func(i int) error {
+		kind := arch.Kinds[i]
+		return c.degradationForked(kind, pair, units, out.Points[kind])
+	})
+	if err != nil {
 		return nil, err
 	}
+	if err := out.normalize(); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
 
-	// Normalize to each architecture's own fault-free throughput.
-	for kind, pts := range out.Points {
+// normalize sets each completed point's Retention relative to its
+// architecture's own fault-free throughput.
+func (d *Degradation) normalize() error {
+	for kind, pts := range d.Points {
 		base := pts[0]
 		if !base.Completed {
-			return nil, fmt.Errorf("degradation: fault-free %s run did not complete: %s", kind, base.Reason)
+			return fmt.Errorf("degradation: fault-free %s run did not complete: %s", kind, base.Reason)
 		}
 		baseTp := float64(base.Elems) / float64(base.Cycles)
 		for f := range pts {
@@ -173,90 +179,15 @@ func (c Config) Degradation() (*Degradation, error) {
 			}
 		}
 	}
-	return out, nil
-}
-
-// degradationPoints fills out.Points via the snapshot-forked path (default)
-// or the independent-runs path (Config.NoSnapshot).
-func (c Config) degradationPoints(pair workload.CoSchedule, units int, out *Degradation) error {
-	if c.NoSnapshot {
-		type job struct {
-			kind arch.Kind
-			f    int
-		}
-		jobs := make([]job, 0, len(arch.Kinds)*units)
-		for _, kind := range arch.Kinds {
-			for f := 0; f < units; f++ {
-				jobs = append(jobs, job{kind, f})
-			}
-		}
-		errs := make([]error, len(jobs))
-		var wg sync.WaitGroup
-		sem := make(chan struct{}, c.maxParallel())
-		for i, j := range jobs {
-			wg.Add(1)
-			go func(i int, j job) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				labels := pprof.Labels("sweep", "degradation", "point", fmt.Sprintf("%s/f%d", j.kind, j.f))
-				pprof.Do(context.Background(), labels, func(context.Context) {
-					p, err := c.degradationPoint(j.kind, pair, j.f)
-					if err != nil {
-						errs[i] = fmt.Errorf("degradation %s f=%d: %w", j.kind, j.f, err)
-						return
-					}
-					out.Points[j.kind][j.f] = p
-				})
-			}(i, j)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	if c.batched() {
-		tasks := make([]sim.Task, 0, len(arch.Kinds))
-		for _, kind := range arch.Kinds {
-			tasks = append(tasks, &degColumnTask{c: c, kind: kind, pair: pair, units: units, pts: out.Points[kind]})
-		}
-		return c.runBatches("degradation", tasks)
-	}
-
-	errs := make([]error, len(arch.Kinds))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, c.maxParallel())
-	for i, kind := range arch.Kinds {
-		wg.Add(1)
-		go func(i int, kind arch.Kind) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			labels := pprof.Labels("sweep", "degradation", "point", kind.String())
-			pprof.Do(context.Background(), labels, func(context.Context) {
-				errs[i] = c.degradationForked(kind, pair, units, out.Points[kind])
-			})
-		}(i, kind)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
 	return nil
 }
 
 // degradationForked runs one architecture's full column: warm the shared
 // fault-free prefix up once, checkpoint just before the injection cycle, then
-// fork every failure count from the snapshot. Identical construction to the
-// straight path (WireInjector keeps the injector registered even at f=0, as
-// Faults does for f>0), so every point is bit-identical to an independent
-// from-zero run with that schedule.
+// fork every failure count from the snapshot. Construction matches an
+// independent run's (WireInjector keeps the injector registered even at f=0,
+// as Faults does for f>0), so every point is bit-identical to a from-zero run
+// with that schedule.
 func (c Config) degradationForked(kind arch.Kind, pair workload.CoSchedule, units int, pts []DegPoint) error {
 	sys, err := arch.Build(kind, pair, arch.Options{
 		Seed: c.Seed, LegacyTick: c.LegacyTick, StallCycles: degStall, WireInjector: true,
@@ -272,7 +203,8 @@ func (c Config) degradationForked(kind arch.Kind, pair workload.CoSchedule, unit
 	for f := 0; f < units; f++ {
 		if f == 0 {
 			// Verify the snapshot's digest once; the remaining forks restore
-			// the same in-process snapshot and skip the reflective walk.
+			// the same in-process snapshot and skip the digest pass (checking
+			// every fork cost about 7% of a -j 1 sweep on a 2-vCPU Xeon).
 			if err := sys.RestoreCheckpoint(snap); err != nil {
 				return fmt.Errorf("degradation %s f=%d: %w", kind, f, err)
 			}
@@ -291,24 +223,6 @@ func (c Config) degradationForked(kind arch.Kind, pair workload.CoSchedule, unit
 		pts[f] = degPointFrom(f, res, rerr)
 	}
 	return nil
-}
-
-// degradationPoint runs one independent sweep point from cycle zero.
-func (c Config) degradationPoint(kind arch.Kind, pair workload.CoSchedule, f int) (DegPoint, error) {
-	opts := arch.Options{Seed: c.Seed, LegacyTick: c.LegacyTick, StallCycles: degStall, WireInjector: true}
-	if f > 0 {
-		opts.Faults = []fault.Fault{{Kind: fault.ExeBU, Count: f, At: degFaultAt}}
-	}
-	sys, err := arch.Build(kind, pair, opts)
-	if err != nil {
-		return DegPoint{}, err
-	}
-	sys.SetInterrupt(c.Interrupt)
-	res, rerr := sys.Run(c.MaxCycles)
-	if canceled(rerr) {
-		return DegPoint{}, rerr
-	}
-	return degPointFrom(f, res, rerr), nil
 }
 
 // canceled reports whether err is a cooperative interruption (SIGINT): those

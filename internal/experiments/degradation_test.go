@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"occamy/internal/arch"
+	"occamy/internal/fault"
 )
 
 var degOnce struct {
@@ -61,17 +62,33 @@ func TestDegradationOccamyRetainsMost(t *testing.T) {
 }
 
 // TestDegradationSnapshotPathIdentical is the sweep-level differential test
-// for warm-up sharing: the snapshot-forked sweep (default) and the
-// independent-runs sweep (NoSnapshot) must agree on every point of every
+// for warm-up sharing: every point of the snapshot-forked sweep must agree
+// with an independent run of the same point from cycle zero on every
 // architecture — cycles, elements, retention, recovery times, DNF verdicts
 // and reasons — because forking from the shared-prefix checkpoint is an
 // execution strategy, not a model change.
 func TestDegradationSnapshotPathIdentical(t *testing.T) {
-	forked := degSweep(t) // the shared sweep uses the default snapshot path
+	forked := degSweep(t)
 	cfg := Quick()
-	cfg.NoSnapshot = true
-	straight, err := cfg.Degradation()
+	straight := &Degradation{Units: forked.Units, FaultAt: forked.FaultAt, Points: make(map[arch.Kind][]DegPoint, len(arch.Kinds))}
+	for _, kind := range arch.Kinds {
+		straight.Points[kind] = make([]DegPoint, forked.Units)
+	}
+	point := func(i int) (arch.Kind, int) { return arch.Kinds[i/forked.Units], i % forked.Units }
+	label := func(i int) string {
+		kind, f := point(i)
+		return fmt.Sprintf("%s/f%d", kind, f)
+	}
+	err := cfg.runPoints("degradation-straight", len(arch.Kinds)*forked.Units, label, func(i int) error {
+		kind, f := point(i)
+		p, err := degradationStraight(cfg, kind, f)
+		straight.Points[kind][f] = p
+		return err
+	})
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := straight.normalize(); err != nil {
 		t.Fatal(err)
 	}
 	for _, kind := range arch.Kinds {
@@ -81,6 +98,21 @@ func TestDegradationSnapshotPathIdentical(t *testing.T) {
 			t.Errorf("%s: snapshot-forked sweep diverges from independent runs\nforked:   %s\nstraight: %s", kind, a, b)
 		}
 	}
+}
+
+// degradationStraight runs one degradation point independently from cycle
+// zero, with the fault schedule installed at build time.
+func degradationStraight(c Config, kind arch.Kind, f int) (DegPoint, error) {
+	opts := arch.Options{Seed: c.Seed, LegacyTick: c.LegacyTick, StallCycles: degStall, WireInjector: true}
+	if f > 0 {
+		opts.Faults = []fault.Fault{{Kind: fault.ExeBU, Count: f, At: degFaultAt}}
+	}
+	sys, err := arch.Build(kind, degradationGroup(), opts)
+	if err != nil {
+		return DegPoint{}, err
+	}
+	res, rerr := sys.Run(c.MaxCycles)
+	return degPointFrom(f, res, rerr), nil
 }
 
 // TestDegradationRender smoke-checks the report.

@@ -38,13 +38,6 @@ type Config struct {
 	// LegacyTick forces the every-cycle engine path, disabling skip-ahead
 	// fast-forwarding (A/B validation; results are bit-identical).
 	LegacyTick bool
-	// NoSnapshot disables checkpoint/restore warm-up sharing in sweeps
-	// whose points share a simulation prefix (the degradation study): every
-	// point then runs independently from cycle zero. Results are
-	// bit-identical either way; the switch exists for A/B validation and
-	// for measuring the snapshot path's wall-clock win (occamy-bench
-	// -nosnapshot).
-	NoSnapshot bool
 	// Telemetry, when non-nil, attaches every experiment run's live sampler
 	// to the given HTTP server (occamy-bench -telemetry): long campaigns
 	// become observable mid-flight via GET /metrics, /events and /stream.
@@ -59,12 +52,6 @@ type Config struct {
 	// sim.CanceledError. A channel that never closes leaves all results
 	// bit-identical.
 	Interrupt <-chan struct{}
-	// Batch groups up to this many sweep points per worker into one
-	// lockstep sim.Batch (occamy-bench -batch): each worker steps its
-	// batch's systems round-robin through a fused slice loop instead of
-	// running them one at a time. 0 or 1 selects the sequential shape.
-	// Results are bit-identical either way (TestBatchBitIdentical).
-	Batch int
 }
 
 // Default returns the full-size configuration.
@@ -84,10 +71,10 @@ func (c Config) sched(s workload.CoSchedule) workload.CoSchedule {
 	return s
 }
 
-// buildOne constructs one (architecture, schedule) system the way every
-// sweep point does: scaled schedule, shared seed/tick options, interrupt and
-// telemetry wiring. runOne and the sim.Batch tasks share it.
-func (c Config) buildOne(kind arch.Kind, s workload.CoSchedule, opts arch.Options) (*arch.System, error) {
+// runOne builds and runs one (architecture, schedule) combination the way
+// every sweep point does: scaled schedule, shared seed/tick options,
+// interrupt and telemetry wiring.
+func (c Config) runOne(kind arch.Kind, s workload.CoSchedule, opts arch.Options) (*arch.System, *arch.Result, error) {
 	opts.Seed = c.Seed
 	opts.LegacyTick = c.LegacyTick
 	if c.Telemetry != nil && opts.Telemetry == nil {
@@ -95,19 +82,10 @@ func (c Config) buildOne(kind arch.Kind, s workload.CoSchedule, opts arch.Option
 	}
 	sys, err := arch.Build(kind, c.sched(s), opts)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	sys.SetInterrupt(c.Interrupt)
 	c.Telemetry.Attach(s.Name+"-"+kind.String(), sys.Tele)
-	return sys, nil
-}
-
-// runOne builds and runs one (architecture, schedule) combination.
-func (c Config) runOne(kind arch.Kind, s workload.CoSchedule, opts arch.Options) (*arch.System, *arch.Result, error) {
-	sys, err := c.buildOne(kind, s, opts)
-	if err != nil {
-		return nil, nil, err
-	}
 	res, err := sys.Run(c.MaxCycles)
 	sys.Tele.Flush(sys.Engine.Cycle())
 	if err != nil {
@@ -116,12 +94,8 @@ func (c Config) runOne(kind arch.Kind, s workload.CoSchedule, opts arch.Options)
 	return sys, res, nil
 }
 
-// runAllArchs runs a schedule on all four architectures — back-to-back, or
-// through one lockstep batch when Config.Batch asks for it.
+// runAllArchs runs a schedule on all four architectures back-to-back.
 func (c Config) runAllArchs(s workload.CoSchedule, opts arch.Options) (map[arch.Kind]*arch.Result, map[arch.Kind]*arch.System, error) {
-	if c.batched() {
-		return c.runAllArchsBatched(s, opts)
-	}
 	results := make(map[arch.Kind]*arch.Result, 4)
 	systems := make(map[arch.Kind]*arch.System, 4)
 	for _, kind := range arch.Kinds {
@@ -147,51 +121,65 @@ var reg = workload.NewRegistry()
 func (c Config) Sweep(verify bool) (*metrics.Sweep, error) {
 	pairs := workload.Figure10Pairs(reg)
 	rows := make([]metrics.PairRow, len(pairs))
-	errs := make([]error, len(pairs))
-
-	var wg sync.WaitGroup
 	var totals metrics.Accumulator
+	err := c.runPoints("pairs", len(pairs), func(i int) string { return pairs[i].Name }, func(i int) error {
+		p := pairs[i]
+		results, systems, err := c.runAllArchs(p, arch.Options{})
+		if err != nil {
+			return err
+		}
+		if verify {
+			for kind, sys := range systems {
+				if err := sys.CheckResults(2e-3); err != nil {
+					return fmt.Errorf("%s on %s: %w", p.Name, kind, err)
+				}
+			}
+		}
+		// Each worker merges a private registry: counter totals are
+		// order-independent, so -j N matches a serial sweep exactly.
+		vol := metrics.NewRegistry()
+		for _, res := range results {
+			vol.Count("sims", 1)
+			vol.Count("sim.cycles", res.Cycles)
+			vol.Count("sim.elems", res.Elems)
+		}
+		totals.Merge(vol)
+		rows[i] = metrics.PairRow{Name: p.Name, Results: results}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &metrics.Sweep{Rows: rows, Totals: totals.Snapshot()}, nil
+}
+
+// runPoints is every sweep's worker pool: it runs points 0..n-1 of the named
+// sweep concurrently, at most maxParallel at a time, each under the pprof
+// labels sweep=name and point=label(i). It waits for every point and returns
+// the first error in point order, so a failing sweep reports the same error
+// at any -j.
+func (c Config) runPoints(name string, n int, label func(i int) string, run func(i int) error) error {
+	errs := make([]error, n)
+	var wg sync.WaitGroup
 	sem := make(chan struct{}, c.maxParallel())
-	for i, p := range pairs {
+	for i := 0; i < n; i++ {
 		wg.Add(1)
-		go func(i int, p workload.CoSchedule) {
+		go func(i int) {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			pprof.Do(context.Background(), pprof.Labels("sweep", "pairs", "point", p.Name), func(context.Context) {
-				results, systems, err := c.runAllArchs(p, arch.Options{})
-				if err != nil {
-					errs[i] = err
-					return
-				}
-				if verify {
-					for kind, sys := range systems {
-						if err := sys.CheckResults(2e-3); err != nil {
-							errs[i] = fmt.Errorf("%s on %s: %w", p.Name, kind, err)
-							return
-						}
-					}
-				}
-				// Each worker merges a private registry: counter totals are
-				// order-independent, so -j N matches a serial sweep exactly.
-				vol := metrics.NewRegistry()
-				for _, res := range results {
-					vol.Count("sims", 1)
-					vol.Count("sim.cycles", res.Cycles)
-					vol.Count("sim.elems", res.Elems)
-				}
-				totals.Merge(vol)
-				rows[i] = metrics.PairRow{Name: p.Name, Results: results}
+			pprof.Do(context.Background(), pprof.Labels("sweep", name, "point", label(i)), func(context.Context) {
+				errs[i] = run(i)
 			})
-		}(i, p)
+		}(i)
 	}
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return &metrics.Sweep{Rows: rows, Totals: totals.Snapshot()}, nil
+	return nil
 }
 
 // maxParallel bounds concurrent simulations (each uses one goroutine and a

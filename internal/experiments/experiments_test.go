@@ -2,9 +2,13 @@ package experiments
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"os"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"occamy/internal/arch"
 )
@@ -242,5 +246,41 @@ func TestDSEDirectional(t *testing.T) {
 	}
 	if slowSpeedup <= 1.0 {
 		t.Errorf("Occamy lost its compute-side win under starved DRAM: %.2fx", slowSpeedup)
+	}
+}
+
+// TestRunPointsBoundAndErrorOrder checks the sweep worker pool: it never runs
+// more than Parallel points at once, runs every point even after one fails,
+// and returns the first error in point order, not in completion order.
+func TestRunPointsBoundAndErrorOrder(t *testing.T) {
+	cfg := Quick()
+	cfg.Parallel = 3
+	var live, peak, ran atomic.Int32
+	late := make(chan struct{})
+	err := cfg.runPoints("test", 12, func(i int) string { return fmt.Sprint(i) }, func(i int) error {
+		n := live.Add(1)
+		defer live.Add(-1)
+		for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+		}
+		ran.Add(1)
+		time.Sleep(2 * time.Millisecond) // hold the slot so an unbounded pool would overlap
+		switch i {
+		case 2: // fails last: waits until point 7 has failed
+			<-late
+			return errors.New("point 2")
+		case 7:
+			defer close(late)
+			return errors.New("point 7")
+		}
+		return nil
+	})
+	if err == nil || err.Error() != "point 2" {
+		t.Fatalf("runPoints error = %v, want point 2's", err)
+	}
+	if ran.Load() != 12 {
+		t.Fatalf("ran %d points, want 12", ran.Load())
+	}
+	if peak.Load() > 3 {
+		t.Fatalf("%d points ran at once, want at most 3", peak.Load())
 	}
 }

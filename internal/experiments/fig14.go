@@ -116,7 +116,7 @@ func (f *Fig14) Render() string {
 	b.WriteString(t.String())
 	b.WriteString("\n(b) WL17 busy lanes over time:\n")
 	for _, kind := range []arch.Kind{arch.Private, arch.VLS, arch.Occamy} {
-		b.WriteString(fmt.Sprintf("%-8s |%s|\n", kind, spark(f.WL17Timelines[kind], 32)))
+		b.WriteString(fmt.Sprintf("%-8s |%s|\n", kind, metrics.Sparkline(f.WL17Timelines[kind], 32)))
 	}
 	b.WriteString("\n(c) Per-phase SIMD issue rates:\n")
 	t2 := &metrics.Table{Header: []string{"Arch", "20.p1", "20.p2", "17", "stall frac c0", "stall frac c1"}}

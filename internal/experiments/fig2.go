@@ -71,25 +71,8 @@ func (f *Fig2) Render() string {
 	b.WriteString("\nBusy-lane timelines (one char per 1000 cycles, ' '..'%' = 0..32 lanes):\n")
 	for _, kind := range arch.Kinds {
 		for core, tl := range f.Timelines[kind] {
-			b.WriteString(fmt.Sprintf("%-8s core%d |%s|\n", kind, core, spark(tl, 32)))
+			b.WriteString(fmt.Sprintf("%-8s core%d |%s|\n", kind, core, metrics.Sparkline(tl, 32)))
 		}
-	}
-	return b.String()
-}
-
-// spark renders a lane timeline as an ASCII strip.
-func spark(points []float64, max float64) string {
-	levels := []rune(" .:-=+*#%")
-	var b strings.Builder
-	for _, v := range points {
-		idx := int(v / max * float64(len(levels)-1))
-		if idx < 0 {
-			idx = 0
-		}
-		if idx >= len(levels) {
-			idx = len(levels) - 1
-		}
-		b.WriteRune(levels[idx])
 	}
 	return b.String()
 }

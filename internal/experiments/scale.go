@@ -1,16 +1,12 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
-	"runtime/pprof"
 	"strings"
-	"sync"
 
 	"occamy/internal/arch"
 	"occamy/internal/coproc"
 	"occamy/internal/metrics"
-	"occamy/internal/sim"
 	"occamy/internal/workload"
 )
 
@@ -103,7 +99,12 @@ func (c Config) Scalability(cores, clusters []int) (*Scale, error) {
 			}
 		}
 	}
-	scaleOpts := func(j job) arch.Options {
+	pts := make([]ScalePoint, len(jobs))
+	err := c.runPoints("scale", len(jobs), func(i int) string {
+		j := jobs[i]
+		return fmt.Sprintf("%dc/%dcl/%s", j.n, j.k, j.kind)
+	}, func(i int) error {
+		j := jobs[i]
 		opts := arch.Options{}
 		if j.k > 1 {
 			opts.Topology = &coproc.Topology{
@@ -112,16 +113,17 @@ func (c Config) Scalability(cores, clusters []int) (*Scale, error) {
 				HopBandwidth: ScaleHopBandwidth,
 			}
 		}
-		return opts
-	}
-	fold := func(j job, res *arch.Result) ScalePoint {
+		_, res, err := c.runOne(j.kind, ScaleGroup(reg, j.n), opts)
+		if err != nil {
+			return fmt.Errorf("scale %dc/%dcl on %s: %w", j.n, j.k, j.kind, err)
+		}
 		rates := make([]float64, 0, len(res.Cores))
 		for _, cr := range res.Cores {
 			if cr.Cycles > 0 {
 				rates = append(rates, float64(cr.Elems)/float64(cr.Cycles))
 			}
 		}
-		return ScalePoint{
+		pts[i] = ScalePoint{
 			Cores: j.n, Clusters: j.k, Kind: j.kind,
 			Cycles:         res.Cycles,
 			Throughput:     1000 * float64(res.Elems) / float64(res.Cycles),
@@ -129,55 +131,10 @@ func (c Config) Scalability(cores, clusters []int) (*Scale, error) {
 			Migrations:     res.Migrations,
 			FabricRefusals: res.FabricRefusals,
 		}
-	}
-	pts := make([]ScalePoint, len(jobs))
-
-	if c.batched() {
-		tasks := make([]sim.Task, len(jobs))
-		for i, j := range jobs {
-			i, j := i, j
-			label := fmt.Sprintf("scale:%dc/%dcl/%s", j.n, j.k, j.kind)
-			tasks[i] = c.runTask(label, j.kind, ScaleGroup(reg, j.n), scaleOpts(j),
-				func(res *arch.Result, rerr error) error {
-					if rerr != nil {
-						return fmt.Errorf("scale %dc/%dcl on %s: %w", j.n, j.k, j.kind, rerr)
-					}
-					pts[i] = fold(j, res)
-					return nil
-				})
-		}
-		if err := c.runBatches("scale", tasks); err != nil {
-			return nil, err
-		}
-		out.Points = pts
-		return out, nil
-	}
-
-	errs := make([]error, len(jobs))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, c.maxParallel())
-	for i, j := range jobs {
-		wg.Add(1)
-		go func(i int, j job) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			labels := pprof.Labels("sweep", "scale", "point", fmt.Sprintf("%dc/%dcl/%s", j.n, j.k, j.kind))
-			pprof.Do(context.Background(), labels, func(context.Context) {
-				_, res, err := c.runOne(j.kind, ScaleGroup(reg, j.n), scaleOpts(j))
-				if err != nil {
-					errs[i] = fmt.Errorf("scale %dc/%dcl on %s: %w", j.n, j.k, j.kind, err)
-					return
-				}
-				pts[i] = fold(j, res)
-			})
-		}(i, j)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	out.Points = pts
 	return out, nil

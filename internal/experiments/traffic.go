@@ -1,16 +1,12 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
-	"runtime/pprof"
 	"strings"
-	"sync"
 
 	"occamy/internal/arch"
 	"occamy/internal/fault"
 	"occamy/internal/metrics"
-	"occamy/internal/sim"
 	"occamy/internal/telemetry"
 	"occamy/internal/traffic"
 )
@@ -88,73 +84,28 @@ func (c Config) Traffic(specStr string, withFaults bool) (*TrafficSweep, error) 
 		}
 	}
 
-	if c.batched() {
-		tasks := make([]sim.Task, len(jobs))
-		for i, j := range jobs {
-			i, j := i, j
-			wrap := func(err error) error {
-				return fmt.Errorf("traffic %s load=%gx faulted=%v: %w", j.kind, j.load, j.faulted, err)
-			}
-			var sc *traffic.Scenario
-			tasks[i] = &simJob{
-				label: fmt.Sprintf("traffic:%s/%gx/faulted=%v", j.kind, j.load, j.faulted),
-				build: func() (*sim.Engine, func() bool, uint64, error) {
-					var err error
-					sc, err = c.trafficBuild(j.kind, base, j.load, j.faulted)
-					if err != nil {
-						return nil, nil, 0, wrap(err)
-					}
-					return sc.Sys.Engine, sc.DonePredicate(), sc.DefaultBudget(), nil
-				},
-				finish: func(prev error) error {
-					rep, err := trafficVerify(sc, prev)
-					if err != nil {
-						return wrap(err)
-					}
-					out.Points[j.kind][j.slot].Report = rep
-					return nil
-				},
-			}
-		}
-		if err := c.runBatches("traffic", tasks); err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
-
-	errs := make([]error, len(jobs))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, c.maxParallel())
-	for i, j := range jobs {
-		wg.Add(1)
-		go func(i int, j job) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			labels := pprof.Labels("sweep", "traffic", "point", fmt.Sprintf("%s/%gx/faulted=%v", j.kind, j.load, j.faulted))
-			pprof.Do(context.Background(), labels, func(context.Context) {
-				rep, err := c.trafficPoint(j.kind, base, j.load, j.faulted)
-				if err != nil {
-					errs[i] = fmt.Errorf("traffic %s load=%gx faulted=%v: %w", j.kind, j.load, j.faulted, err)
-					return
-				}
-				out.Points[j.kind][j.slot].Report = rep
-			})
-		}(i, j)
-	}
-	wg.Wait()
-	for _, err := range errs {
+	err = c.runPoints("traffic", len(jobs), func(i int) string {
+		j := jobs[i]
+		return fmt.Sprintf("%s/%gx/faulted=%v", j.kind, j.load, j.faulted)
+	}, func(i int) error {
+		j := jobs[i]
+		rep, err := c.trafficPoint(j.kind, base, j.load, j.faulted)
 		if err != nil {
-			return nil, err
+			return fmt.Errorf("traffic %s load=%gx faulted=%v: %w", j.kind, j.load, j.faulted, err)
 		}
+		out.Points[j.kind][j.slot].Report = rep
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
-// trafficBuild constructs one sweep point's scenario: seeded spec at the
-// swept load, fault variant wired, interrupt and telemetry attached. Both
-// execution shapes share it.
-func (c Config) trafficBuild(kind arch.Kind, base traffic.Spec, load float64, faulted bool) (*traffic.Scenario, error) {
+// trafficPoint runs one sweep point: seeded spec at the swept load, fault
+// variant wired, interrupt and telemetry attached. The finished run's report
+// is verified functionally and conservation-checked before it is returned.
+func (c Config) trafficPoint(kind arch.Kind, base traffic.Spec, load float64, faulted bool) (*traffic.Report, error) {
 	spec := base
 	spec.Load = load
 	opts := arch.Options{Seed: c.Seed, LegacyTick: c.LegacyTick}
@@ -174,13 +125,8 @@ func (c Config) trafficBuild(kind arch.Kind, base traffic.Spec, load float64, fa
 		label += "-faulted"
 	}
 	c.Telemetry.Attach(label, sc.Sys.Tele)
-	return sc, nil
-}
 
-// trafficVerify flushes telemetry and conservation-checks one finished run,
-// folding it into a verified per-tenant report. runErr is the run's terminal
-// engine error (nil when the stop condition was met).
-func trafficVerify(sc *traffic.Scenario, runErr error) (*traffic.Report, error) {
+	runErr := sc.Run(sc.DefaultBudget())
 	sc.Sys.Tele.Flush(sc.Sys.Engine.Cycle())
 	if runErr != nil {
 		return nil, runErr
@@ -196,16 +142,6 @@ func trafficVerify(sc *traffic.Scenario, runErr error) (*traffic.Report, error) 
 		return nil, err
 	}
 	return rep, nil
-}
-
-// trafficPoint runs one sweep point and conservation-checks its report.
-func (c Config) trafficPoint(kind arch.Kind, base traffic.Spec, load float64, faulted bool) (*traffic.Report, error) {
-	sc, err := c.trafficBuild(kind, base, load, faulted)
-	if err != nil {
-		return nil, err
-	}
-	runErr := sc.Run(sc.DefaultBudget())
-	return trafficVerify(sc, runErr)
 }
 
 // TotalCycles sums the simulated cycles across every sweep point.

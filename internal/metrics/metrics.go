@@ -226,6 +226,25 @@ func FormatPct(f float64) string { return fmt.Sprintf("%.1f%%", 100*f) }
 // FormatX renders a speedup.
 func FormatX(f float64) string { return fmt.Sprintf("%.2fx", f) }
 
+// Sparkline renders a timeline as an ASCII strip, one character per point:
+// ' ' at 0 through '%' at max and above, in nine levels. It draws the busy-lane
+// timelines of Figures 2 and 14 and the CLI's -ascii-timeline view.
+func Sparkline(points []float64, max float64) string {
+	levels := []rune(" .:-=+*#%")
+	var b strings.Builder
+	for _, v := range points {
+		idx := int(v / max * float64(len(levels)-1))
+		if idx < 0 {
+			idx = 0
+		}
+		if idx >= len(levels) {
+			idx = len(levels) - 1
+		}
+		b.WriteRune(levels[idx])
+	}
+	return b.String()
+}
+
 // SortedNames returns map keys in sorted order (stable report output).
 func SortedNames[V any](m map[string]V) []string {
 	out := make([]string, 0, len(m))

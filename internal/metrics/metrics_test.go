@@ -115,6 +115,10 @@ func TestFormatHelpers(t *testing.T) {
 	if FormatX(1.5) != "1.50x" {
 		t.Fatal(FormatX(1.5))
 	}
+	// Nine levels from ' ' to '%'; values below 0 or above max clamp.
+	if got := Sparkline([]float64{0, 4, 16, 31.9, 32, 40, -1}, 32); got != " .=#%% " {
+		t.Fatalf("Sparkline = %q", got)
+	}
 }
 
 func TestSortedNames(t *testing.T) {

@@ -273,24 +273,12 @@ func (e *Engine) Restore(st EngineState) {
 // jump is clamped to the cycle budget so an all-quiescent-forever system
 // still reports budget exhaustion at exactly the cycle the legacy path
 // would. A component that (erroneously) declares a wake cycle in the past
-// degrades to normal ticking rather than stalling the clock.
-func (e *Engine) RunUntil(done func() bool, maxCycles uint64) (uint64, error) {
-	start := e.cycle
-	_, err := e.RunSlice(done, start, maxCycles, NeverWake)
-	return e.cycle - start, err
-}
-
-// RunSlice is RunUntil's resumable core: it advances the clock toward done()
-// under the run's overall budget (maxCycles counted from start, which may be
-// earlier than the current cycle when resuming), but yields once the clock
-// reaches sliceEnd. It returns (false, nil) when the slice expired with the
-// run still in flight; any other return is terminal — done() held (true, nil)
-// or the run failed (budget, stall or cancellation). The batch engine
-// time-slices many runs through this: because a skip jump is also clamped to
-// sliceEnd, and split skip windows replay their accounting chunk-linearly, a
-// sliced run's cycle counts, statistics, attribution and telemetry are
-// bit-identical to an unsliced one (only the engine-local skip/jump tallies,
-// deliberately outside Stats, can differ).
+// degrades to normal ticking rather than stalling the clock. A run split into
+// several RunUntil segments (budgets, watchdog samples, RunTo around a
+// checkpoint) may stop inside a skip window; the next segment replays the
+// rest of it chunk-linearly, so split and unsplit runs are bit-identical
+// (only the engine-local skip/jump tallies, deliberately outside Stats, can
+// differ).
 //
 // The forward-progress watchdog samples on its own fixed grid: jumps clamp
 // to the next sample cycle instead of leaping it, so a skipping run examines
@@ -300,7 +288,8 @@ func (e *Engine) RunUntil(done func() bool, maxCycles uint64) (uint64, error) {
 // construction — see wdQuietUntil); once no component has a self-scheduled
 // event left, nothing can ever make progress again, and the watchdog fires
 // at exactly the cycle the legacy path detects the stall.
-func (e *Engine) RunSlice(done func() bool, start, maxCycles, sliceEnd uint64) (bool, error) {
+func (e *Engine) RunUntil(done func() bool, maxCycles uint64) (uint64, error) {
+	start := e.cycle
 	var wd *watchdog
 	if e.wdThreshold > 0 {
 		if e.wd == nil {
@@ -310,17 +299,14 @@ func (e *Engine) RunSlice(done func() bool, start, maxCycles, sliceEnd uint64) (
 	}
 	for !done() {
 		if e.cycle-start >= maxCycles {
-			return true, &BudgetError{Budget: maxCycles, Start: start}
-		}
-		if e.cycle >= sliceEnd {
-			return false, nil
+			return e.cycle - start, &BudgetError{Budget: maxCycles, Start: start}
 		}
 		if e.interrupt != nil && e.pollInterrupt() {
-			return true, &CanceledError{Cycle: e.cycle}
+			return e.cycle - start, &CanceledError{Cycle: e.cycle}
 		}
 		if wd != nil && e.cycle >= wd.nextCheck {
 			if serr := wd.check(e.cycle); serr != nil && e.cycle >= e.wdQuietUntil {
-				return true, serr
+				return e.cycle - start, serr
 			}
 		}
 		if e.skip && e.probeAt <= e.cycle {
@@ -331,15 +317,12 @@ func (e *Engine) RunSlice(done func() bool, start, maxCycles, sliceEnd uint64) (
 				} else {
 					e.wdQuietUntil = wake
 				}
-				// Every clamp below is strictly above e.cycle: the budget and
-				// slice checks guaranteed start+maxCycles > cycle and
-				// sliceEnd > cycle, and a just-run check set nextCheck past
-				// now — so the jump always moves the clock.
+				// Every clamp below is strictly above e.cycle: the budget
+				// check guaranteed start+maxCycles > cycle, and a just-run
+				// check set nextCheck past now — so the jump always moves
+				// the clock.
 				if limit := start + maxCycles; wake > limit {
 					wake = limit
-				}
-				if wake > sliceEnd {
-					wake = sliceEnd
 				}
 				if wd != nil && wake > wd.nextCheck {
 					wake = wd.nextCheck
@@ -360,5 +343,5 @@ func (e *Engine) RunSlice(done func() bool, start, maxCycles, sliceEnd uint64) (
 		}
 		e.Step()
 	}
-	return true, nil
+	return e.cycle - start, nil
 }

@@ -166,3 +166,57 @@ func TestTimelineRecordRunMatchesRecord(t *testing.T) {
 		}
 	}
 }
+
+// tickCounter is a trivial component whose only state is how many ticks it
+// received and how many it had replayed, with one declared quiescent window
+// [sleepFrom, sleepTo).
+type tickCounter struct {
+	ticks, skipped     uint64
+	sleepFrom, sleepTo uint64
+}
+
+func (c *tickCounter) Name() string      { return "ctr" }
+func (c *tickCounter) Tick(cycle uint64) { c.ticks++ }
+func (c *tickCounter) NextWake(now uint64) (uint64, bool) {
+	if now >= c.sleepFrom && now < c.sleepTo {
+		return c.sleepTo, true
+	}
+	return 0, false
+}
+func (c *tickCounter) SkipTicks(from, n uint64) { c.skipped += n }
+
+// TestRunUntilSplitWindowMatchesUnsplit stops a run inside a quiescent window
+// with a RunTo-shaped segment (done at cycle X, budget X-now) and resumes it
+// with a second segment. The split run must end at the same cycle with the
+// same real and replayed ticks as one unsplit RunUntil: budgets, watchdog
+// samples and checkpoints all split skip windows this way.
+func TestRunUntilSplitWindowMatchesUnsplit(t *testing.T) {
+	const sleepFrom, sleepTo, stop, end = 3000, 8000, 5500, 9000
+	run := func(targets ...uint64) (*Engine, *tickCounter) {
+		e := NewEngine()
+		c := &tickCounter{sleepFrom: sleepFrom, sleepTo: sleepTo}
+		e.Register(c)
+		for _, target := range targets {
+			if _, err := e.RunUntil(func() bool { return e.Cycle() >= target }, target-e.Cycle()); err != nil {
+				t.Fatal(err)
+			}
+			if e.Cycle() != target {
+				t.Fatalf("segment ended at cycle %d, want %d", e.Cycle(), target)
+			}
+		}
+		return e, c
+	}
+	whole, wc := run(end)
+	split, sc := run(stop, end)
+	if split.Skips() != whole.Skips()+1 {
+		t.Fatalf("split run took %d jumps, unsplit %d: the stop did not land inside the window",
+			split.Skips(), whole.Skips())
+	}
+	if wc.ticks != sc.ticks || wc.skipped != sc.skipped || whole.SkippedCycles() != split.SkippedCycles() {
+		t.Fatalf("split ticks/replayed/skipped %d/%d/%d != unsplit %d/%d/%d",
+			sc.ticks, sc.skipped, split.SkippedCycles(), wc.ticks, wc.skipped, whole.SkippedCycles())
+	}
+	if wc.skipped == 0 || wc.ticks+wc.skipped != end {
+		t.Fatalf("unsplit run ticked %d and replayed %d of %d cycles", wc.ticks, wc.skipped, end)
+	}
+}

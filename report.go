@@ -217,17 +217,5 @@ func (r *Report) AsciiTimeline(c int, maxLanes float64) string {
 	if c >= len(r.LaneTimelines) {
 		return ""
 	}
-	levels := []rune(" .:-=+*#%")
-	var b strings.Builder
-	for _, v := range r.LaneTimelines[c] {
-		idx := int(v / maxLanes * float64(len(levels)-1))
-		if idx < 0 {
-			idx = 0
-		}
-		if idx >= len(levels) {
-			idx = len(levels) - 1
-		}
-		b.WriteRune(levels[idx])
-	}
-	return b.String()
+	return metrics.Sparkline(r.LaneTimelines[c], maxLanes)
 }
