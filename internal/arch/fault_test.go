@@ -154,7 +154,8 @@ func TestTransientExeBURepairs(t *testing.T) {
 // cycle budget.
 func TestPrivateLosesVictimHalf(t *testing.T) {
 	pair := faultPair(512, 48)
-	// 7 of 8 units: round-robin assignment kills core 0's entire half.
+	// 7 of 8 units: round-robin assignment kills core 0's entire half. The
+	// literal's zero Cluster names cluster 0, which the dump spells out.
 	faults := []fault.Fault{{Kind: fault.ExeBU, Count: 7, At: 1000}}
 	sys, err := Build(Private, pair, Options{Seed: 11, Faults: faults, StallCycles: 150_000})
 	if err != nil {
@@ -176,7 +177,7 @@ func TestPrivateLosesVictimHalf(t *testing.T) {
 		t.Fatal("DiagError carries no dump")
 	}
 	text := derr.Dump.String()
-	for _, want := range []string{"diagnostic dump", "failed=7", "fault exebu:7@1000"} {
+	for _, want := range []string{"diagnostic dump", "failed=7", "fault exebu:cl0:7@1000"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("dump missing %q:\n%s", want, text)
 		}

@@ -14,9 +14,10 @@ import (
 // quiescence probes and skipped windows run between the checks), on all four
 // architectures: a flat pair, the 64-core clustered group, and a pair
 // through a transient ExeBU failure whose issue gates throttle Private and
-// FTS. Every few hundred cycles the state is also checkpointed and restored
-// into a freshly built system, whose rebuilt scoreboard must match the live
-// one slot for slot.
+// FTS. CheckScoreboard also holds each co-processor's active and live row
+// sets to their definition. Every few hundred cycles the state is also
+// checkpointed and restored into a freshly built system, whose rebuilt
+// scoreboard and row sets must match the live ones slot for slot.
 func TestIssueScoreboardInvariants(t *testing.T) {
 	short64 := wideGroup(64)
 	for _, w := range short64.W {
@@ -73,7 +74,8 @@ func TestIssueScoreboardInvariants(t *testing.T) {
 }
 
 // compareRestored checkpoints sys, restores the checkpoint into a freshly
-// built system and compares the two systems' scoreboards core by core.
+// built system and compares the two systems' scoreboards and row-set
+// memberships core by core.
 func compareRestored(sys *System, kind Kind, sched workload.CoSchedule, opts Options) error {
 	fresh, err := Build(kind, sched, opts)
 	if err != nil {

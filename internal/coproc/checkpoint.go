@@ -15,7 +15,7 @@ import (
 
 // ckCore is the checkpoint of one core's coreState.
 type ckCore struct {
-	queue   []XInst // full ring copy (slot order)
+	queue   []XInst // full ring copy (slot order); nil when the core never transmitted here
 	head    int
 	tail    int
 	renamed int
@@ -86,7 +86,6 @@ func (cp *Coproc) Checkpoint() CheckpointState {
 	for _, c := range cp.cores {
 		c.flushAcct(cp.acctUpTo) // settle owed accounting before snapshotting
 		ck := ckCore{
-			queue:          append([]XInst(nil), c.queue[:]...),
 			head:           c.head,
 			tail:           c.tail,
 			renamed:        c.renamed,
@@ -110,6 +109,9 @@ func (cp *Coproc) Checkpoint() CheckpointState {
 			lastActive:     c.lastActive,
 			busyLaneAccum:  c.busyLaneAccum,
 			timeline:       c.busyTimeline.Snapshot(),
+		}
+		if c.queue != nil {
+			ck.queue = append([]XInst(nil), c.queue[:]...)
 		}
 		lanes := cp.cfg.Lanes()
 		ck.z = make([]float32, isa.NumZRegs*lanes)
@@ -135,7 +137,8 @@ func (cp *Coproc) Checkpoint() CheckpointState {
 // RestoreCheckpoint rewinds the co-processor to a Checkpoint taken on an
 // identically configured instance. The sleep-scan memo is invalidated: a
 // restored cycle must re-probe quiescence from scratch. The issue
-// scoreboard is derived state, rebuilt from the restored queue.
+// scoreboard and the row sets are derived state, rebuilt from the restored
+// queues, trackers and gates.
 func (cp *Coproc) RestoreCheckpoint(st CheckpointState) {
 	cp.tbl.Restore(st.tbl)
 	cp.mgr.Repartitions = st.repartitions
@@ -148,7 +151,14 @@ func (cp *Coproc) RestoreCheckpoint(st CheckpointState) {
 	lanes := cp.cfg.Lanes()
 	for i, c := range cp.cores {
 		ck := &st.cores[i]
-		copy(c.queue[:], ck.queue)
+		if ck.queue == nil {
+			c.queue = nil // the core never transmitted here
+		} else {
+			if c.queue == nil {
+				c.queue = new([queueRing]XInst)
+			}
+			copy(c.queue[:], ck.queue)
+		}
 		c.head = ck.head
 		c.tail = ck.tail
 		c.renamed = ck.renamed
@@ -209,8 +219,28 @@ func (cp *Coproc) RestoreCheckpoint(st CheckpointState) {
 	}
 	for c := range cp.renameStallNow {
 		cp.renameStallNow[c] = false
-		cp.acctNow[c] = false
 	}
+	cp.deriveRowSets(cp.active, cp.live)
+	clear(cp.sleepFxs)
 	cp.sleepOK = false
 	cp.sleepStamp = 0
+}
+
+// deriveRowSets computes the row sets from the queues, trackers and gates at
+// the cycle boundary acctUpTo (see Coproc.active): the definition
+// RestoreCheckpoint rebuilds from, and CheckScoreboard holds the running
+// sets to. A hold is live at acctUpTo exactly when its release is later:
+// every drain so far ran at an earlier cycle, so the latest release (maxRel,
+// recomputed from the surviving entries on restore) is still tracked.
+func (cp *Coproc) deriveRowSets(active, live rowSet) {
+	clear(active)
+	clear(live)
+	for c, st := range cp.cores {
+		if st.head < st.tail {
+			active.set(c)
+			live.set(c)
+		} else if st.inflight.maxRel > cp.acctUpTo || cp.gated(c) {
+			live.set(c)
+		}
+	}
 }

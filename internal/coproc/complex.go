@@ -153,10 +153,10 @@ func (cx *Complex) delay(c, k int) uint64 {
 }
 
 // Transmit routes an instruction to its core's home cluster, charging the
-// fabric: the instruction is stamped with its arrival cycle (the cluster's
-// renamer will not look at it earlier) and counted against the cluster's
-// per-cycle acceptance bandwidth.
-func (cx *Complex) Transmit(x XInst) TransmitStatus {
+// fabric: the instruction is stamped in place with its arrival cycle (the
+// cluster's renamer will not look at it earlier) and counted against the
+// cluster's per-cycle acceptance bandwidth.
+func (cx *Complex) Transmit(x *XInst) TransmitStatus {
 	k := cx.hier.Home(x.Core)
 	dst := cx.cls[k]
 	if dst.PoolFull(x.Core) {

@@ -180,7 +180,7 @@ func (c Config) Lanes() int { return LanesPerGranule * c.ExeBUs }
 
 // activeCores resolves the resident-tenant count (ActiveCores, defaulting to
 // Cores when unset).
-func (c Config) activeCores() int {
+func (c *Config) activeCores() int {
 	if c.ActiveCores > 0 {
 		return c.ActiveCores
 	}

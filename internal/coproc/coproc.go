@@ -3,6 +3,7 @@ package coproc
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"occamy/internal/isa"
 	"occamy/internal/lanemgr"
@@ -101,7 +102,10 @@ type coreState struct {
 	// grow-and-compact slice — steady-state operation neither allocates nor
 	// re-copies the backlog. A fixed-size array (not a slice) so the masked
 	// index in at() is provably in bounds — the issue scan hits it hard.
-	queue [queueRing]XInst
+	// Like the done ring it is allocated on the core's first Transmit to
+	// this instance: a clustered machine keeps a row for every core on every
+	// cluster, and most of those rows never receive an instruction.
+	queue *[queueRing]XInst
 	head  int
 	tail  int
 	// renamed is the position one past the last renamed instruction: the
@@ -204,6 +208,36 @@ func (st *coreState) flushAcct(upTo uint64) {
 // at returns the pool slot of stream position i (valid for head <= i < tail).
 func (st *coreState) at(i int) *XInst { return &st.queue[i&queueMask] }
 
+// rowSet is a bitmap over a Coproc's core rows. A clustered machine gives
+// every cluster a row per machine core, yet only a cluster's home rows (and
+// migration targets) ever hold work, so the per-cycle walks visit members
+// only.
+type rowSet []uint64
+
+func newRowSet(n int) rowSet { return make(rowSet, (n+63)/64) }
+
+func (s rowSet) set(c int)      { s[c>>6] |= 1 << (c & 63) }
+func (s rowSet) clear(c int)    { s[c>>6] &^= 1 << (c & 63) }
+func (s rowSet) has(c int) bool { return s[c>>6]>>(c&63)&1 != 0 }
+
+// next returns the first member at or after c, or 64*len(s) — past every
+// row — when there is none.
+func (s rowSet) next(c int) int {
+	w := c >> 6
+	if w >= len(s) {
+		return len(s) << 6
+	}
+	if u := s[w] >> (c & 63); u != 0 {
+		return c + bits.TrailingZeros64(u)
+	}
+	for w++; w < len(s); w++ {
+		if s[w] != 0 {
+			return w<<6 | bits.TrailingZeros64(s[w])
+		}
+	}
+	return len(s) << 6
+}
+
 // LaneEvent records one lane-management action, for the allocated-lanes
 // timelines of Figures 2 and 14(b) and for trace export.
 type LaneEvent struct {
@@ -241,9 +275,26 @@ type Coproc struct {
 	mshrRetriesCell  *uint64
 	drainWaitCell    *uint64
 
+	// active and live are the row sets the per-cycle walks visit; both are
+	// derived state, rebuilt by RestoreCheckpoint (see deriveRowSets).
+	//   - active: the row's pool is non-empty. Transmit adds the row; Tick
+	//     drops it once the row's pool has emptied.
+	//   - live: active, plus rows still holding in-flight work, plus rows
+	//     under a fault issue gate (a shared gate covers every row). A row
+	//     leaves at the first cycle boundary where none of that holds (see
+	//     settle): from then on it can neither issue nor hold a resource, so
+	//     the sleep mirror, the rename check and the MOB query skip it.
+	// allRows is the full set (Perfetto sample cycles settle every row);
+	// storms is SkipTicks' reusable set of retry-storming rows.
+	active  rowSet
+	live    rowSet
+	allRows rowSet
+	storms  rowSet
+
 	// Sleep-scan memo: NextWake(now) caches each core's per-cycle effects
 	// so a SkipTicks(from==now, n) that immediately follows (the only way
-	// the engine calls it) reuses them instead of re-running the scan.
+	// the engine calls it) reuses them instead of re-running the scan. A
+	// row outside live has a zero entry.
 	sleepFxs   []sleepFx
 	sleepStamp uint64
 	sleepOK    bool
@@ -269,12 +320,8 @@ type Coproc struct {
 	rotLast  uint64
 
 	cycleBusyLanes []float64 // per-core busy lanes this cycle
-	// acctNow marks the cores Tick visited this cycle (non-empty pool): the
-	// accounting loop only settles those, so a mostly idle many-core machine
-	// pays one sequential byte test per idle core instead of four scattered
-	// cache-line touches. acctUpTo is one past the last cycle Tick/SkipTicks
-	// covered — the bound flushAcct backfills to on reads and snapshots.
-	acctNow  []bool
+	// acctUpTo is one past the last cycle Tick/SkipTicks covered — the
+	// bound flushAcct backfills to on reads and snapshots.
 	acctUpTo uint64
 
 	// events is the lane-management log (bounded; see laneEventCap).
@@ -371,8 +418,14 @@ func New(cfg Config, vecPort mem.SharedPort, data *mem.Memory, model roofline.Mo
 		stats:          stats,
 		renameStallNow: make([]bool, cfg.Cores),
 		cycleBusyLanes: make([]float64, cfg.Cores),
-		acctNow:        make([]bool, cfg.Cores),
+		active:         newRowSet(cfg.Cores),
+		live:           newRowSet(cfg.Cores),
+		allRows:        newRowSet(cfg.Cores),
+		storms:         newRowSet(cfg.Cores),
 		sleepFxs:       make([]sleepFx, cfg.Cores),
+	}
+	for c := 0; c < cfg.Cores; c++ {
+		cp.allRows.set(c)
 	}
 	cp.renameStallsCell = stats.Counter("coproc.rename.stalls")
 	cp.mshrRetriesCell = stats.Counter("coproc.lsu.mshr_retries")
@@ -449,6 +502,9 @@ func (cp *Coproc) ReadSysNow(c int, sys isa.SysReg) uint32 { return cp.tbl.ReadR
 // scalar cores' MOB consults it before issuing scalar memory ops (Table 2,
 // <SVE, Scalar> ordering).
 func (cp *Coproc) MemInFlight(c int, now uint64) int {
+	if !cp.live.has(c) {
+		return 0 // nothing queued, nothing held
+	}
 	st := cp.cores[c]
 	pending := 0
 	for i := st.head; i < st.tail; i++ {
@@ -474,39 +530,45 @@ const (
 // Transmit enqueues an instruction into core c's pre-rename instruction
 // pool, records its RAW dependencies and applies its functional semantics in
 // program order. Only a full pool refuses the instruction (physical
-// registers are allocated later, at rename).
-func (cp *Coproc) Transmit(x XInst) TransmitStatus {
-	st := cp.cores[x.Core]
+// registers are allocated later, at rename). The instruction is copied once,
+// into its pool slot; the caller keeps ownership of x.
+func (cp *Coproc) Transmit(x *XInst) TransmitStatus {
+	c := x.Core
+	st := cp.cores[c]
 	if st.tail-st.head >= queueCap {
 		return TransmitQueueFull
 	}
 	// cp.cycles equals the current cycle here: cores tick before the
 	// co-processor, so at cycle t the co-processor has processed exactly t
 	// ticks when a core transmits.
-	if cp.flt != nil && !cp.flt.linkAccept(x.Core, cp.cycles) {
+	if cp.flt != nil && !cp.flt.linkAccept(c, cp.cycles) {
 		return TransmitLinkDown
 	}
-	if st.done.entries == nil {
+	if st.queue == nil {
+		st.queue = new([queueRing]XInst)
 		st.done.init()
 	}
-	x.enq = cp.cycles
+	slot := st.at(st.tail)
+	*slot = *x
+	slot.enq = cp.cycles
 	st.seqCounter++
-	x.seq = st.seqCounter
+	slot.seq = st.seqCounter
 	switch {
-	case x.Op.IsEMSIMD():
-		x.kind = kindEMSIMD
-	case x.Op == isa.OpVStore:
-		x.kind = kindStore
-	case x.Op.IsVectorMem():
-		x.kind = kindMem
+	case slot.Op.IsEMSIMD():
+		slot.kind = kindEMSIMD
+	case slot.Op == isa.OpVStore:
+		slot.kind = kindStore
+	case slot.Op.IsVectorMem():
+		slot.kind = kindMem
 	default:
-		x.kind = kindCompute
+		slot.kind = kindCompute
 	}
-	if x.kind != kindEMSIMD {
-		cp.renameAndApply(&x, st)
+	if slot.kind != kindEMSIMD {
+		cp.renameAndApply(slot, st)
 	}
-	*st.at(st.tail) = x
 	st.tail++
+	cp.active.set(c)
+	cp.live.set(c)
 	return TransmitOK
 }
 
@@ -565,9 +627,9 @@ func (cp *Coproc) canRename(c int, now uint64) bool {
 	if cp.cores[c].pool.held(now) >= quota {
 		return false
 	}
-	total := 0
-	for _, st := range cp.cores {
-		total += st.pool.held(now)
+	total := 0 // rows outside live hold no registers
+	for r := cp.live.next(0); r < len(cp.cores); r = cp.live.next(r + 1) {
+		total += cp.cores[r].pool.held(now)
 	}
 	return committed+total < phys
 }
@@ -654,32 +716,15 @@ func (cp *Coproc) Tick(now uint64) {
 		start = int(now % uint64(n))
 	}
 	cp.rotStart, cp.rotLast = start, now
-	if cp.cfg.SharedIssue {
-		budget := issueBudget{compute: cp.cfg.ComputeIssue, mem: cp.cfg.MemIssue, emsimd: &em}
-		for i := 0; i < n; i++ {
-			c := start + i
-			if c >= n {
-				c -= n
-			}
-			if st := cp.cores[c]; st.head == st.tail && st.renamed == st.tail {
-				continue // empty pool: tickCore would be a pure no-op
-			}
-			cp.acctNow[c] = true
-			cp.tickCore(c, now, &budget)
-		}
-	} else {
-		for i := 0; i < n; i++ {
-			c := start + i
-			if c >= n {
-				c -= n
-			}
-			if st := cp.cores[c]; st.head == st.tail && st.renamed == st.tail {
-				continue
-			}
-			cp.acctNow[c] = true
-			budget := issueBudget{compute: cp.cfg.ComputeIssue, mem: cp.cfg.MemIssue, emsimd: &em}
-			cp.tickCore(c, now, &budget)
-		}
+	// tickCore on an empty pool is a pure no-op, so the walk visits only
+	// the active rows, in the rotation's order: start…n−1, then
+	// 0…start−1.
+	budget := issueBudget{compute: cp.cfg.ComputeIssue, mem: cp.cfg.MemIssue, emsimd: &em}
+	for c := cp.active.next(start); c < n; c = cp.active.next(c + 1) {
+		cp.tickCore(c, now, &budget)
+	}
+	for c := cp.active.next(0); c < start; c = cp.active.next(c + 1) {
+		cp.tickCore(c, now, &budget)
 	}
 	lanes := float64(cp.cfg.Lanes())
 	totalBusy := 0.0
@@ -688,19 +733,25 @@ func (cp *Coproc) Tick(now uint64) {
 	// visible resolution at trace zoom levels.
 	s := cp.probe.Sink()
 	emit := s != nil && now&1023 == 0
-	for c, st := range cp.cores {
-		if !cp.acctNow[c] && !emit {
-			// Not ticked this cycle (empty pool): the only accounting
-			// effect is a zero timeline sample and a possible in-flight
-			// lastActive bump, both owed lazily via flushAcct.
-			continue
-		}
-		cp.acctNow[c] = false
+	// Accounting settles the rows just ticked — the active set, which
+	// nothing has changed since the walk — in ascending order, so the float
+	// sums keep their order. A row not ticked owes only a zero timeline
+	// sample and a possible in-flight lastActive bump, both settled lazily
+	// by flushAcct; Perfetto sample cycles settle every row.
+	rows := cp.active
+	if emit {
+		rows = cp.allRows
+	}
+	for c := rows.next(0); c < n; c = rows.next(c + 1) {
+		st := cp.cores[c]
 		v := cp.cycleBusyLanes[c]
 		cp.cycleBusyLanes[c] = 0
 		st.flushAcct(now)
 		if st.head < st.tail || st.inflight.Count(now) > 0 {
 			st.lastActive = now
+		}
+		if st.head == st.tail {
+			cp.active.clear(c) // the pool emptied this cycle
 		}
 		st.busyTimeline.Record(now, v)
 		st.acct = now + 1
@@ -720,6 +771,34 @@ func (cp *Coproc) Tick(now uint64) {
 	cp.busyLaneCycles += totalBusy / lanes
 	cp.acctUpTo = now + 1
 	cp.cycles++
+	cp.settleIdle()
+}
+
+// settle drops row c from live when, from cycle acctUpTo on, it can neither
+// issue (its pool is empty) nor hold a resource (every in-flight release,
+// and with it every LSU and register hold, is at or before acctUpTo), and no
+// fault gate covers it. Every live-row walk then skips it until its next
+// Transmit.
+func (cp *Coproc) settle(c int) {
+	st := cp.cores[c]
+	if st.head == st.tail && st.inflight.maxRel <= cp.acctUpTo && !cp.gated(c) {
+		cp.live.clear(c)
+		cp.sleepFxs[c] = sleepFx{}
+	}
+}
+
+// settleIdle settles every live row that is not active, at the end of each
+// Tick and SkipTicks: live is then exactly what deriveRowSets computes at
+// every cycle boundary, which is what lets RestoreCheckpoint rebuild it.
+func (cp *Coproc) settleIdle() {
+	if cp.flt != nil && cp.flt.sharedGate > 1 {
+		return // a shared gate keeps every row live
+	}
+	for w, m := range cp.live {
+		for idle := m &^ cp.active[w]; idle != 0; idle &= idle - 1 {
+			cp.settle(w<<6 | bits.TrailingZeros64(idle))
+		}
+	}
 }
 
 // addPhaseCompute bumps the per-phase compute-issue counter (phase -1 maps
@@ -757,8 +836,13 @@ func (x *XInst) depsReady(st *coreState, now uint64) bool {
 // tickCore walks core c's issue scoreboard in age order and issues every
 // ready instruction within the cycle budgets — the out-of-order dispatcher
 // of Figure 5. Renaming is in-order: a physical-register shortage stalls the
-// whole window (the Figure 13 effect on FTS).
+// whole window (the Figure 13 effect on FTS). Under SharedIssue every core
+// draws on the one cycle budget; otherwise each core's compute and memory
+// slots start full.
 func (cp *Coproc) tickCore(c int, now uint64, budget *issueBudget) {
+	if !cp.cfg.SharedIssue {
+		budget.compute, budget.mem = cp.cfg.ComputeIssue, cp.cfg.MemIssue
+	}
 	st := cp.cores[c]
 	for st.head < st.tail && st.at(st.head).issued {
 		st.head++
@@ -772,7 +856,7 @@ func (cp *Coproc) tickCore(c int, now uint64, budget *issueBudget) {
 		}
 		return
 	}
-	sb := &st.sb
+	sb, q := &st.sb, st.queue
 	end := st.renamed
 	// Armed computes are walked only once the earliest of them can be
 	// ready (minReady lower-bounds their ready cycles; arming during the
@@ -806,7 +890,7 @@ scan:
 				cp.probe.Signal(c, obs.SigExeBUWait)
 				continue
 			}
-			cp.issueCompute(c, &st.queue[s], now)
+			cp.issueCompute(c, &q[s], now)
 			st.issue(s)
 			cp.progress++
 			if budget.compute--; budget.compute == 0 {
@@ -817,7 +901,7 @@ scan:
 			}
 			continue
 		}
-		x := &st.queue[s]
+		x := &q[s]
 		if x.kind == kindEMSIMD {
 			// The EM-SIMD path is in-order and fences the window:
 			// nothing younger issues past an unexecuted EM-SIMD

@@ -40,7 +40,7 @@ func (r *rig) tick(n int) {
 // setVL drives the EM-SIMD protocol to give core c a vector length.
 func (r *rig) setVL(t *testing.T, c, vl int) {
 	t.Helper()
-	if r.cp.Transmit(XInst{Op: isa.OpMSR, Core: c, Sys: isa.SysVL, Val: uint32(vl)}) != TransmitOK {
+	if r.cp.Transmit(&XInst{Op: isa.OpMSR, Core: c, Sys: isa.SysVL, Val: uint32(vl)}) != TransmitOK {
 		t.Fatal("transmit MSR VL failed")
 	}
 	r.tick(4)
@@ -49,8 +49,8 @@ func (r *rig) setVL(t *testing.T, c, vl int) {
 	}
 }
 
-func (r *rig) vinst(c int, op isa.Opcode, dst, s1, s2 isa.Reg, active int) XInst {
-	return XInst{Op: op, Core: c, Dst: dst, Src1: s1, Src2: s2, Active: active, Width: r.cp.VL(c)}
+func (r *rig) vinst(c int, op isa.Opcode, dst, s1, s2 isa.Reg, active int) *XInst {
+	return &XInst{Op: op, Core: c, Dst: dst, Src1: s1, Src2: s2, Active: active, Width: r.cp.VL(c)}
 }
 
 func TestFunctionalVectorALU(t *testing.T) {
@@ -58,9 +58,9 @@ func TestFunctionalVectorALU(t *testing.T) {
 	r.setVL(t, 0, 2) // 8 elements
 
 	x := XInst{Op: isa.OpVDupI, Core: 0, Dst: 1, FImm: 3, Active: 8, Width: 2}
-	r.cp.Transmit(x)
+	r.cp.Transmit(&x)
 	x = XInst{Op: isa.OpVDupI, Core: 0, Dst: 2, FImm: 4, Active: 8, Width: 2}
-	r.cp.Transmit(x)
+	r.cp.Transmit(&x)
 	r.cp.Transmit(r.vinst(0, isa.OpVFAdd, 3, 1, 2, 8))
 	r.cp.Transmit(r.vinst(0, isa.OpVFMul, 4, 3, 1, 8))
 	r.tick(10)
@@ -80,8 +80,8 @@ func TestFunctionalLoadStoreRoundTrip(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		r.data.WriteF32(uint64(4096+4*i), float32(i)+0.5)
 	}
-	r.cp.Transmit(XInst{Op: isa.OpVLoad, Core: 0, Dst: 5, Addr: 4096, Active: 8, Width: 2})
-	r.cp.Transmit(XInst{Op: isa.OpVStore, Core: 0, Dst: 5, Addr: 8192, Active: 8, Width: 2})
+	r.cp.Transmit(&XInst{Op: isa.OpVLoad, Core: 0, Dst: 5, Addr: 4096, Active: 8, Width: 2})
+	r.cp.Transmit(&XInst{Op: isa.OpVStore, Core: 0, Dst: 5, Addr: 8192, Active: 8, Width: 2})
 	r.tick(400)
 	for i := 0; i < 8; i++ {
 		if got := r.data.ReadF32(uint64(8192 + 4*i)); got != float32(i)+0.5 {
@@ -96,9 +96,9 @@ func TestFunctionalLoadStoreRoundTrip(t *testing.T) {
 func TestPartialPredicateLimitsLanes(t *testing.T) {
 	r := newRig(t, nil)
 	r.setVL(t, 0, 2)
-	r.cp.Transmit(XInst{Op: isa.OpVDupI, Core: 0, Dst: 1, FImm: 9, Active: 8, Width: 2})
+	r.cp.Transmit(&XInst{Op: isa.OpVDupI, Core: 0, Dst: 1, FImm: 9, Active: 8, Width: 2})
 	// Tail iteration: only 3 active elements overwrite.
-	r.cp.Transmit(XInst{Op: isa.OpVDupI, Core: 0, Dst: 1, FImm: 5, Active: 3, Width: 2})
+	r.cp.Transmit(&XInst{Op: isa.OpVDupI, Core: 0, Dst: 1, FImm: 5, Active: 3, Width: 2})
 	r.tick(6)
 	want := []float32{5, 5, 5, 9, 9, 9, 9, 9}
 	for i, w := range want {
@@ -111,7 +111,7 @@ func TestPartialPredicateLimitsLanes(t *testing.T) {
 func TestVFAddVFoldsActiveLanesOnly(t *testing.T) {
 	r := newRig(t, nil)
 	r.setVL(t, 0, 2)
-	r.cp.Transmit(XInst{Op: isa.OpVDupI, Core: 0, Dst: 1, FImm: 2, Active: 8, Width: 2})
+	r.cp.Transmit(&XInst{Op: isa.OpVDupI, Core: 0, Dst: 1, FImm: 2, Active: 8, Width: 2})
 	r.cp.Transmit(r.vinst(0, isa.OpVFAddV, 1, 1, isa.RegNone, 8))
 	r.tick(10)
 	if got := r.cp.Z(0, 1, 0); got != 16 {
@@ -132,8 +132,8 @@ func TestVMovX0RespondsWithLane0(t *testing.T) {
 	r.cp.SetResponder(func(core int, reg isa.Reg, val uint64, ready uint64) {
 		gotReg, gotVal = reg, val
 	})
-	r.cp.Transmit(XInst{Op: isa.OpVDupI, Core: 0, Dst: 7, FImm: 1.5, Active: 4, Width: 1})
-	r.cp.Transmit(XInst{Op: isa.OpVMovX0, Core: 0, Src1: 7, XDst: 28, Active: 4, Width: 1})
+	r.cp.Transmit(&XInst{Op: isa.OpVDupI, Core: 0, Dst: 7, FImm: 1.5, Active: 4, Width: 1})
+	r.cp.Transmit(&XInst{Op: isa.OpVMovX0, Core: 0, Src1: 7, XDst: 28, Active: 4, Width: 1})
 	r.tick(10)
 	if gotReg != 28 {
 		t.Fatalf("response register = %d, want 28", gotReg)
@@ -148,7 +148,7 @@ func TestComputeIssueBudgetIsTwoPerCycle(t *testing.T) {
 	r.setVL(t, 0, 2)
 	// 8 independent VDUPs: at 2 compute issues per cycle they need 4 cycles.
 	for i := 0; i < 8; i++ {
-		r.cp.Transmit(XInst{Op: isa.OpVDupI, Core: 0, Dst: isa.Reg(i), FImm: 1, Active: 8, Width: 2})
+		r.cp.Transmit(&XInst{Op: isa.OpVDupI, Core: 0, Dst: isa.Reg(i), FImm: 1, Active: 8, Width: 2})
 	}
 	before := r.cp.ComputeIssued(0)
 	r.tick(1)
@@ -164,7 +164,7 @@ func TestComputeIssueBudgetIsTwoPerCycle(t *testing.T) {
 func TestDependentChainSerializesOnLatency(t *testing.T) {
 	r := newRig(t, nil)
 	r.setVL(t, 0, 1)
-	r.cp.Transmit(XInst{Op: isa.OpVDupI, Core: 0, Dst: 1, FImm: 1, Active: 4, Width: 1})
+	r.cp.Transmit(&XInst{Op: isa.OpVDupI, Core: 0, Dst: 1, FImm: 1, Active: 4, Width: 1})
 	// Chain of 4 dependent adds: each waits ComputeLat (4 cycles).
 	for i := 0; i < 4; i++ {
 		r.cp.Transmit(r.vinst(0, isa.OpVFAdd, 1, 1, 1, 4))
@@ -183,11 +183,11 @@ func TestDependentChainSerializesOnLatency(t *testing.T) {
 func TestOoOIssueBypassesStalledInstruction(t *testing.T) {
 	r := newRig(t, nil)
 	r.setVL(t, 0, 1)
-	r.cp.Transmit(XInst{Op: isa.OpVDupI, Core: 0, Dst: 1, FImm: 1, Active: 4, Width: 1})
+	r.cp.Transmit(&XInst{Op: isa.OpVDupI, Core: 0, Dst: 1, FImm: 1, Active: 4, Width: 1})
 	r.tick(1) // issue the producer; it completes at +4
 	// Dependent add stalls; an independent VDUP behind it must still issue.
 	r.cp.Transmit(r.vinst(0, isa.OpVFAdd, 2, 1, 1, 4))
-	r.cp.Transmit(XInst{Op: isa.OpVDupI, Core: 0, Dst: 3, FImm: 2, Active: 4, Width: 1})
+	r.cp.Transmit(&XInst{Op: isa.OpVDupI, Core: 0, Dst: 3, FImm: 2, Active: 4, Width: 1})
 	r.tick(1)
 	if r.cp.Z(0, 3, 0) != 2 {
 		t.Fatal("functional value must be applied at transmit")
@@ -201,7 +201,7 @@ func TestOoOIssueBypassesStalledInstruction(t *testing.T) {
 func TestMSROITriggersRepartition(t *testing.T) {
 	r := newRig(t, nil)
 	oi := isa.OIPair{Issue: 1, Mem: 1}
-	r.cp.Transmit(XInst{Op: isa.OpMSR, Core: 0, Sys: isa.SysOI, Val: isa.PackOI(oi)})
+	r.cp.Transmit(&XInst{Op: isa.OpMSR, Core: 0, Sys: isa.SysOI, Val: isa.PackOI(oi)})
 	r.tick(2)
 	if r.cp.Manager().Repartitions != 1 {
 		t.Fatalf("repartitions = %d, want 1", r.cp.Manager().Repartitions)
@@ -215,10 +215,10 @@ func TestMSRVLWaitsForDrain(t *testing.T) {
 	r := newRig(t, nil)
 	r.setVL(t, 0, 2)
 	// A slow dependent chain keeps the pipeline busy.
-	r.cp.Transmit(XInst{Op: isa.OpVDupI, Core: 0, Dst: 1, FImm: 1, Active: 8, Width: 2})
+	r.cp.Transmit(&XInst{Op: isa.OpVDupI, Core: 0, Dst: 1, FImm: 1, Active: 8, Width: 2})
 	r.cp.Transmit(r.vinst(0, isa.OpVFAdd, 1, 1, 1, 8))
 	r.cp.Transmit(r.vinst(0, isa.OpVFAdd, 1, 1, 1, 8))
-	r.cp.Transmit(XInst{Op: isa.OpMSR, Core: 0, Sys: isa.SysVL, Val: 4})
+	r.cp.Transmit(&XInst{Op: isa.OpMSR, Core: 0, Sys: isa.SysVL, Val: 4})
 	r.tick(6)
 	if r.cp.VL(0) != 2 {
 		t.Fatal("VL changed before the pipeline drained")
@@ -235,9 +235,9 @@ func TestMSRVLWaitsForDrain(t *testing.T) {
 func TestReconfigurePoisonsRegisters(t *testing.T) {
 	r := newRig(t, nil)
 	r.setVL(t, 0, 2)
-	r.cp.Transmit(XInst{Op: isa.OpVDupI, Core: 0, Dst: 1, FImm: 7, Active: 8, Width: 2})
+	r.cp.Transmit(&XInst{Op: isa.OpVDupI, Core: 0, Dst: 1, FImm: 7, Active: 8, Width: 2})
 	r.tick(6)
-	r.cp.Transmit(XInst{Op: isa.OpMSR, Core: 0, Sys: isa.SysVL, Val: 3})
+	r.cp.Transmit(&XInst{Op: isa.OpMSR, Core: 0, Sys: isa.SysVL, Val: 3})
 	r.tick(6)
 	if v := float64(r.cp.Z(0, 1, 0)); !math.IsNaN(v) {
 		t.Fatalf("register value survived reconfiguration: %v (freed RegBlks must not be preserved)", v)
@@ -247,7 +247,7 @@ func TestReconfigurePoisonsRegisters(t *testing.T) {
 func TestReconfigureRejectedWhenLanesUnavailable(t *testing.T) {
 	r := newRig(t, nil)
 	r.setVL(t, 0, 6)
-	r.cp.Transmit(XInst{Op: isa.OpMSR, Core: 1, Sys: isa.SysVL, Val: 4})
+	r.cp.Transmit(&XInst{Op: isa.OpMSR, Core: 1, Sys: isa.SysVL, Val: 4})
 	r.tick(4)
 	if r.cp.VL(1) != 0 {
 		t.Fatal("infeasible request must not change VL")
@@ -266,10 +266,10 @@ func TestEMSIMDFencesYoungerSVE(t *testing.T) {
 	// Keep the pipeline busy so the MSR VL at the head waits for drain;
 	// the VDUP behind it must NOT issue early (it belongs to the new VL
 	// regime).
-	r.cp.Transmit(XInst{Op: isa.OpVDupI, Core: 0, Dst: 1, FImm: 1, Active: 8, Width: 2})
+	r.cp.Transmit(&XInst{Op: isa.OpVDupI, Core: 0, Dst: 1, FImm: 1, Active: 8, Width: 2})
 	r.cp.Transmit(r.vinst(0, isa.OpVFAdd, 1, 1, 1, 8))
-	r.cp.Transmit(XInst{Op: isa.OpMSR, Core: 0, Sys: isa.SysVL, Val: 4})
-	r.cp.Transmit(XInst{Op: isa.OpVDupI, Core: 0, Dst: 2, FImm: 2, Active: 16, Width: 4})
+	r.cp.Transmit(&XInst{Op: isa.OpMSR, Core: 0, Sys: isa.SysVL, Val: 4})
+	r.cp.Transmit(&XInst{Op: isa.OpVDupI, Core: 0, Dst: 2, FImm: 2, Active: 16, Width: 4})
 	issuedBefore := r.cp.ComputeIssued(0)
 	r.tick(1)
 	// Only the two older SVE instructions may have issued.
@@ -309,7 +309,7 @@ func TestSharedVRFRenameStalls(t *testing.T) {
 			if shared {
 				width = 8
 			}
-			r.cp.Transmit(XInst{Op: isa.OpVDupI, Core: c, Dst: 1, FImm: 1, Active: 4 * width, Width: width})
+			r.cp.Transmit(&XInst{Op: isa.OpVDupI, Core: c, Dst: 1, FImm: 1, Active: 4 * width, Width: width})
 		}
 		for i := 0; i < 150; i++ {
 			for c := 0; c < 2; c++ {
@@ -317,7 +317,7 @@ func TestSharedVRFRenameStalls(t *testing.T) {
 				if shared {
 					width = 8
 				}
-				r.cp.Transmit(XInst{
+				r.cp.Transmit(&XInst{
 					Op: isa.OpVFAdd, Core: c, Dst: 1, Src1: 1, Src2: 1,
 					Active: 4 * width, Width: width,
 				})
@@ -356,7 +356,7 @@ func TestSharedIssueBudgetSplitsAcrossCores(t *testing.T) {
 	})
 	for i := 0; i < 8; i++ {
 		for c := 0; c < 2; c++ {
-			r.cp.Transmit(XInst{Op: isa.OpVDupI, Core: c, Dst: isa.Reg(i), FImm: 1, Active: 32, Width: 8})
+			r.cp.Transmit(&XInst{Op: isa.OpVDupI, Core: c, Dst: isa.Reg(i), FImm: 1, Active: 32, Width: 8})
 		}
 	}
 	r.tick(1)
@@ -375,7 +375,7 @@ func TestTransmitBackpressure(t *testing.T) {
 	// VL stays 0: nothing can issue, so the pool fills.
 	n := 0
 	for {
-		st := r.cp.Transmit(XInst{Op: isa.OpVDupI, Core: 0, Dst: 1, FImm: 1, Active: 0, Width: 0})
+		st := r.cp.Transmit(&XInst{Op: isa.OpVDupI, Core: 0, Dst: 1, FImm: 1, Active: 0, Width: 0})
 		if st != TransmitOK {
 			break
 		}
@@ -396,7 +396,7 @@ func TestUtilizationBounds(t *testing.T) {
 	r := newRig(t, nil)
 	r.setVL(t, 0, 8)
 	for i := 0; i < 64; i++ {
-		r.cp.Transmit(XInst{Op: isa.OpVDupI, Core: 0, Dst: isa.Reg(i % 8), FImm: 1, Active: 32, Width: 8})
+		r.cp.Transmit(&XInst{Op: isa.OpVDupI, Core: 0, Dst: isa.Reg(i % 8), FImm: 1, Active: 32, Width: 8})
 	}
 	r.tick(32)
 	u := r.cp.Utilization()
@@ -408,7 +408,7 @@ func TestUtilizationBounds(t *testing.T) {
 func TestZeroWidthMemOpCompletesInstantly(t *testing.T) {
 	r := newRig(t, nil)
 	r.setVL(t, 0, 1)
-	r.cp.Transmit(XInst{Op: isa.OpVLoad, Core: 0, Dst: 1, Addr: 4096, Active: 0, Width: 1})
+	r.cp.Transmit(&XInst{Op: isa.OpVLoad, Core: 0, Dst: 1, Addr: 4096, Active: 0, Width: 1})
 	r.tick(2)
 	if !r.cp.Quiescent(0, r.cycle) {
 		t.Fatal("zero-width load must complete immediately")
@@ -421,11 +421,11 @@ func TestStoresIssueInOrderAmongThemselves(t *testing.T) {
 	r := newRig(t, nil)
 	r.setVL(t, 0, 1)
 	// Producer with 12-cycle latency (div) feeds store 1.
-	r.cp.Transmit(XInst{Op: isa.OpVDupI, Core: 0, Dst: 1, FImm: 8, Active: 4, Width: 1})
+	r.cp.Transmit(&XInst{Op: isa.OpVDupI, Core: 0, Dst: 1, FImm: 8, Active: 4, Width: 1})
 	r.cp.Transmit(r.vinst(0, isa.OpVFDiv, 2, 1, 1, 4))
-	r.cp.Transmit(XInst{Op: isa.OpVStore, Core: 0, Dst: 2, Addr: 4096, Active: 4, Width: 1})
-	r.cp.Transmit(XInst{Op: isa.OpVStore, Core: 0, Dst: 1, Addr: 8192, Active: 4, Width: 1})
-	r.cp.Transmit(XInst{Op: isa.OpVLoad, Core: 0, Dst: 3, Addr: 12288, Active: 4, Width: 1})
+	r.cp.Transmit(&XInst{Op: isa.OpVStore, Core: 0, Dst: 2, Addr: 4096, Active: 4, Width: 1})
+	r.cp.Transmit(&XInst{Op: isa.OpVStore, Core: 0, Dst: 1, Addr: 8192, Active: 4, Width: 1})
+	r.cp.Transmit(&XInst{Op: isa.OpVLoad, Core: 0, Dst: 3, Addr: 12288, Active: 4, Width: 1})
 	r.tick(3)
 	snap := r.cp.CoreSnapshot(0)
 	// After 3 cycles: the div (done ~+12) holds store 1; store 2 must not
@@ -449,7 +449,7 @@ func TestIntegerVectorLatencyCheaper(t *testing.T) {
 	run := func(op isa.Opcode) uint64 {
 		r := newRig(t, nil)
 		r.setVL(t, 0, 1)
-		r.cp.Transmit(XInst{Op: isa.OpVDupI, Core: 0, Dst: 1, FImm: 1, Active: 4, Width: 1})
+		r.cp.Transmit(&XInst{Op: isa.OpVDupI, Core: 0, Dst: 1, FImm: 1, Active: 4, Width: 1})
 		for i := 0; i < 8; i++ {
 			r.cp.Transmit(r.vinst(0, op, 1, 1, 1, 4))
 		}
@@ -474,7 +474,7 @@ func TestWindowBoundsOutOfOrderDistance(t *testing.T) {
 	// independent op.
 	r := newRig(t, nil)
 	r.setVL(t, 0, 1)
-	r.cp.Transmit(XInst{Op: isa.OpVDupI, Core: 0, Dst: 1, FImm: 1, Active: 4, Width: 1})
+	r.cp.Transmit(&XInst{Op: isa.OpVDupI, Core: 0, Dst: 1, FImm: 1, Active: 4, Width: 1})
 	r.tick(1)
 	// Long dependent chain fills well past the window.
 	n := window + 20
@@ -482,7 +482,7 @@ func TestWindowBoundsOutOfOrderDistance(t *testing.T) {
 		r.cp.Transmit(r.vinst(0, isa.OpVFAdd, 1, 1, 1, 4))
 	}
 	// Independent instruction at the tail, outside the window.
-	r.cp.Transmit(XInst{Op: isa.OpVDupI, Core: 0, Dst: 2, FImm: 2, Active: 4, Width: 1})
+	r.cp.Transmit(&XInst{Op: isa.OpVDupI, Core: 0, Dst: 2, FImm: 2, Active: 4, Width: 1})
 	r.tick(1)
 	// Within one cycle only the chain head (and possibly one more after
 	// its completion) can have issued; the tail VDUP must still be
@@ -500,10 +500,10 @@ func TestWindowBoundsOutOfOrderDistance(t *testing.T) {
 func TestVecStateSaveRestore(t *testing.T) {
 	r := newRig(t, nil)
 	r.setVL(t, 0, 2)
-	r.cp.Transmit(XInst{Op: isa.OpVDupI, Core: 0, Dst: 5, FImm: 42, Active: 8, Width: 2})
+	r.cp.Transmit(&XInst{Op: isa.OpVDupI, Core: 0, Dst: 5, FImm: 42, Active: 8, Width: 2})
 	r.tick(6)
 	saved := r.cp.SaveVecState(0)
-	r.cp.Transmit(XInst{Op: isa.OpVDupI, Core: 0, Dst: 5, FImm: -1, Active: 8, Width: 2})
+	r.cp.Transmit(&XInst{Op: isa.OpVDupI, Core: 0, Dst: 5, FImm: -1, Active: 8, Width: 2})
 	r.tick(6)
 	if r.cp.Z(0, 5, 0) != -1 {
 		t.Fatal("overwrite lost")
@@ -516,11 +516,11 @@ func TestVecStateSaveRestore(t *testing.T) {
 
 func TestLaneEventLogShapes(t *testing.T) {
 	r := newRig(t, nil)
-	r.cp.Transmit(XInst{Op: isa.OpMSR, Core: 0, Sys: isa.SysOI, Val: isa.PackOI(isa.OIPair{Issue: 1, Mem: 1})})
+	r.cp.Transmit(&XInst{Op: isa.OpMSR, Core: 0, Sys: isa.SysOI, Val: isa.PackOI(isa.OIPair{Issue: 1, Mem: 1})})
 	r.tick(2)
-	r.cp.Transmit(XInst{Op: isa.OpMSR, Core: 0, Sys: isa.SysVL, Val: 3})
+	r.cp.Transmit(&XInst{Op: isa.OpMSR, Core: 0, Sys: isa.SysVL, Val: 3})
 	r.tick(2)
-	r.cp.Transmit(XInst{Op: isa.OpMSR, Core: 1, Sys: isa.SysVL, Val: 7}) // infeasible: 3+7 > 8
+	r.cp.Transmit(&XInst{Op: isa.OpMSR, Core: 1, Sys: isa.SysVL, Val: 7}) // infeasible: 3+7 > 8
 	r.tick(2)
 	kinds := map[string]int{}
 	for _, e := range r.cp.LaneEvents() {

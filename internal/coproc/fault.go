@@ -103,15 +103,35 @@ func (cp *Coproc) StripBoundary(c int) bool {
 
 // SetIssueGate throttles core c to one issue window every gate cycles
 // (gate <= 1 removes the throttle, deadGate — see GateDead — blocks the core
-// for good).
-func (cp *Coproc) SetIssueGate(c int, gate uint64) { cp.ensureFault().issueGate[c] = gate }
+// for good). A gated row is live: the sleep mirror must see its gate.
+func (cp *Coproc) SetIssueGate(c int, gate uint64) {
+	cp.ensureFault().issueGate[c] = gate
+	if gate > 1 {
+		cp.live.set(c)
+	} else {
+		cp.settle(c)
+	}
+}
 
 // GateDead is the issue-gate value that never opens.
 const GateDead = deadGate
 
 // SetSharedGate throttles every core's issue to one window every gate
-// cycles (the FTS shared-structure stall). gate <= 1 removes it.
-func (cp *Coproc) SetSharedGate(gate uint64) { cp.ensureFault().sharedGate = gate }
+// cycles (the FTS shared-structure stall). gate <= 1 removes it. The gate
+// covers every row, so every row is live while it holds.
+func (cp *Coproc) SetSharedGate(gate uint64) {
+	cp.ensureFault().sharedGate = gate
+	if gate > 1 {
+		copy(cp.live, cp.allRows)
+	} else {
+		cp.settleIdle()
+	}
+}
+
+// gated reports whether a fault issue gate covers row c.
+func (cp *Coproc) gated(c int) bool {
+	return cp.flt != nil && (cp.flt.sharedGate > 1 || cp.flt.issueGate[c] > 1)
+}
 
 // CutRegs takes n physical registers of core c's RegBlk file out of service
 // (a failed register bank). Under SharedVRF the cut charges the shared pool.
@@ -256,18 +276,21 @@ func (cp *Coproc) PipelineSnapshot(c int, now uint64) PipeSnapshot {
 	st := cp.cores[c]
 	st.flushAcct(cp.acctUpTo)
 	ps := PipeSnapshot{
-		QueueLen:   st.tail - st.head,
-		Renamed:    st.renamed - st.head,
-		Inflight:   st.inflight.Count(now),
-		LHQ:        st.lhq.Count(now),
-		STQ:        st.stq.Count(now),
-		PoolHeld:   st.pool.held(now),
 		Draining:   st.draining,
 		DrainWait:  st.drainWait,
 		LastActive: st.lastActive,
 		VL:         cp.VL(c),
 		Decision:   cp.tbl.Decision(c),
 	}
+	if !cp.live.has(c) {
+		return ps // nothing queued, nothing held
+	}
+	ps.QueueLen = st.tail - st.head
+	ps.Renamed = st.renamed - st.head
+	ps.Inflight = st.inflight.Count(now)
+	ps.LHQ = st.lhq.Count(now)
+	ps.STQ = st.stq.Count(now)
+	ps.PoolHeld = st.pool.held(now)
 	for i := st.head; i < st.tail; i++ {
 		if x := st.at(i); !x.issued {
 			ps.HeadOp = x.Op.String()

@@ -200,10 +200,31 @@ func (st *coreState) rebuildScoreboard() {
 //   - every armed compute's producers have issued, and its cached ready
 //     cycle gives depReady's answer for every cycle from now on and is no
 //     earlier than the armed bound.
+//
+// It also verifies the row sets at the cycle boundary now:
+//   - active holds exactly the rows whose pool is non-empty;
+//   - live holds every row with a queued or held resource or a fault gate,
+//     and a row outside live has a zero sleep memo;
+//   - rebuilding both sets as RestoreCheckpoint does gives the running sets.
 func (cp *Coproc) CheckScoreboard(now uint64) error {
 	for c, st := range cp.cores {
 		if err := st.checkScoreboard(now); err != nil {
 			return fmt.Errorf("%s core %d: %w", cp.name, c, err)
+		}
+	}
+	active, live := newRowSet(len(cp.cores)), newRowSet(len(cp.cores))
+	cp.deriveRowSets(active, live)
+	for c, st := range cp.cores {
+		held := st.pool.held(now) > 0 || st.inflight.Count(now) > 0 || st.lhq.Count(now) > 0 || st.stq.Count(now) > 0
+		switch {
+		case cp.active.has(c) != (st.head < st.tail):
+			return fmt.Errorf("%s core %d: active bit %v with %d instructions pooled", cp.name, c, cp.active.has(c), st.tail-st.head)
+		case !cp.live.has(c) && (held || cp.gated(c)):
+			return fmt.Errorf("%s core %d: not live while holding resources (%v) or gated (%v)", cp.name, c, held, cp.gated(c))
+		case !cp.live.has(c) && cp.sleepFxs[c] != (sleepFx{}):
+			return fmt.Errorf("%s core %d: not live but memoizes sleep effects %+v", cp.name, c, cp.sleepFxs[c])
+		case cp.live.has(c) != live.has(c):
+			return fmt.Errorf("%s core %d: live bit %v, a restore would rebuild %v", cp.name, c, cp.live.has(c), live.has(c))
 		}
 	}
 	return nil
@@ -302,8 +323,9 @@ func (st *coreState) checkScoreboard(now uint64) error {
 }
 
 // ScoreboardString renders core c's issue scoreboard canonically by stream
-// position, for tests: A<cycle> is an armed compute (its ready cycle, or now
-// if earlier), P<pos> a compute parked on the producer at pos, L, S and E
+// position, for tests, after the row's membership in the active and live
+// row sets: A<cycle> is an armed compute (its ready cycle, or now if
+// earlier), P<pos> a compute parked on the producer at pos, L, S and E
 // loads, stores and EM-SIMD instructions.
 func (cp *Coproc) ScoreboardString(c int, now uint64) string {
 	st := cp.cores[c]
@@ -315,6 +337,7 @@ func (cp *Coproc) ScoreboardString(c int, now uint64) string {
 		}
 	}
 	var b strings.Builder
+	fmt.Fprintf(&b, "active=%v live=%v ", cp.active.has(c), cp.live.has(c))
 	for p := st.head; p < st.renamed; p++ {
 		switch s := p & queueMask; {
 		case sb.compute.has(s):

@@ -15,7 +15,7 @@ import (
 func TestScoreboardSameCycleWakeup(t *testing.T) {
 	r := newRig(t, nil)
 	r.setVL(t, 0, 2)
-	r.cp.Transmit(XInst{Op: isa.OpVLoad, Core: 0, Dst: 1, Addr: 4096, Active: 0, Width: 2})
+	r.cp.Transmit(&XInst{Op: isa.OpVLoad, Core: 0, Dst: 1, Addr: 4096, Active: 0, Width: 2})
 	r.cp.Transmit(r.vinst(0, isa.OpVFAdd, 2, 1, 1, 8))
 	r.tick(1)
 	if m, c := r.cp.MemIssued(0), r.cp.ComputeIssued(0); m != 1 || c != 1 {
@@ -46,7 +46,7 @@ func BenchmarkIssueScan(b *testing.B) {
 			now++
 		}
 	}
-	cp.Transmit(XInst{Op: isa.OpMSR, Core: 0, Sys: isa.SysVL, Val: 2})
+	cp.Transmit(&XInst{Op: isa.OpMSR, Core: 0, Sys: isa.SysVL, Val: 2})
 	tick(4)
 	const acc = 31
 	for i := 0; ; i++ {
@@ -58,7 +58,7 @@ func BenchmarkIssueScan(b *testing.B) {
 		case 2:
 			x = XInst{Op: isa.OpVFMla, Core: 0, Dst: acc, Src1: ra, Src2: rb, Active: 8, Width: 2}
 		}
-		if cp.Transmit(x) != TransmitOK {
+		if cp.Transmit(&x) != TransmitOK {
 			break
 		}
 	}

@@ -211,16 +211,18 @@ scan:
 	return fx, wake, true
 }
 
-// NextWake implements sim.Sleeper. A fully quiescent scan memoizes each
-// core's effects so the SkipTicks call the engine issues for the same cycle
-// can replay them without re-scanning.
+// NextWake implements sim.Sleeper. Only live rows are scanned: a row outside
+// live has an empty pool, holds nothing and is not gated, so its scan would
+// report a zero-effect quiescent cycle and no wake. A fully quiescent scan
+// memoizes each row's effects so the SkipTicks call the engine issues for the
+// same cycle can replay them without re-scanning.
 func (cp *Coproc) NextWake(now uint64) (uint64, bool) {
 	cp.sleepOK = false
 	wake := uint64(sim.NeverWake)
 	if cp.emsimdBusyUntil > now && cp.emsimdBusyUntil < wake {
 		wake = cp.emsimdBusyUntil
 	}
-	for c := range cp.cores {
+	for c := cp.live.next(0); c < len(cp.cores); c = cp.live.next(c + 1) {
 		fx, w, ok := cp.coreSleep(c, now)
 		if !ok {
 			return 0, false
@@ -240,21 +242,21 @@ func (cp *Coproc) NextWake(now uint64) (uint64, bool) {
 // SkipTicks implements sim.Sleeper: the accounting n quiescent Ticks at
 // cycles [from, from+n) would have performed. Priority rotation and issue
 // budgets need no replay — nothing issues in a quiescent cycle, so budgets
-// never decrement and the visit order has no observable effect.
+// never decrement and the visit order has no observable effect. Rows outside
+// live would replay nothing (their memo entries are zero and their last
+// in-flight release is behind them), so only live rows are visited.
 func (cp *Coproc) SkipTicks(from, n uint64) {
+	nc := len(cp.cores)
 	if !cp.sleepOK || cp.sleepStamp != from {
-		for c := range cp.cores {
+		for c := cp.live.next(0); c < nc; c = cp.live.next(c + 1) {
 			cp.sleepFxs[c], _, _ = cp.coreSleep(c, from)
 		}
 	}
-	storms := 0
-	for c := range cp.cores {
-		if cp.sleepFxs[c].mshrRetry {
-			storms++
-		}
-	}
-	for c, st := range cp.cores {
-		fx := cp.sleepFxs[c]
+	clear(cp.storms)
+	storms, sole := 0, -1
+	for c := cp.live.next(0); c < nc; c = cp.live.next(c + 1) {
+		st := cp.cores[c]
+		fx := &cp.sleepFxs[c]
 		if fx.sig != 0 {
 			cp.probe.Signal(c, fx.sig)
 		}
@@ -269,14 +271,12 @@ func (cp *Coproc) SkipTicks(from, n uint64) {
 		if fx.mshrRetry {
 			st.mshrRetries += n
 			*cp.mshrRetriesCell += n
-			if storms == 1 {
-				// Sole storming core: one bulk replay covers the window.
-				cp.vecProbe.ReplayRetries(from, n, fx.retryAddr, fx.retrySize, fx.retryWrite, c)
-			}
+			cp.storms.set(c)
+			storms, sole = storms+1, c
 		}
 		if st.head < st.tail {
 			st.lastActive = from + n - 1
-		} else if m := st.inflight.max(); m > from {
+		} else if m := st.inflight.maxRel; m > from {
 			// inflight.Count(t) > 0 exactly for t < m: the last
 			// qualifying cycle in the window is min(from+n-1, m-1).
 			last := from + n - 1
@@ -289,18 +289,22 @@ func (cp *Coproc) SkipTicks(from, n uint64) {
 		// stalled ticks would: that zero run stays owed on st.acct until
 		// flushAcct backfills it (exact for v == 0; see RecordRun).
 	}
-	if storms > 1 {
+	switch {
+	case storms == 1:
+		// Sole storming core: one bulk replay covers the window.
+		fx := &cp.sleepFxs[sole]
+		cp.vecProbe.ReplayRetries(from, n, fx.retryAddr, fx.retrySize, fx.retryWrite, sole)
+	case storms > 1:
 		// Concurrent storms interleave their bandwidth-meter updates in
 		// Tick's per-cycle priority rotation, so replay cycle-major,
 		// visiting the storming cores in exactly that rotation. Each
 		// single-cycle ReplayRetries re-walks a few cache lines — far
 		// cheaper than the full component tick it replaces.
-		nc := len(cp.cores)
 		for t := from; t < from+n; t++ {
 			start := int(t) % nc
-			for i := 0; i < nc; i++ {
-				c := (start + i) % nc
-				if fx := cp.sleepFxs[c]; fx.mshrRetry {
+			for _, span := range [2][2]int{{start, nc}, {0, start}} {
+				for c := cp.storms.next(span[0]); c < span[1]; c = cp.storms.next(c + 1) {
+					fx := &cp.sleepFxs[c]
 					cp.vecProbe.ReplayRetries(t, 1, fx.retryAddr, fx.retrySize, fx.retryWrite, c)
 				}
 			}
@@ -310,4 +314,5 @@ func (cp *Coproc) SkipTicks(from, n uint64) {
 	// float64 no-op, so there is nothing to add here.
 	cp.acctUpTo = from + n
 	cp.cycles += n
+	cp.settleIdle()
 }

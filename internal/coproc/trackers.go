@@ -12,10 +12,11 @@ import (
 // pipeline-drain check.
 type holdTracker struct {
 	releases []uint64
-	// nextRel lower-bounds every entry: drain is a no-op while now is below
+	// nextRel is the earliest entry (MaxUint64 when there is none), or zero
+	// — the conservative value, which just forces the next drain to scan —
+	// from restore until that drain. drain is a no-op while now is below
 	// it, which turns the per-cycle Count calls on busy trackers into a
-	// compare instead of an O(entries) scan. Zero (the conservative value)
-	// just forces the next drain to scan; restore resets it to zero.
+	// compare instead of an O(entries) scan.
 	nextRel uint64
 	// maxRel is the latest release ever added (entries expire out of
 	// releases, this does not decay): lazy lastActive accounting needs the
@@ -89,26 +90,11 @@ func (t *holdTracker) restore(rs []uint64) {
 // next returns the earliest release strictly after now, or sim.NeverWake
 // when nothing is pending — the tracker's contribution to the skip-ahead
 // engine's wake computation: Count(t) is constant for t in [now, next).
+// After drain(now) every remaining entry releases after now and nextRel is
+// their minimum, so no scan is needed.
 func (t *holdTracker) next(now uint64) uint64 {
-	min := uint64(math.MaxUint64)
-	for _, r := range t.releases {
-		if r > now && r < min {
-			min = r
-		}
-	}
-	return min
-}
-
-// max returns the latest recorded release (0 when empty): the last cycle t
-// for which Count(t-1) > 0.
-func (t *holdTracker) max() uint64 {
-	var m uint64
-	for _, r := range t.releases {
-		if r > m {
-			m = r
-		}
-	}
-	return m
+	t.drain(now)
+	return t.nextRel
 }
 
 // CheckTrackerBound reports a hold tracker holding more entries than a core
@@ -142,7 +128,8 @@ type regPool struct {
 func (p *regPool) held(now uint64) int { return p.queued + p.issued.Count(now) }
 
 // issueBudget carries the per-cycle slot counts. With SharedIssue the same
-// struct is consumed by every core; otherwise each core gets a fresh one.
+// struct is consumed by every core; otherwise tickCore refills the compute
+// and memory slots for each core.
 type issueBudget struct {
 	compute int
 	mem     int

@@ -59,8 +59,8 @@ const notReady = math.MaxUint64
 // *coproc.Complex, which stamps fabric delays and redirects migrated cores —
 // the scalar core cannot tell the difference.
 type CoprocPort interface {
-	// Transmit enqueues an instruction into the core's instruction pool.
-	Transmit(coproc.XInst) coproc.TransmitStatus
+	// Transmit enqueues a copy of *x into the core's instruction pool.
+	Transmit(x *coproc.XInst) coproc.TransmitStatus
 	// PoolFull mirrors Transmit's refusal predicate for the skip-ahead scan.
 	PoolFull(core int) bool
 	// VL is the core's configured vector length in granules.
@@ -126,6 +126,11 @@ type Core struct {
 	// registry must stay bit-identical whether or not anyone reads them.
 	insts uint64
 	elems uint64
+
+	// xinst stages the instruction being transmitted. Transmit takes it by
+	// pointer, and the pointer points into the Core, so the interface call
+	// neither copies the 136-byte instruction nor makes anything escape.
+	xinst coproc.XInst
 }
 
 // SetProbe attaches the observability probe (nil disables).
@@ -531,9 +536,9 @@ func (c *Core) execEMSIMD(in *isa.Inst, now uint64) bool {
 		if in.Sys == isa.SysStatus {
 			// Must order after the preceding MSR <VL>: go through
 			// the in-order pool and wait for the response.
-			if !c.transmit(coproc.XInst{
-				Op: isa.OpMRS, Core: c.id, Sys: in.Sys, XDst: in.Dst, Phase: in.Phase,
-			}) {
+			x := c.stage(isa.OpMRS, in.Phase)
+			x.Sys, x.XDst = in.Sys, in.Dst
+			if !c.transmit() {
 				return false
 			}
 			c.xReady[in.Dst] = notReady // response will unblock
@@ -559,9 +564,9 @@ func (c *Core) execEMSIMD(in *isa.Inst, now uint64) bool {
 		}
 		val = uint32(c.xr(in.Src1))
 	}
-	if !c.transmit(coproc.XInst{
-		Op: isa.OpMSR, Core: c.id, Sys: in.Sys, Val: val, Phase: in.Phase,
-	}) {
+	x := c.stage(isa.OpMSR, in.Phase)
+	x.Sys, x.Val = in.Sys, val
+	if !c.transmit() {
 		return false
 	}
 	switch in.Sys {
@@ -585,10 +590,9 @@ func (c *Core) transmitVector(in *isa.Inst, now uint64) bool {
 	if c.tailActive >= 0 && c.tailActive < active {
 		active = c.tailActive
 	}
-	x := coproc.XInst{
-		Op: in.Op, Core: c.id, Dst: in.Dst, Src1: in.Src1, Src2: in.Src2,
-		FImm: in.FImm, Active: active, Width: vl, Phase: in.Phase,
-	}
+	x := c.stage(in.Op, in.Phase)
+	x.Dst, x.Src1, x.Src2 = in.Dst, in.Src1, in.Src2
+	x.FImm, x.Active, x.Width = in.FImm, active, vl
 	switch in.Op {
 	case isa.OpVLoad, isa.OpVStore:
 		// Base + scaled-index addressing: addr = Xbase + 4*Xindex.
@@ -607,7 +611,7 @@ func (c *Core) transmitVector(in *isa.Inst, now uint64) bool {
 		x.XDst = in.Dst
 		x.Dst = isa.RegNone
 	}
-	if !c.transmit(x) {
+	if !c.transmit() {
 		return false
 	}
 	if in.Op == isa.OpVMovX0 {
@@ -617,8 +621,19 @@ func (c *Core) transmitVector(in *isa.Inst, now uint64) bool {
 	return true
 }
 
-func (c *Core) transmit(x coproc.XInst) bool {
-	if c.cp.Transmit(x) != coproc.TransmitOK {
+// stage clears the staged instruction (c.xinst) for a new one and returns it
+// for the caller to fill. The fields are set one by one: a composite literal
+// assigned through a pointer is built in a temporary and then copied.
+func (c *Core) stage(op isa.Opcode, phase int) *coproc.XInst {
+	x := &c.xinst
+	*x = coproc.XInst{}
+	x.Op, x.Core, x.Phase = op, c.id, phase
+	return x
+}
+
+// transmit sends the instruction staged in c.xinst.
+func (c *Core) transmit() bool {
+	if c.cp.Transmit(&c.xinst) != coproc.TransmitOK {
 		c.probe.Signal(c.id, obs.SigDispatchFull)
 		*c.poolFullCell++
 		return false

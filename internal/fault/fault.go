@@ -16,6 +16,7 @@ package fault
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -106,7 +107,7 @@ func (f Fault) String() string {
 	b.WriteString(f.Kind.String())
 	switch f.Kind {
 	case ExeBU:
-		if f.Cluster > 0 {
+		if f.Cluster != AnyCluster {
 			fmt.Fprintf(&b, ":cl%d", f.Cluster)
 		}
 		if f.Count != 1 {
@@ -120,7 +121,7 @@ func (f Fault) String() string {
 	case Bandwidth:
 		fmt.Fprintf(&b, ":%s:%g", f.Level, f.Factor)
 	case XmitLink:
-		if f.Cluster > 0 {
+		if f.Cluster != AnyCluster {
 			fmt.Fprintf(&b, ":cl%d", f.Cluster)
 		}
 		if f.Core != AnyCore {
@@ -137,6 +138,16 @@ func (f Fault) String() string {
 	return b.String()
 }
 
+// FactorError reports a Bandwidth fault whose factor is outside (0, 1]; NaN
+// and the infinities are outside too.
+type FactorError struct {
+	Factor float64
+}
+
+func (e *FactorError) Error() string {
+	return fmt.Sprintf("fault: bw: factor must be in (0, 1], got %g", e.Factor)
+}
+
 // Validate checks the fault's fields for internal consistency.
 func (f Fault) Validate() error {
 	switch f.Kind {
@@ -150,8 +161,8 @@ func (f Fault) Validate() error {
 		default:
 			return fmt.Errorf("fault: bw: level must be dram, l2 or vec, got %q", f.Level)
 		}
-		if f.Factor <= 0 || f.Factor > 1 {
-			return fmt.Errorf("fault: bw: factor must be in (0, 1], got %g", f.Factor)
+		if math.IsNaN(f.Factor) || f.Factor <= 0 || f.Factor > 1 {
+			return &FactorError{Factor: f.Factor}
 		}
 		if f.For == 0 {
 			// Permanent bandwidth degradation is fine; nothing to check.
@@ -346,7 +357,7 @@ func ParseJSON(data []byte) ([]Fault, error) {
 			return nil, fmt.Errorf("fault: entry %d: unknown kind %q", i, j.Kind)
 		}
 		if err := f.Validate(); err != nil {
-			return nil, fmt.Errorf("fault: entry %d: %v", i, err)
+			return nil, fmt.Errorf("fault: entry %d: %w", i, err)
 		}
 		faults = append(faults, f)
 	}

@@ -1,7 +1,9 @@
 package fault
 
 import (
+	"errors"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -57,11 +59,17 @@ func TestParseSpecErrors(t *testing.T) {
 		"exebu:clX@100",    // bad cluster
 		"exebu:cl-2@100",   // cluster below AnyCluster
 		"xmit:clX@100+5",   // bad cluster
+		"bw:dram:NaN@1000", // NaN factor
+		"bw:l2:-Inf@1000",  // infinite factor
 	}
 	for _, spec := range bad {
 		if _, err := ParseSpec(spec); err == nil {
 			t.Errorf("ParseSpec(%q): expected error, got none", spec)
 		}
+	}
+	var fe *FactorError
+	if _, err := ParseSpec("bw:dram:NaN@1000"); !errors.As(err, &fe) {
+		t.Errorf("NaN factor: error %v is not a *FactorError", err)
 	}
 }
 
@@ -73,6 +81,8 @@ func TestParseSpecRoundTrip(t *testing.T) {
 		"bw:dram:0.5@1000+9000",
 		"xmit:core0:16@500+2000",
 		"xmit:cl2:core0@500+2000",
+		"exebu:cl0:2@50000",
+		"xmit:cl0:core1@500+2000",
 	}
 	for _, spec := range specs {
 		fs, err := ParseSpec(spec)
@@ -89,7 +99,74 @@ func TestParseSpecRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(fs, again) {
 			t.Errorf("round trip %q -> %q -> %+v != %+v", spec, fs[0].String(), again, fs)
 		}
+		if fs[0].String() != spec {
+			t.Errorf("ParseSpec(%q).String() = %q", spec, fs[0].String())
+		}
 	}
+}
+
+// specGrammar is every example in ParseSpec's doc comment.
+var specGrammar = []string{
+	"exebu@50000",
+	"exebu:3@50000",
+	"exebu:2@50000+20000",
+	"exebu:cl1:2@50000",
+	"regs:core1:32@2000",
+	"bw:dram:0.5@1000+9000",
+	"xmit:core0@500+2000",
+	"xmit:core0:16@500+2000",
+	"xmit:cl0:core1@500+2000",
+}
+
+// FuzzParseSpec: ParseSpec never panics, every fault it accepts passes
+// Validate, and re-parsing the accepted faults' String forms gives the same
+// faults.
+func FuzzParseSpec(f *testing.F) {
+	for _, spec := range specGrammar {
+		f.Add(spec)
+	}
+	f.Add(strings.Join(specGrammar, ";"))
+	f.Add("bw:dram:NaN@1000")
+	f.Fuzz(func(t *testing.T, spec string) {
+		fs, err := ParseSpec(spec)
+		if err != nil {
+			return
+		}
+		forms := make([]string, len(fs))
+		for i, flt := range fs {
+			if err := flt.Validate(); err != nil {
+				t.Fatalf("ParseSpec(%q) accepted %+v, which fails Validate: %v", spec, flt, err)
+			}
+			forms[i] = flt.String()
+		}
+		again, err := ParseSpec(strings.Join(forms, ";"))
+		if err != nil {
+			t.Fatalf("re-parse of %q (from %q): %v", forms, spec, err)
+		}
+		if !reflect.DeepEqual(fs, again) {
+			t.Fatalf("round trip %q -> %q: %+v != %+v", spec, forms, again, fs)
+		}
+	})
+}
+
+// FuzzParseJSON: ParseJSON never panics and every fault it accepts passes
+// Validate.
+func FuzzParseJSON(f *testing.F) {
+	f.Add([]byte(`[{"kind": "exebu", "count": 2, "at": 1000, "for": 500}, {"kind": "regs", "core": 1, "count": 32, "at": 2000}]`))
+	f.Add([]byte(`[{"kind": "bw", "level": "dram", "factor": 0.5, "at": 3000, "for": 100}]`))
+	f.Add([]byte(`[{"kind": "xmit", "core": 0, "cluster": 1, "at": 4000, "for": 50, "delay": 4}]`))
+	f.Add([]byte(`[{"kind": "exebu", "cluster": -1, "count": -3, "at": 1}]`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fs, err := ParseJSON(data)
+		if err != nil {
+			return
+		}
+		for _, flt := range fs {
+			if err := flt.Validate(); err != nil {
+				t.Fatalf("ParseJSON(%q) accepted %+v, which fails Validate: %v", data, flt, err)
+			}
+		}
+	})
 }
 
 func TestParseJSON(t *testing.T) {

@@ -177,3 +177,33 @@ func TestRNGIntnRange(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestStatsRestoreDropsUnhandedNames: a counter created by Inc after a
+// snapshot is gone after restoring it, while a cell Counter handed out stays
+// live (zeroed), so a snapshot re-taken right after the restore equals the
+// restored one unless a handle was added.
+func TestStatsRestoreDropsUnhandedNames(t *testing.T) {
+	s := NewStats()
+	s.Inc("early")
+	snap := s.Snapshot()
+	s.Inc("late")
+	cell := s.Counter("handle")
+	*cell = 3
+	s.Restore(snap)
+	if _, ok := s.Snapshot()["late"]; ok {
+		t.Fatal("a counter created since the snapshot survived Restore")
+	}
+	if got := s.Snapshot(); len(got) != 2 || got["early"] != 1 || got["handle"] != 0 {
+		t.Fatalf("restored registry %v, want early=1 and a zeroed handle", got)
+	}
+	*cell++
+	if s.Get("handle") != 1 {
+		t.Fatal("the handed-out cell stopped backing its counter")
+	}
+	s.Restore(snap)
+	s.Inc("late")
+	s.Restore(snap)
+	if got := s.Snapshot(); len(got) != 2 || got["early"] != 1 || got["handle"] != 0 {
+		t.Fatalf("second restore left %v", got)
+	}
+}

@@ -16,11 +16,14 @@ import "sort"
 // single-goroutine by design.
 type Stats struct {
 	counters map[string]*uint64
+	// handed holds the names whose cells Counter has handed out. Their
+	// holders keep counting into them, so Restore never drops them.
+	handed map[string]bool
 }
 
 // NewStats returns an empty registry.
 func NewStats() *Stats {
-	return &Stats{counters: make(map[string]*uint64)}
+	return &Stats{counters: make(map[string]*uint64), handed: make(map[string]bool)}
 }
 
 // Counter returns the cell backing counter name, creating it at zero if
@@ -28,6 +31,12 @@ func NewStats() *Stats {
 // across Restore, which writes values into the existing cells — so callers
 // may cache it at construction time and increment it allocation-free.
 func (s *Stats) Counter(name string) *uint64 {
+	s.handed[name] = true
+	return s.cell(name)
+}
+
+// cell returns the cell backing counter name, creating it at zero if needed.
+func (s *Stats) cell(name string) *uint64 {
 	p, ok := s.counters[name]
 	if !ok {
 		p = new(uint64)
@@ -38,14 +47,14 @@ func (s *Stats) Counter(name string) *uint64 {
 
 // Add increments counter name by delta.
 func (s *Stats) Add(name string, delta uint64) {
-	*s.Counter(name) += delta
+	*s.cell(name) += delta
 }
 
 // Inc increments counter name by one.
 func (s *Stats) Inc(name string) { s.Add(name, 1) }
 
 // Set overwrites counter name.
-func (s *Stats) Set(name string, v uint64) { *s.Counter(name) = v }
+func (s *Stats) Set(name string, v uint64) { *s.cell(name) = v }
 
 // Get returns the value of counter name, or zero if it was never written.
 func (s *Stats) Get(name string) uint64 {
@@ -76,22 +85,26 @@ func (s *Stats) Snapshot() map[string]uint64 {
 }
 
 // Restore resets the registry to a Snapshot. Values are written into the
-// existing cells (so pointers handed out by Counter stay valid); cells absent
-// from the snapshot are zeroed, and names present only in the snapshot are
-// re-created. After Restore the registry is value-identical to the snapshot
-// plus zero-valued cells for counters registered since it was taken — which
-// is exactly the set a cold run that registered the same handles would hold.
+// existing cells (so pointers handed out by Counter stay valid); a cell
+// absent from the snapshot is zeroed if Counter handed it out and dropped
+// otherwise, and names present only in the snapshot are re-created. After
+// Restore the registry holds the snapshot's counters plus zero-valued cells
+// for the handles Counter gave out since it was taken — exactly the set a
+// cold run that registered the same handles would hold, so a snapshot taken
+// right after Restore equals the restored one whenever no handle was added.
 func (s *Stats) Restore(snap map[string]uint64) {
 	for name, p := range s.counters {
 		if v, ok := snap[name]; ok {
 			*p = v
-		} else {
+		} else if s.handed[name] {
 			*p = 0
+		} else {
+			delete(s.counters, name)
 		}
 	}
 	for name, v := range snap {
 		if _, ok := s.counters[name]; !ok {
-			*s.Counter(name) = v
+			*s.cell(name) = v
 		}
 	}
 }
