@@ -14,6 +14,7 @@ package arch
 
 import (
 	"fmt"
+	"math"
 
 	"occamy/internal/compiler"
 	"occamy/internal/coproc"
@@ -139,31 +140,74 @@ type MachineTuning struct {
 	MemIssue     int    `json:"mem_issue,omitempty"`
 }
 
-// Validate rejects overrides the machine cannot realize: capacities must
-// keep power-of-two set counts (the vector cache is 8-way with 128 B lines,
-// so VecCacheKB must be a power of two; the L2 is 16-way with 64 B lines, so
-// L2MB must be), the physical-register file must leave rename headroom over
-// the 32 architectural registers, and nothing may go negative.
+// TuningError reports a MachineTuning field outside the range the machine
+// can realize.
+type TuningError struct {
+	Field string // the JSON key, e.g. "lhq"
+	Value any    // the rejected value
+	Limit string // the range or rule it broke, e.g. "<= 1024"
+}
+
+func (e *TuningError) Error() string {
+	return fmt.Sprintf("arch: %s = %v: must be %s", e.Field, e.Value, e.Limit)
+}
+
+// maxLatency bounds the latency overrides, in cycles, far below where
+// now+lat would wrap.
+const maxLatency = 1 << 20
+
+// Validate rejects overrides the machine cannot realize with a *TuningError.
+// No field may be negative or past its maximum below: larger queues,
+// register files and caches cannot be allocated, and longer latencies break
+// the cycle arithmetic. Capacities must keep power-of-two set counts (both
+// caches use 64 B lines, mem.LineBytes; the vector cache is 8-way and the
+// L2 16-way, so VecCacheKB and L2MB must be powers of two), the
+// physical-register file must leave rename headroom over the 32
+// architectural registers, and the DRAM bandwidth must be finite and at
+// least 1/64 B/cycle, which keeps a line fill under 2^12 cycles.
 func (m *MachineTuning) Validate() error {
 	if m == nil {
 		return nil
 	}
-	pow2 := func(v int) bool { return v&(v-1) == 0 }
-	if m.VecCacheKB > 0 && !pow2(m.VecCacheKB) {
-		return fmt.Errorf("arch: vec_cache_kb %d must be a power of two", m.VecCacheKB)
+	for _, f := range []struct {
+		field       string
+		v, min, max int // min applies to a set (non-zero) field
+		pow2        bool
+	}{
+		{"vec_cache_kb", m.VecCacheKB, 0, 16 << 10, true},
+		{"vec_prefetch_degree", m.VecPrefetchDegree, 0, 64, false},
+		{"l2_mb", m.L2MB, 0, 128, true},
+		{"phys_regs", m.PhysRegs, 64, 4096, false},
+		{"lhq", m.LHQ, 0, 1024, false},
+		{"stq", m.STQ, 0, 1024, false},
+		{"compute_issue", m.ComputeIssue, 0, 64, false},
+		{"mem_issue", m.MemIssue, 0, 64, false},
+	} {
+		switch {
+		case f.v < 0:
+			return &TuningError{f.field, f.v, ">= 0"}
+		case f.v > f.max:
+			return &TuningError{f.field, f.v, fmt.Sprintf("<= %d", f.max)}
+		case f.v > 0 && f.v < f.min:
+			return &TuningError{f.field, f.v, fmt.Sprintf(">= %d", f.min)}
+		case f.pow2 && f.v&(f.v-1) != 0:
+			return &TuningError{f.field, f.v, "a power of two"}
+		}
 	}
-	if m.L2MB > 0 && !pow2(m.L2MB) {
-		return fmt.Errorf("arch: l2_mb %d must be a power of two", m.L2MB)
+	for _, f := range []struct {
+		field string
+		v     uint64
+	}{
+		{"dram_latency_cycles", m.DRAMLatencyCycles},
+		{"compute_lat", m.ComputeLat},
+		{"div_lat", m.DivLat},
+	} {
+		if f.v > maxLatency {
+			return &TuningError{f.field, f.v, fmt.Sprintf("<= %d cycles", maxLatency)}
+		}
 	}
-	if m.PhysRegs > 0 && m.PhysRegs < 64 {
-		return fmt.Errorf("arch: phys_regs %d leaves no rename headroom (need >= 64)", m.PhysRegs)
-	}
-	if m.LHQ < 0 || m.STQ < 0 || m.ComputeIssue < 0 || m.MemIssue < 0 ||
-		m.VecCacheKB < 0 || m.L2MB < 0 || m.VecPrefetchDegree < 0 || m.PhysRegs < 0 {
-		return fmt.Errorf("arch: negative machine override")
-	}
-	if m.DRAMBytesPerCycle < 0 {
-		return fmt.Errorf("arch: negative DRAM bandwidth")
+	if bw := m.DRAMBytesPerCycle; bw != 0 && !(bw >= 1.0/64 && !math.IsInf(bw, 1)) {
+		return &TuningError{"dram_bytes_per_cycle", bw, "finite and >= 1/64"}
 	}
 	return nil
 }

@@ -1,7 +1,11 @@
 package arch
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
+	"math"
+	"os"
 	"testing"
 
 	"occamy/internal/workload"
@@ -242,28 +246,65 @@ func TestMachineTuningPropertyCorrectness(t *testing.T) {
 	}
 }
 
-// TestMachineTuningValidate pins the rejection of unrealizable machines.
+// TestMachineTuningValidate pins the rejection of unrealizable machines:
+// each bad field comes back as a *TuningError naming it, while the limits
+// themselves and every tuning the repository ships stay accepted.
 func TestMachineTuningValidate(t *testing.T) {
 	cases := []struct {
-		m  MachineTuning
-		ok bool
+		m     MachineTuning
+		field string // "" = accepted
 	}{
-		{MachineTuning{}, true},
-		{MachineTuning{VecCacheKB: 64, L2MB: 4, PhysRegs: 64}, true},
-		{MachineTuning{VecCacheKB: 96}, false}, // not a power of two
-		{MachineTuning{L2MB: 5}, false},        // not a power of two
-		{MachineTuning{PhysRegs: 48}, false},   // below the architectural floor
-		{MachineTuning{LHQ: -1}, false},
-		{MachineTuning{DRAMBytesPerCycle: -8}, false},
+		{MachineTuning{}, ""},
+		{MachineTuning{VecCacheKB: 64, L2MB: 4, PhysRegs: 64}, ""},
+		// The limits themselves.
+		{MachineTuning{VecCacheKB: 16384, L2MB: 128, PhysRegs: 4096, LHQ: 1024, STQ: 1024,
+			ComputeIssue: 64, MemIssue: 64, VecPrefetchDegree: 64,
+			DRAMLatencyCycles: 1 << 20, ComputeLat: 1 << 20, DivLat: 1 << 20, DRAMBytesPerCycle: 1.0 / 64}, ""},
+		// Tunings the DSE sweeps, benchmarks and tests use.
+		{MachineTuning{DRAMBytesPerCycle: 2, DRAMLatencyCycles: 600}, ""},
+		{MachineTuning{DRAMBytesPerCycle: 8, DRAMLatencyCycles: 300, PhysRegs: 120}, ""},
+		{MachineTuning{VecCacheKB: 2}, ""},
+		{MachineTuning{VecCacheKB: 256, ComputeLat: 24, DivLat: 60}, ""},
+		{MachineTuning{VecCacheKB: 96}, "vec_cache_kb"}, // not a power of two
+		{MachineTuning{L2MB: 5}, "l2_mb"},               // not a power of two
+		{MachineTuning{PhysRegs: 48}, "phys_regs"},      // below the architectural floor
+		{MachineTuning{LHQ: -1}, "lhq"},
+		{MachineTuning{DRAMBytesPerCycle: -8}, "dram_bytes_per_cycle"},
+		// Past the limits; lhq 2^62 and phys_regs 2^40 once panicked a build.
+		{MachineTuning{LHQ: 1 << 62}, "lhq"},
+		{MachineTuning{STQ: 1025}, "stq"},
+		{MachineTuning{PhysRegs: 1 << 40}, "phys_regs"},
+		{MachineTuning{VecCacheKB: 32768}, "vec_cache_kb"},
+		{MachineTuning{L2MB: 256}, "l2_mb"},
+		{MachineTuning{ComputeIssue: 65}, "compute_issue"},
+		{MachineTuning{MemIssue: 1 << 30}, "mem_issue"},
+		{MachineTuning{VecPrefetchDegree: 65}, "vec_prefetch_degree"},
+		{MachineTuning{ComputeLat: 1<<64 - 1}, "compute_lat"},
+		{MachineTuning{DivLat: 1<<20 + 1}, "div_lat"},
+		{MachineTuning{DRAMLatencyCycles: 1 << 40}, "dram_latency_cycles"},
+		{MachineTuning{DRAMBytesPerCycle: math.NaN()}, "dram_bytes_per_cycle"},
+		{MachineTuning{DRAMBytesPerCycle: math.Inf(1)}, "dram_bytes_per_cycle"},
+		{MachineTuning{DRAMBytesPerCycle: 1e-300}, "dram_bytes_per_cycle"},
 	}
 	for _, c := range cases {
 		err := c.m.Validate()
-		if c.ok && err != nil {
+		var te *TuningError
+		switch {
+		case c.field == "" && err != nil:
 			t.Errorf("%+v rejected: %v", c.m, err)
+		case c.field != "" && !errors.As(err, &te):
+			t.Errorf("%+v: error %v is not a *TuningError", c.m, err)
+		case c.field != "" && te.Field != c.field:
+			t.Errorf("%+v: rejected field %q (%v), want %q", c.m, te.Field, err, c.field)
 		}
-		if !c.ok && err == nil {
-			t.Errorf("%+v accepted", c.m)
-		}
+	}
+	// The shipped example machine stays accepted.
+	m, err := decodeTuning(mustRead(t, "../../examples/machines/edge-soc.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Validate(); err != nil {
+		t.Errorf("edge-soc.json rejected: %v", err)
 	}
 	var nilTuning *MachineTuning
 	if err := nilTuning.Validate(); err != nil {
@@ -275,4 +316,56 @@ func TestMachineTuningValidate(t *testing.T) {
 	if _, err := Build(Occamy, sched, Options{Machine: &MachineTuning{L2MB: 5}}); err == nil {
 		t.Fatal("Build accepted a 5 MB L2")
 	}
+}
+
+// decodeTuning decodes a machine file the way occamy-sim -machine does:
+// unknown keys are errors.
+func decodeTuning(data []byte) (*MachineTuning, error) {
+	m := new(MachineTuning)
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(m); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+func mustRead(t testing.TB, path string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// FuzzMachineTuning feeds arbitrary machine files through the -machine
+// decoding and Validate. Neither may panic, and every tuning Validate
+// accepts must build the motivating pair on the chosen architecture and run
+// 1,000 cycles without a panic.
+func FuzzMachineTuning(f *testing.F) {
+	f.Add(mustRead(f, "../../examples/machines/edge-soc.json"), uint8(0))
+	f.Add([]byte(`{"lhq":4611686018427387904}`), uint8(3))
+	f.Add([]byte(`{"phys_regs":64,"compute_issue":64,"mem_issue":64}`), uint8(1))
+	f.Add([]byte(`{"vec_cache_kb":1,"l2_mb":1,"vec_prefetch_degree":64,"lhq":1,"stq":1}`), uint8(2))
+	f.Add([]byte(`{"dram_latency_cycles":1048576,"compute_lat":1048576,"div_lat":1048576,"dram_bytes_per_cycle":0.015625}`), uint8(3))
+	f.Add([]byte(`{"dram_bytes_per_cycle":1e308}`), uint8(0))
+	f.Add([]byte(`{"vec_cache_kb":16384,"l2_mb":128,"phys_regs":4096,"lhq":1024,"stq":1024,"vec_prefetch_degree":64}`), uint8(1))
+	r := workload.NewRegistry()
+	pair := workload.MotivatingPair(r)
+	for i, w := range pair.W {
+		pair.W[i] = w.Scaled(0.1)
+	}
+	f.Fuzz(func(t *testing.T, data []byte, kind uint8) {
+		m, err := decodeTuning(data)
+		if err != nil || m.Validate() != nil {
+			return
+		}
+		sys, err := Build(Kinds[int(kind)%len(Kinds)], pair, Options{Seed: 1, Machine: m})
+		if err != nil {
+			t.Fatalf("accepted tuning %+v does not build: %v", m, err)
+		}
+		// Running out of the budget is the expected end; a panic is not.
+		sys.Engine.RunUntil(sys.Done, 1000)
+	})
 }

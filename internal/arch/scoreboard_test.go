@@ -15,9 +15,11 @@ import (
 // architectures: a flat pair, the 64-core clustered group, and a pair
 // through a transient ExeBU failure whose issue gates throttle Private and
 // FTS. CheckScoreboard also holds each co-processor's active and live row
-// sets to their definition. Every few hundred cycles the state is also
-// checkpointed and restored into a freshly built system, whose rebuilt
-// scoreboard and row sets must match the live ones slot for slot.
+// sets to their definition, and CheckMSHRs holds every cache's MSHR file in
+// release order with exact per-requestor counts. Every few hundred cycles
+// the state is also checkpointed and restored into a freshly built system,
+// whose rebuilt scoreboard and row sets must match the live ones slot for
+// slot and whose restored MSHR files must pass the same check.
 func TestIssueScoreboardInvariants(t *testing.T) {
 	short64 := wideGroup(64)
 	for _, w := range short64.W {
@@ -53,6 +55,10 @@ func TestIssueScoreboardInvariants(t *testing.T) {
 							return true
 						}
 					}
+					if err := sys.Hier.CheckMSHRs(); err != nil {
+						failure = fmt.Errorf("cycle %d: %w", now, err)
+						return true
+					}
 					if now >= nextFork {
 						nextFork = now + sc.fork
 						if err := compareRestored(sys, kind, sc.sched, sc.opts); err != nil {
@@ -74,8 +80,8 @@ func TestIssueScoreboardInvariants(t *testing.T) {
 }
 
 // compareRestored checkpoints sys, restores the checkpoint into a freshly
-// built system and compares the two systems' scoreboards and row-set
-// memberships core by core.
+// built system, checks the restored MSHR files and compares the two
+// systems' scoreboards and row-set memberships core by core.
 func compareRestored(sys *System, kind Kind, sched workload.CoSchedule, opts Options) error {
 	fresh, err := Build(kind, sched, opts)
 	if err != nil {
@@ -83,6 +89,9 @@ func compareRestored(sys *System, kind Kind, sched workload.CoSchedule, opts Opt
 	}
 	if err := fresh.RestoreCheckpoint(sys.Checkpoint()); err != nil {
 		return err
+	}
+	if err := fresh.Hier.CheckMSHRs(); err != nil {
+		return fmt.Errorf("restored: %w", err)
 	}
 	now := sys.Engine.Cycle()
 	for k, cp := range sys.Clusters {

@@ -320,6 +320,9 @@ type Coproc struct {
 	rotLast  uint64
 
 	cycleBusyLanes []float64 // per-core busy lanes this cycle
+	// lanes is cfg.Lanes() as the busy-lane divisor, fixed at New so Tick
+	// does not copy the whole Config through Lanes' value receiver.
+	lanes float64
 	// acctUpTo is one past the last cycle Tick/SkipTicks covered — the
 	// bound flushAcct backfills to on reads and snapshots.
 	acctUpTo uint64
@@ -423,6 +426,7 @@ func New(cfg Config, vecPort mem.SharedPort, data *mem.Memory, model roofline.Mo
 		allRows:        newRowSet(cfg.Cores),
 		storms:         newRowSet(cfg.Cores),
 		sleepFxs:       make([]sleepFx, cfg.Cores),
+		lanes:          float64(cfg.Lanes()),
 	}
 	for c := 0; c < cfg.Cores; c++ {
 		cp.allRows.set(c)
@@ -726,7 +730,6 @@ func (cp *Coproc) Tick(now uint64) {
 	for c := cp.active.next(0); c < start; c = cp.active.next(c + 1) {
 		cp.tickCore(c, now, &budget)
 	}
-	lanes := float64(cp.cfg.Lanes())
 	totalBusy := 0.0
 	// Sample per-core counter tracks into the trace at a coarse period;
 	// every-cycle samples would dwarf the slice events without adding
@@ -768,7 +771,7 @@ func (cp *Coproc) Tick(now uint64) {
 			s.EmitCounter(c, "coproc.vl", "granules", now, float64(cp.VL(c)))
 		}
 	}
-	cp.busyLaneCycles += totalBusy / lanes
+	cp.busyLaneCycles += totalBusy / cp.lanes
 	cp.acctUpTo = now + 1
 	cp.cycles++
 	cp.settleIdle()

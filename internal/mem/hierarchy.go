@@ -110,6 +110,18 @@ func (h *Hierarchy) SetProbe(p *obs.Probe) {
 	h.DRAM.SetProbe(p)
 }
 
+// CheckMSHRs verifies every cache level's MSHR file, for tests: outstanding
+// misses are kept in release order and within the slot count, and each
+// requestor's occupancy count equals a recount.
+func (h *Hierarchy) CheckMSHRs() error {
+	for _, c := range append([]*Cache{h.VecCache, h.L2}, h.L1D...) {
+		if err := c.miss.check(); err != nil {
+			return fmt.Errorf("mem: %s: %w", c.cfg.Name, err)
+		}
+	}
+	return nil
+}
+
 // HierarchyState is a deep snapshot of the whole memory system: functional
 // contents plus every level's timing state.
 type HierarchyState struct {

@@ -177,6 +177,141 @@ func TestMissTrackerPerRequestorQuota(t *testing.T) {
 	if tr.hasSlot(0, 1) {
 		t.Fatal("global slot cap must still bind")
 	}
+
+	// A requestor's slot frees when its own miss retires, not when
+	// another requestor's does.
+	tr = missTracker{slots: 8, quota: 2}
+	tr.reserve(200, 0)
+	tr.reserve(100, 0)
+	tr.reserve(50, 1)
+	if tr.hasSlot(60, 0) {
+		t.Fatal("requestor 1's retirement freed requestor 0's quota")
+	}
+	if !tr.hasSlot(60, 1) {
+		t.Fatal("requestor 1's own retirement did not free its quota")
+	}
+	if !tr.hasSlot(100, 0) {
+		t.Fatal("requestor 0's retired miss did not free its quota")
+	}
+	if err := tr.check(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// scanTracker is the MSHR file as a plain list, scanned on every question:
+// the oracle for missTracker's ordered list and occupancy counts.
+type scanTracker struct {
+	slots, quota int
+	pending      []missEntry
+}
+
+func (o *scanTracker) hasSlot(now uint64, who int) bool {
+	live := o.pending[:0]
+	for _, e := range o.pending {
+		if e.release > now {
+			live = append(live, e)
+		}
+	}
+	o.pending = live
+	if len(o.pending) >= o.slots {
+		return false
+	}
+	if o.quota > 0 && who >= 0 {
+		n := 0
+		for _, e := range o.pending {
+			if e.who == who {
+				n++
+			}
+		}
+		if n >= o.quota {
+			return false
+		}
+	}
+	return true
+}
+
+func (o *scanTracker) nextRelease() uint64 {
+	next := ^uint64(0)
+	for _, e := range o.pending {
+		next = min(next, e.release)
+	}
+	return next
+}
+
+// TestMissTrackerMatchesScanOracle drives random hasSlot/reserve/nextRelease
+// sequences at non-decreasing cycles, with and without a quota and with
+// requestors -1…3, through missTracker and the scanning oracle; every
+// answer must agree. Halfway through, the tracker is snapshotted and
+// restored in shuffled order into a tracker that already holds other
+// state, as a checkpoint restore does.
+func TestMissTrackerMatchesScanOracle(t *testing.T) {
+	for seed := int64(1); seed <= 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		slots, quota := 1+rng.Intn(12), rng.Intn(5)
+		tr := missTracker{slots: slots, quota: quota}
+		or := scanTracker{slots: slots, quota: quota}
+		now := uint64(rng.Intn(100))
+		const steps = 400
+		for step := 0; step < steps; step++ {
+			now += uint64(rng.Intn(4))
+			who := rng.Intn(5) - 1
+			switch op := rng.Intn(8); {
+			case step == steps/2:
+				restored := missTracker{slots: slots, quota: quota, held: []int{3, 1, 4, 1, 5}}
+				restored.pending = append(restored.pending, tr.pending...)
+				rng.Shuffle(len(restored.pending), func(i, j int) {
+					restored.pending[i], restored.pending[j] = restored.pending[j], restored.pending[i]
+				})
+				restored.recompute()
+				tr = restored
+			case op == 0:
+				if got, want := tr.nextRelease(), or.nextRelease(); got != want {
+					t.Fatalf("seed %d step %d: nextRelease = %d, oracle %d", seed, step, got, want)
+				}
+			default:
+				got, want := tr.hasSlot(now, who), or.hasSlot(now, who)
+				if got != want {
+					t.Fatalf("seed %d step %d: hasSlot(%d, %d) = %v, oracle %v", seed, step, now, who, got, want)
+				}
+				if got && op > 2 {
+					done := now + uint64(rng.Intn(120))
+					tr.reserve(done, who)
+					or.pending = append(or.pending, missEntry{done, who})
+				}
+			}
+			if err := tr.check(); err != nil {
+				t.Fatalf("seed %d step %d: %v", seed, step, err)
+			}
+		}
+	}
+}
+
+// TestMissTrackerCheck pins that the invariant check catches each kind of
+// corruption: release order, the slot bound and the occupancy counts.
+func TestMissTrackerCheck(t *testing.T) {
+	fresh := func() missTracker {
+		tr := missTracker{slots: 4, quota: 2}
+		tr.reserve(10, 0)
+		tr.reserve(20, 1)
+		tr.reserve(30, -1)
+		return tr
+	}
+	tr := fresh()
+	if err := tr.check(); err != nil {
+		t.Fatal(err)
+	}
+	for name, corrupt := range map[string]func(*missTracker){
+		"unsorted":  func(tr *missTracker) { tr.pending[0], tr.pending[1] = tr.pending[1], tr.pending[0] },
+		"overfull":  func(tr *missTracker) { tr.slots = 2 },
+		"miscount":  func(tr *missTracker) { tr.held[1]++ },
+		"uncounted": func(tr *missTracker) { tr.pending[2].who = 7 },
+	} {
+		tr := fresh()
+		corrupt(&tr)
+		if tr.check() == nil {
+			t.Errorf("%s: check passed a corrupt tracker", name)
+		}
+	}
 }
 
 func newTestCache(size, ways int, lat uint64, next Port, stats *sim.Stats) *Cache {

@@ -1,5 +1,11 @@
 package mem
 
+import (
+	"cmp"
+	"fmt"
+	"slices"
+)
+
 // LineBytes is the cache-line size used throughout Table 4.
 const LineBytes = 64
 
@@ -56,18 +62,26 @@ func (m *bwMeter) consume(now uint64, b int) uint64 {
 }
 
 // missTracker bounds the number of overlapping outstanding misses (an MSHR
-// file). Completions are retired lazily on the next check. A per-requestor
-// quota prevents one core's stream (and its prefetches) from monopolizing a
-// shared cache's fill slots — the fairness that keeps co-running
-// memory-bound workloads at parity (§7.4 Case 3).
+// file). A per-requestor quota prevents one core's stream (and its
+// prefetches) from monopolizing a shared cache's fill slots — the fairness
+// that keeps co-running memory-bound workloads at parity (§7.4 Case 3).
+//
+// pending is kept in ascending release order (ties in reservation order),
+// so completions retire lazily as a prefix on the next check and the
+// earliest release is pending[0]; held counts each requestor's pending
+// entries, so the quota check is one compare. The next level's bandwidth
+// meter serializes fills, so a new release almost always lands at the tail
+// and the ordered insert rarely shifts anything.
 type missTracker struct {
-	slots   int
-	quota   int // max per requestor; 0 = no quota
+	slots int
+	quota int // max per requestor; 0 = no quota
+	// pending is a window of buf: retire advances its start, and reserve
+	// moves it back to buf's front once it reaches buf's end. buf holds
+	// twice the slots, so that move copies at most slots entries once per
+	// slots reservations.
 	pending []missEntry
-	// earliest is the soonest pending release. retire is a pure no-op
-	// before that cycle, which spares the hot access path the compaction
-	// scan on the (common) cycles where nothing can complete.
-	earliest uint64
+	buf     []missEntry
+	held    []int // held[who]: pending entries of requestor who >= 0
 }
 
 type missEntry struct {
@@ -75,33 +89,38 @@ type missEntry struct {
 	who     int
 }
 
+// retire drops the misses completed by cycle now.
 func (t *missTracker) retire(now uint64) {
-	if now < t.earliest {
-		return
-	}
-	live := t.pending[:0]
-	min := ^uint64(0)
-	for _, e := range t.pending {
-		if e.release > now {
-			live = append(live, e)
-			if e.release < min {
-				min = e.release
-			}
+	n := 0
+	for n < len(t.pending) && t.pending[n].release <= now {
+		if who := t.pending[n].who; who >= 0 {
+			t.held[who]--
 		}
+		n++
 	}
-	t.pending = live
-	t.earliest = min
+	t.pending = t.pending[n:]
 }
 
-// recompute rebuilds the retirement watermark after pending was replaced
-// wholesale (checkpoint restore).
+// recompute restores release order and the per-requestor counts after
+// pending was replaced wholesale (checkpoint restore), so the invariants
+// never depend on what a snapshot carried.
 func (t *missTracker) recompute() {
-	t.earliest = ^uint64(0)
+	slices.SortStableFunc(t.pending, func(a, b missEntry) int { return cmp.Compare(a.release, b.release) })
+	clear(t.held)
 	for _, e := range t.pending {
-		if e.release < t.earliest {
-			t.earliest = e.release
-		}
+		t.count(e.who)
 	}
+}
+
+// count adds one pending entry to requestor who's occupancy.
+func (t *missTracker) count(who int) {
+	if who < 0 {
+		return
+	}
+	for len(t.held) <= who {
+		t.held = append(t.held, 0)
+	}
+	t.held[who]++
 }
 
 // hasSlot retires completed misses and reports whether requestor who may
@@ -109,30 +128,31 @@ func (t *missTracker) recompute() {
 // bandwidth, or rejected requests would inflate the next level's queue
 // occupancy on every retry.
 func (t *missTracker) hasSlot(now uint64, who int) bool {
-	t.retire(now)
+	if len(t.pending) > 0 && t.pending[0].release <= now {
+		t.retire(now)
+	}
 	if len(t.pending) >= t.slots {
 		return false
 	}
-	if t.quota > 0 && who >= 0 {
-		n := 0
-		for _, e := range t.pending {
-			if e.who == who {
-				n++
-			}
-		}
-		if n >= t.quota {
-			return false
-		}
-	}
-	return true
+	// who < 0 bypasses the quota; a who past held has no pending miss.
+	return t.quota <= 0 || uint(who) >= uint(len(t.held)) || t.held[who] < t.quota
 }
 
 // reserve records a miss completing at done; call only after hasSlot.
 func (t *missTracker) reserve(done uint64, who int) {
-	if len(t.pending) == 0 || done < t.earliest {
-		t.earliest = done
+	if len(t.pending) == cap(t.pending) {
+		if cap(t.buf) < 2*t.slots {
+			t.buf = make([]missEntry, 2*t.slots)
+		}
+		t.pending = append(t.buf[:0], t.pending...)
 	}
-	t.pending = append(t.pending, missEntry{release: done, who: who})
+	t.pending = append(t.pending, missEntry{})
+	i := len(t.pending) - 1
+	for ; i > 0 && t.pending[i-1].release > done; i-- {
+		t.pending[i] = t.pending[i-1]
+	}
+	t.pending[i] = missEntry{release: done, who: who}
+	t.count(who)
 }
 
 // nextRelease returns the earliest pending completion, or ^uint64(0) when no
@@ -140,13 +160,36 @@ func (t *missTracker) reserve(done uint64, who int) {
 // this cycle (reservations only come from accesses, and a rejected requestor
 // is by definition not accessing).
 func (t *missTracker) nextRelease() uint64 {
-	next := ^uint64(0)
-	for _, e := range t.pending {
-		if e.release < next {
-			next = e.release
+	if len(t.pending) == 0 {
+		return ^uint64(0)
+	}
+	return t.pending[0].release
+}
+
+// check verifies the tracker's invariants: pending is in release order and
+// within the slot count, and every requestor's count equals a recount.
+func (t *missTracker) check() error {
+	if len(t.pending) > t.slots {
+		return fmt.Errorf("%d pending misses exceed %d slots", len(t.pending), t.slots)
+	}
+	held := make([]int, len(t.held))
+	for i, e := range t.pending {
+		if i > 0 && e.release < t.pending[i-1].release {
+			return fmt.Errorf("pending[%d] releases at %d, before pending[%d] at %d", i, e.release, i-1, t.pending[i-1].release)
+		}
+		if e.who >= len(held) {
+			return fmt.Errorf("requestor %d holds a miss but has no count", e.who)
+		}
+		if e.who >= 0 {
+			held[e.who]++
 		}
 	}
-	return next
+	for who, n := range held {
+		if t.held[who] != n {
+			return fmt.Errorf("requestor %d counted %d pending misses, holds %d", who, t.held[who], n)
+		}
+	}
+	return nil
 }
 
 // lineSpan returns the first line-aligned address and the number of lines

@@ -6,12 +6,14 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"occamy"
 	"occamy/internal/telemetry"
 )
 
@@ -612,10 +614,14 @@ func TestJournalReplay(t *testing.T) {
 	}
 }
 
-// TestValidationRejects: malformed specs get a 400 before touching the queue,
-// and injection hooks are refused without AllowInjection.
+// TestValidationRejects: malformed specs get a 400 before touching the queue
+// or the journal, and injection hooks are refused without AllowInjection.
+// An out-of-range machine tuning, which once panicked a worker in
+// coproc.New (and again on every journal replay), is one of them: its 400
+// carries the *arch.TuningError message and the server keeps serving.
 func TestValidationRejects(t *testing.T) {
-	s, ts := newTestServer(t, Options{Workers: 1})
+	journal := filepath.Join(t.TempDir(), "jobs.jsonl")
+	s, ts := newTestServer(t, Options{Workers: 1, JournalPath: journal})
 	defer s.Drain()
 
 	bad := []JobSpec{
@@ -627,6 +633,8 @@ func TestValidationRejects(t *testing.T) {
 		{Tenant: "t", Kind: "campaign", Arch: "elastic", Workloads: []string{"spec/WL1"}},                          // no points
 		{Tenant: "t", Kind: "pair", Arch: "elastic", Workloads: []string{"spec/WL1"}, Scale: -1},                   // bad scale
 		{Tenant: "t", Kind: "pair", Arch: "elastic", Workloads: []string{"spec/WL1"}, Faults: []string{"bogus@x"}}, // bad fault
+		{Tenant: "t", Kind: "pair", Arch: "elastic", Workloads: []string{"spec/WL1"},
+			Machine: &occamy.MachineTuning{PhysRegs: 1 << 40}}, // unbuildable register file
 	}
 	for i, spec := range bad {
 		if resp, _ := postJob(t, ts, spec); resp.StatusCode != http.StatusBadRequest {
@@ -638,7 +646,24 @@ func TestValidationRejects(t *testing.T) {
 	if resp, _ := postJob(t, ts, inj); resp.StatusCode != http.StatusForbidden {
 		t.Errorf("injection without AllowInjection accepted")
 	}
+	crash := `{"tenant":"t","kind":"pair","arch":"elastic","workloads":["spec/WL1"],"machine":{"lhq":4611686018427387904}}`
+	resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(crash))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var body map[string]string
+	json.NewDecoder(resp.Body).Decode(&body)
+	resp.Body.Close()
+	if want := "lhq = 4611686018427387904: must be <= 1024"; resp.StatusCode != http.StatusBadRequest || !strings.Contains(body["error"], want) {
+		t.Errorf("crash spec = %d %q, want 400 containing %q", resp.StatusCode, body["error"], want)
+	}
+	if code := getJSON(t, ts, "/healthz", nil); code != http.StatusOK {
+		t.Errorf("healthz after the crash spec = %d, want 200", code)
+	}
 	if s.Stats().QueueDepth() != 0 {
 		t.Errorf("rejected specs consumed queue slots")
+	}
+	if data, err := os.ReadFile(journal); err != nil || len(data) != 0 {
+		t.Errorf("rejected specs reached the journal: %q (%v)", data, err)
 	}
 }
