@@ -165,7 +165,7 @@ func main() {
 		if want("fig15") {
 			fmt.Println(experiments.RenderFigure15(sw))
 		}
-		aggregate(sw.Totals.Counters["sim.cycles"], t0)
+		aggregate(sw.TotalCycles(), t0)
 	}
 
 	if want("fig12") {

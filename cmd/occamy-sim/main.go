@@ -5,7 +5,7 @@
 //
 //	occamy-sim -arch occamy -w0 spec/WL20 -w1 spec/WL17
 //	occamy-sim -arch all -w0 cv/WL6 -w1 cv/WL1 -ascii-timeline
-//	occamy-sim -arch occamy -telemetry 127.0.0.1:9464 -timeline run.json
+//	occamy-sim -arch occamy -telemetry 127.0.0.1:9464 -perfetto run.json
 //	occamy-sim -list
 package main
 
@@ -44,7 +44,6 @@ func main() {
 		w1       = flag.String("w1", "spec/WL17", "workload for Core1 (compute side); @file.json for a custom definition")
 		scale    = flag.Float64("scale", 1.0, "trip-count scale (use <1 for quick runs)")
 		seed     = flag.Uint64("seed", 1, "workload data seed")
-		timeline = flag.String("timeline", "", "write the run's telemetry windows and event log as Perfetto counter tracks to this JSON file (open in ui.perfetto.dev); with -arch all, the architecture name is appended to the stem")
 		asciiTL  = flag.Bool("ascii-timeline", false, "print busy-lane timelines as ascii strips")
 		teleAddr = flag.String("telemetry", "", "serve live telemetry on this address (e.g. 127.0.0.1:9464): GET /metrics (OpenMetrics), /events (JSONL), /stream (SSE)")
 		teleWin  = flag.Uint64("telemetry-window", 0, "telemetry sampling window in sim cycles (0 = default 4096)")
@@ -54,7 +53,7 @@ func main() {
 		oiTable  = flag.Bool("oi", false, "print each workload's per-phase operational intensities")
 		machine  = flag.String("machine", "", "JSON file overriding Table 4 hardware parameters (dram_latency_cycles, vec_cache_kb, phys_regs, ...)")
 		profile  = flag.Bool("profile", false, "enable cycle attribution and print the top-down table and latency histograms")
-		perfetto = flag.String("perfetto", "", "write a Chrome/Perfetto trace-event JSON file (open in ui.perfetto.dev); with -arch all, the architecture name is appended to the stem")
+		perfetto = flag.String("perfetto", "", "write the run's Chrome/Perfetto trace-event JSON file (open in ui.perfetto.dev): phase and drain slices, telemetry windows as counter tracks, events as instants; with -arch all, the architecture name is appended to the stem")
 		stats    = flag.Bool("stats", false, "dump the full sorted counter registry (implies -profile)")
 		legacy   = flag.Bool("legacy-tick", false, "force the every-cycle engine path (disable skip-ahead; results are bit-identical)")
 		faults   = flag.String("faults", "", `fault-injection spec: "kind[:target...]@at[+for]; ..." (e.g. "exebu:2@10000+5000; xmit:core0@2000+8000"), or @file.json`)
@@ -134,7 +133,7 @@ func main() {
 			cfg.Faults = *faults
 			cfg.Telemetry = teleSrv
 			cfg.TelemetryWindow = *teleWin
-			cfg.TimelinePath = perfettoPath(*timeline, kind, len(kinds) > 1)
+			cfg.PerfettoPath = perfettoPath(*perfetto, kind, len(kinds) > 1)
 			cfg.Traffic = *trafSpec
 			if *clusters != 1 || *hopLat != 0 || *hopBW != 0 {
 				cfg.Topology = &occamy.Topology{Clusters: *clusters, HopLatency: *hopLat, HopBandwidth: *hopBW}
@@ -156,8 +155,8 @@ func main() {
 				os.Exit(1)
 			}
 			fmt.Printf("=== %s ===\n%s", kind, rep.Summary())
-			if cfg.TimelinePath != "" {
-				fmt.Printf("telemetry timeline written to %s (open in ui.perfetto.dev)\n", cfg.TimelinePath)
+			if cfg.PerfettoPath != "" {
+				fmt.Printf("perfetto trace written to %s (open in ui.perfetto.dev)\n", cfg.PerfettoPath)
 			}
 		}
 	} else {
@@ -189,7 +188,6 @@ func main() {
 			cfg.Faults = *faults
 			cfg.Telemetry = teleSrv
 			cfg.TelemetryWindow = *teleWin
-			cfg.TimelinePath = perfettoPath(*timeline, kind, len(kinds) > 1)
 			if *clusters != 1 || *hopLat != 0 || *hopBW != 0 {
 				cfg.Topology = &occamy.Topology{Clusters: *clusters, HopLatency: *hopLat, HopBandwidth: *hopBW}
 			}
@@ -233,9 +231,6 @@ func main() {
 			}
 			if cfg.PerfettoPath != "" {
 				fmt.Printf("perfetto trace written to %s (open in ui.perfetto.dev)\n", cfg.PerfettoPath)
-			}
-			if cfg.TimelinePath != "" {
-				fmt.Printf("telemetry timeline written to %s (open in ui.perfetto.dev)\n", cfg.TimelinePath)
 			}
 		}
 	}

@@ -5,9 +5,9 @@
 // Config.TraceDir.
 //
 // It also validates telemetry exports against their format contracts, for CI
-// smoke checks: Chrome/Perfetto trace-event JSON (from `occamy-sim -perfetto`
-// or `-timeline`), OpenMetrics text (from `GET /metrics`), and JSONL event
-// logs (from `GET /events`).
+// smoke checks: Chrome/Perfetto trace-event JSON (from `occamy-sim
+// -perfetto`), OpenMetrics text (from `GET /metrics`), and JSONL event logs
+// (from `GET /events`).
 //
 // Usage:
 //

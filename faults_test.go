@@ -2,10 +2,13 @@ package occamy
 
 import (
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"occamy/internal/coproc"
 )
 
 func TestConfigValidate(t *testing.T) {
@@ -20,12 +23,25 @@ func TestConfigValidate(t *testing.T) {
 		"negative period": func(c *Config) { c.MonitorPeriod = -2 },
 		"bad fault spec":  func(c *Config) { c.Faults = "exebu:@" },
 		"missing file":    func(c *Config) { c.Faults = "@/nonexistent/faults.json" },
+		"zero clusters":   func(c *Config) { c.Topology = &Topology{} },
+		"huge hop":        func(c *Config) { c.Topology = &Topology{Clusters: 1, HopLatency: coproc.MaxHopLatency + 1} },
 	} {
 		cfg := good
 		mutate(&cfg)
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("%s: Validate accepted %+v", name, cfg)
 		}
+	}
+	// A hop latency that once ran a job into the watchdog is a typed error.
+	cfg := good
+	cfg.Topology = &Topology{Clusters: 1, HopLatency: math.MaxUint64}
+	var terr *coproc.TopologyError
+	if err := cfg.Validate(); !errors.As(err, &terr) || terr.Field != "HopLatency" {
+		t.Errorf("HopLatency 2^64-1: Validate = %v, want a *coproc.TopologyError on HopLatency", err)
+	}
+	cfg.Topology.HopLatency = coproc.MaxHopLatency
+	if err := cfg.Validate(); err != nil {
+		t.Errorf("HopLatency at the bound rejected: %v", err)
 	}
 }
 

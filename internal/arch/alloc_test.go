@@ -147,8 +147,8 @@ func TestSteadyStateZeroAllocTopo64Telemetry(t *testing.T) {
 	}
 }
 
-// TestSteadyStateZeroAllocFaultPath covers the legacy every-cycle path with a
-// wired (but quiet) injector and an armed watchdog — the configuration the
+// TestSteadyStateZeroAllocFaultPath covers the per-cycle path with a wired
+// (but quiet) injector and an armed watchdog — the configuration the
 // degradation sweep forks under. The injector's Poll and the watchdog's
 // sampled progress scans must both be allocation-free.
 func TestSteadyStateZeroAllocFaultPath(t *testing.T) {

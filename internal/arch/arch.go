@@ -82,22 +82,27 @@ type Options struct {
 	Machine *MachineTuning
 	// Obs selects observability (cycle attribution, histograms, Perfetto
 	// trace). The zero value disables it entirely: no probe is built and
-	// the hardware models keep nil probe pointers.
+	// the hardware models keep nil probe pointers. A Sink makes the run's
+	// one trace: the cores' phase slices, the co-processor's drain slices
+	// and the telemetry sampler's windows (counter tracks) and events
+	// (instants); a sink therefore also builds a sampler, at the default
+	// window unless Telemetry sets one.
 	Obs obs.Options
 	// LegacyTick forces the every-cycle simulation path, disabling the
-	// engine's skip-ahead fast-forwarding. Results are bit-identical
-	// either way (enforced by the engine differential tests); the switch
-	// exists for A/B validation and debugging.
+	// engine's skip-ahead fast-forwarding. Results, telemetry and traces
+	// are bit-identical either way (enforced by the engine differential
+	// tests); the switch exists as the differential oracle.
 	LegacyTick bool
 	// Faults schedules deterministic fault injections (internal/fault).
-	// A non-empty list registers the injector and disables skip-ahead
-	// (faulted runs are not required to be skip-equivalent).
+	// A non-empty list registers the injector; faulted runs skip ahead
+	// like fault-free ones (the injector wakes the engine at every
+	// scheduled event and holds it live through a recovery).
 	Faults []fault.Fault
 	// WireInjector registers the fault injector (and the architecture's
 	// fault controller) even when Faults is empty, so a checkpointed run
-	// can swap schedules in later with SetFaultSchedule. Like a non-empty
-	// Faults list it forces the legacy every-cycle engine path, keeping the
-	// run bit-identical to any faulted fork taken from its checkpoints.
+	// can swap schedules in later with SetFaultSchedule. A quiet injector
+	// leaves results unchanged, and a run forked from its checkpoints with
+	// a new schedule is bit-identical to a straight run of that schedule.
 	WireInjector bool
 	// StallCycles arms the engine's forward-progress watchdog: a run where
 	// no component makes progress for this many cycles aborts with a
@@ -108,7 +113,9 @@ type Options struct {
 	// (internal/telemetry) registered after the probe so each window sees
 	// fully attributed cycles. It implies Obs.Attribution (the sampler
 	// reads the per-core bucket deltas). The sampler is a sim.Sleeper, so
-	// skip-ahead stays enabled; boundaries become forced wake points.
+	// skip-ahead stays enabled; boundaries become forced wake points. With
+	// an Obs.Sink it also sets the trace's window; nil there means the
+	// default window.
 	Telemetry *telemetry.Config
 	// Topology builds a clustered machine: Topology.Clusters co-processor
 	// instances, each owning an even shard of ExeBUs, reached through the
@@ -479,6 +486,10 @@ func Build(kind Kind, sched workload.CoSchedule, opts Options) (*System, error) 
 		sys.inj = fault.NewInjector(opts.Faults, n, opts.Seed, sys.faults)
 		engine.Register(sys.inj)
 	}
+	if opts.Telemetry == nil && opts.Obs.Sink != nil {
+		// A traced run's counter tracks and instants come from the sampler.
+		opts.Telemetry = &telemetry.Config{}
+	}
 	if opts.Telemetry != nil {
 		// The sampler diffs per-core cycle buckets and retire-latency
 		// histograms; both live on the probe.
@@ -548,12 +559,12 @@ func Build(kind Kind, sched workload.CoSchedule, opts Options) (*System, error) 
 	if opts.StallCycles > 0 {
 		engine.SetWatchdog(opts.StallCycles)
 	}
-	// Skip-ahead elides quiescent cycles; a Perfetto sink wants the real
-	// per-cycle counter samples, so trace runs keep the legacy path. Faulted
-	// runs skip like fault-free ones: the injector is a Sleeper that wakes
-	// the engine at every scheduled event and pins it live while a recovery
-	// is in flight (see fault.Injector.NextWake).
-	engine.SetSkipAhead(!opts.LegacyTick && opts.Obs.Sink == nil)
+	// Traced and faulted runs skip ahead like any other: trace counters
+	// come from the sampler, whose window boundaries are forced wakes, and
+	// the injector is a Sleeper that wakes the engine at every scheduled
+	// event and pins it live while a recovery is in flight (see
+	// fault.Injector.NextWake).
+	engine.SetSkipAhead(!opts.LegacyTick)
 	return sys, nil
 }
 

@@ -9,6 +9,7 @@ import (
 
 	"occamy/internal/fault"
 	"occamy/internal/sim"
+	"occamy/internal/telemetry"
 	"occamy/internal/workload"
 )
 
@@ -36,9 +37,9 @@ func faultPair(elems, repeats int) workload.CoSchedule {
 // TestFaultFreeRunsBitIdentical is the differential guarantee: registering
 // the fault machinery with a fault that never fires must leave every
 // architecture's cycles, statistics and per-core results bit-identical to a
-// plain run (compared on the legacy tick path, since an armed injector
-// disables skip-ahead; plain skip runs are already pinned to plain legacy
-// runs by TestEngineSkipAheadBitIdentical).
+// plain run (compared on the legacy tick path; skip-ahead runs are pinned to
+// legacy ones by TestEngineSkipAheadBitIdentical, and faulted ones by
+// TestFaultedSkipAheadBitIdentical).
 func TestFaultFreeRunsBitIdentical(t *testing.T) {
 	pair := faultPair(512, 12)
 	for _, kind := range Kinds {
@@ -72,6 +73,57 @@ func TestFaultFreeRunsBitIdentical(t *testing.T) {
 		}
 		if err := armedSys.CheckResults(2e-3); err != nil {
 			t.Errorf("%v: functional check with armed injector: %v", kind, err)
+		}
+	}
+}
+
+// TestFaultedSkipAheadBitIdentical: faulted runs skip ahead too, and must
+// match the every-cycle engine exactly. Four fault kinds on all four
+// architectures, each run with telemetry on, compared on Result, the counter
+// registry and the telemetry digest; the skip-ahead run must elide cycles.
+func TestFaultedSkipAheadBitIdentical(t *testing.T) {
+	pair := workload.MotivatingPair(workload.NewRegistry()).Scaled(0.1)
+	for _, spec := range []string{
+		"exebu:2@2000+3000", // transient
+		"exebu:1@2000",      // permanent
+		"bw:dram:0.5@1000+9000",
+		"xmit:core0@500+2000",
+	} {
+		faults, err := fault.ParseSpec(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, kind := range Kinds {
+			name := fmt.Sprintf("%s on %s", spec, kind)
+			run := func(legacy bool) (*System, *Result) {
+				t.Helper()
+				sys, err := Build(kind, pair, Options{
+					Seed: 11, Faults: faults, LegacyTick: legacy, StallCycles: 300_000,
+					Telemetry: &telemetry.Config{Window: 512},
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				res := mustRun(t, sys)
+				if len(res.Recoveries) == 0 {
+					t.Fatalf("%s: the fault never fired", name)
+				}
+				return sys, res
+			}
+			leg, legRes := run(true)
+			skip, skipRes := run(false)
+			if skip.Engine.SkippedCycles() == 0 {
+				t.Errorf("%s: skip-ahead run skipped no cycles", name)
+			}
+			if !reflect.DeepEqual(legRes, skipRes) {
+				t.Errorf("%s: results diverge:\nlegacy: %+v\nskip:   %+v", name, legRes, skipRes)
+			}
+			if diffs := diffStats(leg.Stats.Snapshot(), skip.Stats.Snapshot()); len(diffs) > 0 {
+				t.Errorf("%s: %d stats diverge, e.g. %s", name, len(diffs), diffs[0])
+			}
+			if l, s := teleDigest(leg), teleDigest(skip); l != s {
+				t.Errorf("%s: telemetry digest legacy=%#x skip=%#x", name, l, s)
+			}
 		}
 	}
 }

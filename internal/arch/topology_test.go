@@ -309,6 +309,7 @@ func TestTopologyValidationErrors(t *testing.T) {
 		{"zero clusters", coproc.Topology{Clusters: 0}},
 		{"indivisible cores", coproc.Topology{Clusters: 3}},
 		{"negative bandwidth", coproc.Topology{Clusters: 2, HopBandwidth: -1}},
+		{"huge hop latency", coproc.Topology{Clusters: 2, HopLatency: coproc.MaxHopLatency + 1}},
 	}
 	for _, tc := range cases {
 		topo := tc.topo

@@ -284,7 +284,7 @@ type Coproc struct {
 	//     leaves at the first cycle boundary where none of that holds (see
 	//     settle): from then on it can neither issue nor hold a resource, so
 	//     the sleep mirror, the rename check and the MOB query skip it.
-	// allRows is the full set (Perfetto sample cycles settle every row);
+	// allRows is the full set (a shared fault gate makes every row live);
 	// storms is SkipTicks' reusable set of retry-storming rows.
 	active  rowSet
 	live    rowSet
@@ -379,10 +379,6 @@ func (cp *Coproc) SetLaneEventSink(sink func(LaneEvent)) { cp.laneSink = sink }
 const laneEventCap = 1 << 16
 
 func (cp *Coproc) logEvent(e LaneEvent) {
-	if s := cp.probe.Sink(); s != nil {
-		s.EmitInstant(e.Core, obs.TidEMSIMD, "lane."+e.Kind, e.Cycle,
-			map[string]any{"vl": e.VL})
-	}
 	if len(cp.events) >= laneEventCap {
 		return
 	}
@@ -731,21 +727,12 @@ func (cp *Coproc) Tick(now uint64) {
 		cp.tickCore(c, now, &budget)
 	}
 	totalBusy := 0.0
-	// Sample per-core counter tracks into the trace at a coarse period;
-	// every-cycle samples would dwarf the slice events without adding
-	// visible resolution at trace zoom levels.
-	s := cp.probe.Sink()
-	emit := s != nil && now&1023 == 0
 	// Accounting settles the rows just ticked — the active set, which
 	// nothing has changed since the walk — in ascending order, so the float
 	// sums keep their order. A row not ticked owes only a zero timeline
 	// sample and a possible in-flight lastActive bump, both settled lazily
-	// by flushAcct; Perfetto sample cycles settle every row.
-	rows := cp.active
-	if emit {
-		rows = cp.allRows
-	}
-	for c := rows.next(0); c < n; c = rows.next(c + 1) {
+	// by flushAcct.
+	for c := cp.active.next(0); c < n; c = cp.active.next(c + 1) {
 		st := cp.cores[c]
 		v := cp.cycleBusyLanes[c]
 		cp.cycleBusyLanes[c] = 0
@@ -765,10 +752,6 @@ func (cp *Coproc) Tick(now uint64) {
 			st.renameStalls++
 			*cp.renameStallsCell++
 			cp.renameStallNow[c] = false
-		}
-		if emit {
-			s.EmitCounter(c, "coproc.busy_lanes", "lanes", now, v)
-			s.EmitCounter(c, "coproc.vl", "granules", now, float64(cp.VL(c)))
 		}
 	}
 	cp.busyLaneCycles += totalBusy / cp.lanes

@@ -1,15 +1,11 @@
 package coproc
 
 import (
-	"fmt"
 	"math"
-	"os"
 
 	"occamy/internal/isa"
 	"occamy/internal/obs"
 )
-
-var traceEMSIMD = os.Getenv("OCCAMY_TRACE") != ""
 
 // execEMSIMD executes one EM-SIMD instruction at the head of core c's pool.
 // It returns false when the instruction must retry next cycle (an MSR <VL>
@@ -34,10 +30,6 @@ func (cp *Coproc) execEMSIMD(c int, x *XInst, now uint64) bool {
 			}
 			cp.mgr.OnOIWrite(c, isa.UnpackOI(x.Val))
 			st.lastReject = -1
-			if traceEMSIMD {
-				fmt.Printf("[%d] core%d MSR OI %v -> dec0=%d dec1=%d\n",
-					now, c, isa.UnpackOI(x.Val), cp.tbl.Decision(0), cp.tbl.Decision(1))
-			}
 			cp.emsimdBusyUntil = now + cp.cfg.PlanLat
 			cp.stats.Inc("coproc.repartitions")
 			cp.logEvent(LaneEvent{Cycle: now, Core: c, Kind: "repartition"})
@@ -82,10 +74,6 @@ func (cp *Coproc) execEMSIMD(c int, x *XInst, now uint64) bool {
 			st.draining = false
 			cp.probe.Signal(c, obs.SigDrain)
 			ok := cp.tbl.TryReconfigure(c, int(x.Val))
-			if traceEMSIMD {
-				fmt.Printf("[%d] core%d MSR VL %d -> ok=%v (VL0=%d VL1=%d AL=%d dec0=%d dec1=%d)\n",
-					now, c, x.Val, ok, cp.tbl.VL(0), cp.tbl.VL(1), cp.tbl.AL(), cp.tbl.Decision(0), cp.tbl.Decision(1))
-			}
 			if ok {
 				st.lastReject = -1
 				cp.stats.Inc("coproc.reconfigures")

@@ -26,12 +26,45 @@ type Topology struct {
 	HopBandwidth int
 }
 
+// MaxHopLatency bounds Topology.HopLatency, in cycles: the limit
+// arch.MachineTuning puts on every latency, far below where a transmission's
+// arrival cycle could wrap.
+const MaxHopLatency = 1 << 20
+
+// TopologyError reports a Topology field outside the range the fabric can
+// realize.
+type TopologyError struct {
+	Field string // the Topology field, e.g. "HopLatency"
+	Value any    // the rejected value
+	Limit string // the rule it broke, e.g. "<= 1048576 cycles"
+}
+
+func (e *TopologyError) Error() string {
+	return fmt.Sprintf("topology: %s = %v: must be %s", e.Field, e.Value, e.Limit)
+}
+
+// CheckFields checks the fields whose range does not depend on the machine,
+// returning a *TopologyError for the first one out of range.
+func (t Topology) CheckFields() error {
+	switch {
+	case t.Clusters < 1:
+		return &TopologyError{"Clusters", t.Clusters, ">= 1 (omit the topology for the flat single-co-processor machine)"}
+	case t.CoresPerGroup < 0:
+		return &TopologyError{"CoresPerGroup", t.CoresPerGroup, ">= 0 (0 derives cores/clusters)"}
+	case t.HopBandwidth < 0:
+		return &TopologyError{"HopBandwidth", t.HopBandwidth, ">= 0 (0 means unlimited)"}
+	case t.HopLatency > MaxHopLatency:
+		return &TopologyError{"HopLatency", t.HopLatency, fmt.Sprintf("<= %d cycles", MaxHopLatency)}
+	}
+	return nil
+}
+
 // Validate checks the topology against the machine's core and ExeBU counts,
 // returning actionable errors for machine descriptions loaded from flags or
-// JSON.
+// JSON (a *TopologyError for a field out of range).
 func (t Topology) Validate(cores, exebus int) error {
-	if t.Clusters < 1 {
-		return fmt.Errorf("topology: need at least 1 cluster, got %d", t.Clusters)
+	if err := t.CheckFields(); err != nil {
+		return err
 	}
 	if cores%t.Clusters != 0 {
 		return fmt.Errorf("topology: %d cores do not divide evenly over %d clusters", cores, t.Clusters)
@@ -42,14 +75,8 @@ func (t Topology) Validate(cores, exebus int) error {
 	if exebus/t.Clusters < 1 {
 		return fmt.Errorf("topology: %d ExeBUs cannot cover %d clusters (need >= 1 each)", exebus, t.Clusters)
 	}
-	if t.CoresPerGroup < 0 {
-		return fmt.Errorf("topology: CoresPerGroup must be >= 0, got %d", t.CoresPerGroup)
-	}
 	if t.CoresPerGroup > 0 && cores%t.CoresPerGroup != 0 {
 		return fmt.Errorf("topology: %d cores do not divide into groups of %d", cores, t.CoresPerGroup)
-	}
-	if t.HopBandwidth < 0 {
-		return fmt.Errorf("topology: HopBandwidth must be >= 0, got %d", t.HopBandwidth)
 	}
 	return nil
 }

@@ -121,7 +121,6 @@ var reg = workload.NewRegistry()
 func (c Config) Sweep(verify bool) (*metrics.Sweep, error) {
 	pairs := workload.Figure10Pairs(reg)
 	rows := make([]metrics.PairRow, len(pairs))
-	var totals metrics.Accumulator
 	err := c.runPoints("pairs", len(pairs), func(i int) string { return pairs[i].Name }, func(i int) error {
 		p := pairs[i]
 		results, systems, err := c.runAllArchs(p, arch.Options{})
@@ -135,22 +134,13 @@ func (c Config) Sweep(verify bool) (*metrics.Sweep, error) {
 				}
 			}
 		}
-		// Each worker merges a private registry: counter totals are
-		// order-independent, so -j N matches a serial sweep exactly.
-		vol := metrics.NewRegistry()
-		for _, res := range results {
-			vol.Count("sims", 1)
-			vol.Count("sim.cycles", res.Cycles)
-			vol.Count("sim.elems", res.Elems)
-		}
-		totals.Merge(vol)
 		rows[i] = metrics.PairRow{Name: p.Name, Results: results}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &metrics.Sweep{Rows: rows, Totals: totals.Snapshot()}, nil
+	return &metrics.Sweep{Rows: rows}, nil
 }
 
 // runPoints is every sweep's worker pool: it runs points 0..n-1 of the named

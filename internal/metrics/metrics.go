@@ -105,10 +105,17 @@ func (r PairRow) OverheadFrac() (monitor, reconfig float64) {
 // architecture.
 type Sweep struct {
 	Rows []PairRow
-	// Totals aggregates run-volume counters across the sweep's workers
-	// ("sims", "sim.cycles", "sim.elems"); nil when the producer did not
-	// accumulate them.
-	Totals *Registry
+}
+
+// TotalCycles sums the simulated cycles across every run of the sweep.
+func (s *Sweep) TotalCycles() uint64 {
+	var n uint64
+	for _, r := range s.Rows {
+		for _, res := range r.Results {
+			n += res.Cycles
+		}
+	}
+	return n
 }
 
 // GeomeanSpeedup aggregates per-core speedups across pairs (the "GM" bar).

@@ -46,6 +46,7 @@ func TestGeomeanBetweenMinAndMax(t *testing.T) {
 func mkResult(kind arch.Kind, c0, c1 uint64, util float64) *arch.Result {
 	return &arch.Result{
 		Arch:        kind,
+		Cycles:      max(c0, c1),
 		Utilization: util,
 		Cores: []arch.CoreResult{
 			{Cycles: c0, RenameStallFrac: 0.1},
@@ -88,6 +89,9 @@ func TestSweepAggregates(t *testing.T) {
 	}
 	if s := sw.GeomeanRenameStalls(arch.Occamy); math.Abs(s-0.2) > 1e-9 {
 		t.Fatalf("stall mean = %v, want 0.2", s)
+	}
+	if n := sw.TotalCycles(); n != 2000+1000+4000+1000 {
+		t.Fatalf("total cycles = %d, want 8000", n)
 	}
 }
 

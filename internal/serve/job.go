@@ -103,6 +103,7 @@ func (j *JobSpec) Validate() error {
 	if j.TimeoutMS < 0 {
 		return fmt.Errorf("negative timeout_ms %d", j.TimeoutMS)
 	}
+	cores := len(j.Workloads)
 	switch j.Kind {
 	case "pair":
 		if len(j.Workloads) == 0 {
@@ -122,9 +123,12 @@ func (j *JobSpec) Validate() error {
 		if j.Traffic == "" {
 			return fmt.Errorf("traffic job needs a traffic spec")
 		}
-		if _, err := traffic.ParseSpec(j.Traffic); err != nil {
+		spec, err := traffic.ParseSpec(j.Traffic)
+		if err != nil {
 			return err
 		}
+		spec.ApplyDefaults()
+		cores = spec.Cores
 	default:
 		return fmt.Errorf("unknown kind %q (want pair|traffic|campaign)", j.Kind)
 	}
@@ -143,6 +147,15 @@ func (j *JobSpec) Validate() error {
 	}
 	if j.Machine != nil {
 		if err := j.Machine.Validate(); err != nil {
+			return err
+		}
+	}
+	if j.Topology != nil {
+		lanes := j.LanesPerCore
+		if lanes == 0 {
+			lanes = 16 // the Table 4 default the runner builds with
+		}
+		if err := j.Topology.Validate(cores, lanes/4*cores); err != nil {
 			return err
 		}
 	}

@@ -519,17 +519,17 @@ func TestDrainUnderLoad(t *testing.T) {
 
 	drained := make(chan error, 1)
 	go func() { drained <- s.Drain() }()
-	// Rejections start as soon as the drain flag is set.
+	// Rejections start as soon as the drain flag is set. Posting before then
+	// would admit and journal the job, so wait for the flag first.
 	deadline := time.Now().Add(30 * time.Second)
-	for {
-		resp, _ := postJob(t, ts, pairSpec("t3", 4))
-		if resp.StatusCode == http.StatusServiceUnavailable {
-			break
-		}
+	for !s.Draining() {
 		if time.Now().After(deadline) {
-			t.Fatal("drain never started rejecting")
+			t.Fatal("drain never started")
 		}
 		time.Sleep(time.Millisecond)
+	}
+	if resp, _ := postJob(t, ts, pairSpec("t3", 4)); resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("post during drain = %d, want 503", resp.StatusCode)
 	}
 	// Two timers are pending: the running attempt's deadline and the drain
 	// grace. Fire the grace; the hard stop parks everything.
@@ -635,6 +635,10 @@ func TestValidationRejects(t *testing.T) {
 		{Tenant: "t", Kind: "pair", Arch: "elastic", Workloads: []string{"spec/WL1"}, Faults: []string{"bogus@x"}}, // bad fault
 		{Tenant: "t", Kind: "pair", Arch: "elastic", Workloads: []string{"spec/WL1"},
 			Machine: &occamy.MachineTuning{PhysRegs: 1 << 40}}, // unbuildable register file
+		{Tenant: "t", Kind: "pair", Arch: "elastic", Workloads: []string{"spec/WL1", "spec/WL2"},
+			Topology: &occamy.Topology{Clusters: 3}}, // cores do not divide over clusters
+		{Tenant: "t", Kind: "traffic", Arch: "elastic", Traffic: "poisson:load=1",
+			Topology: &occamy.Topology{Clusters: 3}}, // nor do the traffic spec's 4 default cores
 	}
 	for i, spec := range bad {
 		if resp, _ := postJob(t, ts, spec); resp.StatusCode != http.StatusBadRequest {
@@ -656,6 +660,18 @@ func TestValidationRejects(t *testing.T) {
 	resp.Body.Close()
 	if want := "lhq = 4611686018427387904: must be <= 1024"; resp.StatusCode != http.StatusBadRequest || !strings.Contains(body["error"], want) {
 		t.Errorf("crash spec = %d %q, want 400 containing %q", resp.StatusCode, body["error"], want)
+	}
+	// A hop latency past the bound once ran to the watchdog on a worker.
+	hop := `{"tenant":"t","kind":"pair","arch":"elastic","workloads":["spec/WL1"],"topology":{"Clusters":1,"HopLatency":18446744073709551615}}`
+	resp, err = http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(hop))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body = nil
+	json.NewDecoder(resp.Body).Decode(&body)
+	resp.Body.Close()
+	if want := "HopLatency = 18446744073709551615: must be <= 1048576 cycles"; resp.StatusCode != http.StatusBadRequest || !strings.Contains(body["error"], want) {
+		t.Errorf("hop-latency spec = %d %q, want 400 containing %q", resp.StatusCode, body["error"], want)
 	}
 	if code := getJSON(t, ts, "/healthz", nil); code != http.StatusOK {
 		t.Errorf("healthz after the crash spec = %d, want 200", code)

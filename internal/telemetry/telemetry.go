@@ -7,8 +7,10 @@
 // checkpoint forks).
 //
 // Three consumers sit on top: the HTTP server in server.go (OpenMetrics
-// /metrics, JSONL /events, an SSE window stream), the Perfetto counter-track
-// dump in timeline.go, and programmatic access for campaign runners.
+// /metrics, JSONL /events, an SSE window stream), the run's Perfetto trace
+// (when the probe carries a sink, every closed window is appended to it as
+// counter tracks and every event as an instant), and programmatic access for
+// campaign runners.
 //
 // Two hard contracts shape the design (DESIGN.md §Telemetry):
 //
@@ -100,7 +102,9 @@ type TableSource interface {
 }
 
 // Sources wires the sampler to the system it observes. Probe and Stats may
-// be nil (their metrics then read zero); Cores must be non-empty.
+// be nil (their metrics then read zero); Cores must be non-empty. When the
+// probe carries a Perfetto sink, the sampler writes its windows and events
+// into that trace.
 type Sources struct {
 	Cores []CoreSource
 	Cp    CoprocSource
@@ -301,7 +305,15 @@ type Sampler struct {
 
 	lastWall time.Time
 	onWindow func() // server notification, called outside mu
+
+	// sink is the probe's Perfetto trace (nil when the run is not traced).
+	// Windows and events are appended to it as they happen, so the trace
+	// holds the whole run, not just what the rings retain.
+	sink *obs.Perfetto
 }
+
+// eventsTid is the telemetry process's thread for system-wide instants.
+const eventsTid = 0
 
 // NewSampler builds a sampler over src. Everything the steady-state path
 // touches is allocated here.
@@ -314,7 +326,12 @@ func NewSampler(cfg Config, src Sources) *Sampler {
 		hists:  make([]*obs.Histogram, n),
 		wins:   make([]Window, cfg.Windows),
 		events: make([]Event, cfg.Events),
+		sink:   src.Probe.Sink(), // nil-safe: nil probe → nil sink
 	}
+	// The per-core processes are the cores' own (pid = core id, named by
+	// the system builder); system-wide tracks go to one more process.
+	s.sink.EmitProcessName(n, "telemetry")
+	s.sink.EmitThreadName(n, eventsTid, "events")
 	for i := range s.wins {
 		s.wins[i].Cores = make([]CoreWindow, n)
 		if len(src.Tables) > 0 {
@@ -373,7 +390,8 @@ func (s *Sampler) NextWake(now uint64) (uint64, bool) {
 func (s *Sampler) SkipTicks(from, n uint64) { _, _ = from, n }
 
 // Flush closes a final partial window covering (lastBoundary, now] — for
-// end-of-run timeline dumps. A no-op when now is not past the last boundary.
+// end-of-run reports and traces. A no-op when now is not past the last
+// boundary.
 func (s *Sampler) Flush(now uint64) {
 	if s == nil {
 		return
@@ -494,6 +512,9 @@ func (s *Sampler) sample(now uint64) {
 	}
 
 	s.sampleTraffic(w)
+	if s.sink != nil {
+		s.traceWindow(w)
+	}
 
 	s.prev.cycle = now
 	s.prev.repart, s.prev.reconf = repart, reconf
@@ -515,6 +536,9 @@ func (s *Sampler) Emit(cycle uint64, kind string, core int, arg uint64, detail s
 	e := &s.events[int(s.nev%uint64(len(s.events)))]
 	e.Cycle, e.Kind, e.Core, e.Arg, e.Detail, e.Meta = cycle, kind, core, arg, detail, false
 	s.nev++
+	if s.sink != nil {
+		s.traceEvent(e)
+	}
 	s.mu.Unlock()
 }
 
@@ -527,7 +551,50 @@ func (s *Sampler) EmitMeta(cycle uint64, kind string, detail string) {
 	}
 	s.mu.Lock()
 	s.meta = append(s.meta, Event{Cycle: cycle, Kind: kind, Core: -1, Detail: detail, Meta: true})
+	if s.sink != nil {
+		s.traceEvent(&s.meta[len(s.meta)-1])
+	}
 	s.mu.Unlock()
+}
+
+// traceWindow appends closed window w to the trace as counter samples at its
+// boundary cycle: the system-wide tracks on the telemetry process, the
+// per-core tracks on each core's process. Caller holds s.mu.
+func (s *Sampler) traceWindow(w *Window) {
+	sys, ts := len(w.Cores), w.EndCycle
+	s.sink.EmitCounter(sys, "telemetry.al_granules", "granules", ts, float64(w.ALGranules))
+	s.sink.EmitCounter(sys, "telemetry.exebus_usable", "units", ts, float64(w.UsableBUs))
+	s.sink.EmitCounter(sys, "telemetry.exebus_failed", "units", ts, float64(w.FailedBUs))
+	s.sink.EmitCounter(sys, "telemetry.repartitions", "per-window", ts, float64(w.Repartitions))
+	s.sink.EmitCounter(sys, "telemetry.occupancy", "fraction", ts, w.Occupancy)
+	s.sink.EmitCounter(sys, "telemetry.host_mcycles_per_s", "Mc/s", ts, w.HostCyclesPerSec()/1e6)
+	for c := range w.Cores {
+		cw := &w.Cores[c]
+		mean := 0.0
+		if w.Cycles > 0 {
+			mean = cw.BusyLanes / float64(w.Cycles)
+		}
+		s.sink.EmitCounter(c, "telemetry.busy_lanes", "lanes", ts, mean)
+		s.sink.EmitCounter(c, "telemetry.vl", "granules", ts, float64(cw.VL))
+		s.sink.EmitCounter(c, "telemetry.fairness_headroom", "granules", ts, float64(cw.Headroom))
+		s.sink.EmitCounter(c, "telemetry.retire_p50", "cycles", ts, cw.RetireP50)
+		s.sink.EmitCounter(c, "telemetry.retire_p99", "cycles", ts, cw.RetireP99)
+	}
+}
+
+// traceEvent appends e to the trace as an instant: on its core's em-simd
+// thread, or on the telemetry process for system-wide events. Caller holds
+// s.mu.
+func (s *Sampler) traceEvent(e *Event) {
+	pid, tid := len(s.src.Cores), eventsTid
+	if e.Core >= 0 && e.Core < pid {
+		pid, tid = e.Core, obs.TidEMSIMD
+	}
+	args := map[string]any{"arg": float64(e.Arg)}
+	if e.Detail != "" {
+		args["detail"] = e.Detail
+	}
+	s.sink.EmitInstant(pid, tid, e.Kind, e.Cycle, args)
 }
 
 // Produced returns the number of windows closed so far.

@@ -2,6 +2,8 @@ package telemetry
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -55,13 +57,19 @@ type rig struct {
 
 func newRig(t *testing.T, n int, cfg Config) *rig {
 	t.Helper()
+	return newTracedRig(t, n, cfg, nil)
+}
+
+// newTracedRig is newRig with a Perfetto sink on the probe (nil for none).
+func newTracedRig(t *testing.T, n int, cfg Config, sink *obs.Perfetto) *rig {
+	t.Helper()
 	r := &rig{
 		cp: &fakeCp{
 			compute: make([]uint64, n), mem: make([]uint64, n),
 			stalls: make([]uint64, n), busy: make([]float64, n), vl: make([]int, n),
 		},
 		tbl:   &fakeTbl{al: 8, usable: 8, total: 8, decisions: make([]int, n)},
-		probe: obs.NewProbe(n, nil),
+		probe: obs.NewProbe(n, sink),
 		stats: sim.NewStats(),
 	}
 	srcs := Sources{Cp: r.cp, Tbl: r.tbl, Probe: r.probe, Stats: r.stats, Lanes: 32}
@@ -323,20 +331,56 @@ func TestEventsJSONLRoundTrip(t *testing.T) {
 	}
 }
 
+// TestTimelineValidatesAsPerfetto: a sampler whose probe carries a sink
+// writes every closed window into it as counter tracks (the system-wide ones
+// on a telemetry process after the cores') and every event as an instant,
+// and the trace passes the Perfetto contract.
 func TestTimelineValidatesAsPerfetto(t *testing.T) {
-	r := newRig(t, 2, Config{Window: 100})
-	r.drive(0, 500)
+	sink := obs.NewPerfetto(0)
+	r := newTracedRig(t, 2, Config{Window: 100, Events: 2}, sink)
+	r.drive(0, 500) // 5 windows; lane events on core 0 at 97, 194, 291, 388, 485
 	r.s.Emit(123, EvLaneRepartition, -1, 0, "")
+	r.s.EmitMeta(500, EvCheckpoint, "")
+	r.s.Flush(550)
 	var buf bytes.Buffer
-	n, err := r.s.WriteTimeline(&buf)
-	if err != nil {
+	if _, err := sink.Write(&buf); err != nil {
 		t.Fatal(err)
-	}
-	if n == 0 {
-		t.Fatal("empty timeline")
 	}
 	if err := obs.ValidatePerfetto(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatalf("timeline fails Perfetto validation: %v", err)
+	}
+	var events []obs.Event
+	if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
+		t.Fatal(err)
+	}
+	counters := map[int]int{}
+	instants := map[string]int{}
+	for _, e := range events {
+		switch e.Ph {
+		case "C":
+			counters[e.Pid]++
+		case "i":
+			instants[fmt.Sprintf("%s@%d/%d", e.Name, e.Pid, e.Tid)]++
+		case "M":
+			if e.Name == "process_name" && (e.Pid != 2 || e.Args["name"] != "telemetry") {
+				t.Errorf("unexpected process name %v on pid %d", e.Args["name"], e.Pid)
+			}
+		}
+	}
+	// 6 windows (5 boundaries and the flushed tail): 5 tracks per core and 6
+	// system-wide tracks each.
+	if counters[0] != 30 || counters[1] != 30 || counters[2] != 36 {
+		t.Errorf("counter samples per pid = %v, want 30/30/36", counters)
+	}
+	// Every event reaches the trace, including those the 2-slot ring
+	// has since overwritten.
+	want := map[string]int{
+		EvLaneReconfigure + "@0/1": 5,
+		EvLaneRepartition + "@2/0": 1,
+		EvCheckpoint + "@2/0":      1,
+	}
+	if fmt.Sprint(instants) != fmt.Sprint(want) {
+		t.Errorf("instants = %v, want %v", instants, want)
 	}
 }
 
@@ -348,9 +392,5 @@ func TestNilSamplerSafe(t *testing.T) {
 	s.Restore(nil)
 	if s.Snapshot() != nil || s.Digest() != 0 || s.Produced() != 0 || s.Retained() != 0 {
 		t.Fatal("nil sampler leaked state")
-	}
-	var buf bytes.Buffer
-	if _, err := s.WriteTimeline(&buf); err != nil {
-		t.Fatal(err)
 	}
 }

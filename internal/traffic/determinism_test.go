@@ -133,17 +133,20 @@ func TestTrafficCheckpointForkBitIdentical(t *testing.T) {
 	}
 }
 
-// TestTrafficFaultedDeterminism: fault injection forces the legacy tick
-// path; the scenario must still reproduce exactly under faults (same seed,
-// two runs) and conserve every task.
+// TestTrafficFaultedDeterminism: the scenario must reproduce exactly under
+// faults (same seed, two runs, and the every-cycle engine) and conserve
+// every task.
 func TestTrafficFaultedDeterminism(t *testing.T) {
 	spec := smallSpec("churn=5000:8000")
 	opts := arch.Options{Seed: 77, Faults: mustFaults(t, "exebu:2@9000+15000")}
 	run := func(t *testing.T) uint64 {
 		return runDigest(t, arch.Occamy, spec, opts)
 	}
+	legacy := opts
+	legacy.LegacyTick = true
 	archtest.CheckVariants(t, []archtest.Variant{
 		{Name: "faulted-run-1", Run: run},
 		{Name: "faulted-run-2", Run: run},
+		{Name: "faulted-legacy", Run: func(t *testing.T) uint64 { return runDigest(t, arch.Occamy, spec, legacy) }},
 	})
 }

@@ -99,9 +99,12 @@ type Config struct {
 	// Report.Stats. Off by default; the instrumented models then keep nil
 	// probes and pay only an inlined nil check.
 	Profile bool
-	// PerfettoPath, when non-empty, writes a Chrome trace-event JSON file
-	// of the run (phase slices, reconfiguration drains, lane events,
-	// counter tracks) openable in ui.perfetto.dev. Implies Profile.
+	// PerfettoPath, when non-empty, writes the run's Chrome trace-event
+	// JSON file, openable in ui.perfetto.dev: phase slices, reconfiguration
+	// drains, and the telemetry sampler's windows as counter tracks and
+	// its events (lane, fault, recovery, watchdog, checkpoint) as
+	// instants. Implies Profile and windowed sampling (see
+	// TelemetryWindow).
 	PerfettoPath string
 	// LegacyTick forces the engine to tick every cycle instead of
 	// skip-ahead fast-forwarding over quiescent windows. Results are
@@ -124,14 +127,11 @@ type Config struct {
 	// /stream serve fresh windows while the run is in flight. Implies
 	// windowed sampling (see TelemetryWindow).
 	Telemetry *TelemetryServer
-	// TelemetryWindow is the sampling window in cycles; 0 uses the default
-	// (4096) when sampling is enabled. Setting it nonzero enables sampling
-	// even without a server or timeline path (for Report.Telemetry).
+	// TelemetryWindow is the sampling window in cycles, for the server,
+	// Report.Telemetry and the PerfettoPath trace alike; 0 uses the
+	// default (4096) when sampling is enabled. Setting it nonzero enables
+	// sampling even without a server or trace (for Report.Telemetry).
 	TelemetryWindow uint64
-	// TimelinePath, when non-empty, writes the run's sampled windows and
-	// event log as Perfetto counter tracks (Chrome trace-event JSON,
-	// openable in ui.perfetto.dev). Implies windowed sampling.
-	TimelinePath string
 	// Topology shapes the co-processor side of the machine: the number of
 	// co-processor clusters (each owning an even shard of the ExeBUs), the
 	// fabric group width, and the hop latency/bandwidth of the routed
@@ -150,15 +150,20 @@ type Config struct {
 // instances behind a routed fabric. See the field docs in internal/coproc.
 type Topology = coproc.Topology
 
-// telemetryEnabled reports whether the run should build a sampler.
-func (c Config) telemetryEnabled() bool {
-	return c.Telemetry != nil || c.TimelinePath != "" || c.TelemetryWindow > 0
+// telemetryConfig returns the sampler configuration the run asks for, or
+// nil when only a PerfettoPath trace (which samples at the default window)
+// or nothing wants one.
+func (c Config) telemetryConfig() *telemetry.Config {
+	if c.Telemetry == nil && c.TelemetryWindow == 0 {
+		return nil
+	}
+	return &telemetry.Config{Window: c.TelemetryWindow}
 }
 
 // Validate checks the configuration for shape errors — an unknown
 // architecture, a lane budget that is not a multiple of the granule width, a
-// malformed fault spec, out-of-range machine tuning — so callers get a
-// proper error instead of a build panic deep in the model.
+// malformed fault spec, out-of-range machine tuning or topology fields — so
+// callers get a proper error instead of a build panic deep in the model.
 func (c Config) Validate() error {
 	switch c.Arch {
 	case Private, Temporal, StaticSpatial, Elastic:
@@ -181,14 +186,8 @@ func (c Config) Validate() error {
 	}
 	clusters := 1
 	if t := c.Topology; t != nil {
-		if t.Clusters < 1 {
-			return fmt.Errorf("occamy: Topology.Clusters must be >= 1, got %d (omit Topology for the flat single-co-processor machine)", t.Clusters)
-		}
-		if t.CoresPerGroup < 0 {
-			return fmt.Errorf("occamy: Topology.CoresPerGroup must be >= 0, got %d (0 derives cores/clusters)", t.CoresPerGroup)
-		}
-		if t.HopBandwidth < 0 {
-			return fmt.Errorf("occamy: Topology.HopBandwidth must be >= 0, got %d (0 means unlimited)", t.HopBandwidth)
+		if err := t.CheckFields(); err != nil {
+			return fmt.Errorf("occamy: %w", err)
 		}
 		clusters = t.Clusters
 	}
@@ -438,14 +437,8 @@ func Run(cfg Config, sched Schedule) (*Report, error) {
 // cooperative and side-effect-free: a context that never fires leaves results
 // bit-identical to Run.
 func RunContext(ctx context.Context, cfg Config, sched Schedule) (*Report, error) {
-	var sink *obs.Perfetto
-	if cfg.PerfettoPath != "" {
-		sink = obs.NewPerfetto(0)
-	}
-	sys, err := buildSystem(cfg, sched, obs.Options{
-		Attribution: cfg.Profile || sink != nil,
-		Sink:        sink,
-	})
+	o := cfg.obsOptions()
+	sys, err := buildSystem(cfg, sched, o)
 	if err != nil {
 		return nil, err
 	}
@@ -464,11 +457,6 @@ func RunContext(ctx context.Context, cfg Config, sched Schedule) (*Report, error
 	if err != nil {
 		return nil, err
 	}
-	if cfg.TimelinePath != "" {
-		if err := writeTimeline(cfg.TimelinePath, sys.Tele); err != nil {
-			return nil, fmt.Errorf("occamy: writing telemetry timeline: %w", err)
-		}
-	}
 	if cfg.Verify {
 		if err := sys.CheckResults(2e-3); err != nil {
 			return nil, fmt.Errorf("occamy: functional verification failed: %w", err)
@@ -479,33 +467,39 @@ func RunContext(ctx context.Context, cfg Config, sched Schedule) (*Report, error
 			return nil, fmt.Errorf("occamy: writing trace: %w", err)
 		}
 	}
-	if sink != nil {
-		f, err := os.Create(cfg.PerfettoPath)
-		if err != nil {
-			return nil, fmt.Errorf("occamy: writing perfetto trace: %w", err)
-		}
-		_, werr := sink.Write(f)
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			return nil, fmt.Errorf("occamy: writing perfetto trace: %w", werr)
-		}
+	if err := writePerfetto(cfg.PerfettoPath, o.Sink); err != nil {
+		return nil, err
 	}
 	return newReport(sys, res), nil
 }
 
-// writeTimeline dumps the sampler's retained history as a Perfetto trace.
-func writeTimeline(path string, tele *telemetry.Sampler) error {
+// obsOptions selects the run's observability: attribution for Profile, and
+// a Perfetto sink (which implies attribution) for PerfettoPath.
+func (c Config) obsOptions() obs.Options {
+	o := obs.Options{Attribution: c.Profile}
+	if c.PerfettoPath != "" {
+		o.Attribution, o.Sink = true, obs.NewPerfetto(0)
+	}
+	return o
+}
+
+// writePerfetto writes the run's trace to path; a nil sink writes nothing.
+func writePerfetto(path string, sink *obs.Perfetto) error {
+	if sink == nil {
+		return nil
+	}
 	f, err := os.Create(path)
 	if err != nil {
-		return err
+		return fmt.Errorf("occamy: writing perfetto trace: %w", err)
 	}
-	_, werr := tele.WriteTimeline(f)
+	_, werr := sink.Write(f)
 	if cerr := f.Close(); werr == nil {
 		werr = cerr
 	}
-	return werr
+	if werr != nil {
+		return fmt.Errorf("occamy: writing perfetto trace: %w", werr)
+	}
+	return nil
 }
 
 // writeTrace exports the run's series and events into dir.
@@ -556,10 +550,6 @@ func buildSystem(cfg Config, sched Schedule, o obs.Options) (*arch.System, error
 	if lanesPerCore <= 0 {
 		lanesPerCore = 16
 	}
-	var teleCfg *telemetry.Config
-	if cfg.telemetryEnabled() {
-		teleCfg = &telemetry.Config{Window: cfg.TelemetryWindow}
-	}
 	return arch.Build(cfg.Arch, s, arch.Options{
 		ExeBUs:        lanesPerCore / 4 * s.Cores(),
 		MonitorPeriod: cfg.MonitorPeriod,
@@ -569,7 +559,7 @@ func buildSystem(cfg Config, sched Schedule, o obs.Options) (*arch.System, error
 		LegacyTick:    cfg.LegacyTick,
 		Faults:        faults,
 		StallCycles:   cfg.StallCycles,
-		Telemetry:     teleCfg,
+		Telemetry:     cfg.telemetryConfig(),
 		Topology:      cfg.Topology,
 	})
 }

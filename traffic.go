@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"occamy/internal/arch"
-	"occamy/internal/telemetry"
 	"occamy/internal/traffic"
 )
 
@@ -26,11 +25,11 @@ type TenantSLO = traffic.TenantSLO
 // ",drain", when every task has completed or been canceled).
 //
 // Unlike Run there is no Schedule: the spec's tenants=/cores=/mix= fields
-// define the offered work. Faults, telemetry, topology, machine tuning and
-// the legacy-tick switch compose as for Run. With cfg.Verify every completed
-// task's results are checked against the host reference. The report's
-// conservation invariants are always checked; a violation is an engine bug
-// and returns an error.
+// define the offered work. Faults, telemetry, the PerfettoPath trace,
+// topology, machine tuning and the legacy-tick switch compose as for Run.
+// With cfg.Verify every completed task's results are checked against the
+// host reference. The report's conservation invariants are always checked;
+// a violation is an engine bug and returns an error.
 func RunTraffic(cfg Config) (*TrafficReport, error) {
 	return RunTrafficContext(context.Background(), cfg)
 }
@@ -59,19 +58,17 @@ func RunTrafficContext(ctx context.Context, cfg Config) (*TrafficReport, error) 
 	if lanesPerCore <= 0 {
 		lanesPerCore = 16
 	}
-	var teleCfg *telemetry.Config
-	if cfg.telemetryEnabled() {
-		teleCfg = &telemetry.Config{Window: cfg.TelemetryWindow}
-	}
+	o := cfg.obsOptions()
 	sc, err := traffic.Build(cfg.Arch, spec, arch.Options{
 		ExeBUs:        lanesPerCore / 4 * spec.Cores,
 		MonitorPeriod: cfg.MonitorPeriod,
 		Seed:          cfg.Seed,
 		Machine:       cfg.Machine,
+		Obs:           o,
 		LegacyTick:    cfg.LegacyTick,
 		Faults:        faults,
 		StallCycles:   cfg.StallCycles,
-		Telemetry:     teleCfg,
+		Telemetry:     cfg.telemetryConfig(),
 		Topology:      cfg.Topology,
 	})
 	if err != nil {
@@ -92,10 +89,8 @@ func RunTrafficContext(ctx context.Context, cfg Config) (*TrafficReport, error) 
 	if runErr != nil {
 		return nil, runErr
 	}
-	if cfg.TimelinePath != "" {
-		if err := writeTimeline(cfg.TimelinePath, sc.Sys.Tele); err != nil {
-			return nil, fmt.Errorf("occamy: writing telemetry timeline: %w", err)
-		}
+	if err := writePerfetto(cfg.PerfettoPath, o.Sink); err != nil {
+		return nil, err
 	}
 	var rep *TrafficReport
 	if cfg.Verify {

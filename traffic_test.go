@@ -1,8 +1,13 @@
 package occamy
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"occamy/internal/obs"
 )
 
 func TestConfigValidateTrafficSpec(t *testing.T) {
@@ -38,9 +43,27 @@ func TestRunTrafficSmoke(t *testing.T) {
 	cfg := DefaultConfig(Elastic)
 	cfg.MaxCycles = 0 // horizon-sized budget
 	cfg.Traffic = "poisson:load=2,tenants=3,cores=2,horizon=10000,slice=400,elems=384,repeats=1,churn=900:1300"
+	untraced, err := RunTraffic(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.PerfettoPath = filepath.Join(t.TempDir(), "run.json")
 	rep, err := RunTraffic(cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if rep.Digest != untraced.Digest {
+		t.Errorf("tracing changed the report digest: %#x, untraced %#x", rep.Digest, untraced.Digest)
+	}
+	trace, err := os.ReadFile(cfg.PerfettoPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := obs.ValidatePerfetto(bytes.NewReader(trace)); err != nil {
+		t.Fatalf("traffic trace fails the format contract: %v", err)
+	}
+	if !bytes.Contains(trace, []byte(`"telemetry.occupancy"`)) {
+		t.Error("traffic trace holds no telemetry window tracks")
 	}
 	if rep.Total.Arrivals == 0 || rep.Total.Completed == 0 {
 		t.Fatalf("empty run: %d arrivals, %d completed", rep.Total.Arrivals, rep.Total.Completed)
