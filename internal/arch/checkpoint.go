@@ -3,6 +3,7 @@ package arch
 import (
 	"occamy/internal/coproc"
 	"occamy/internal/cpu"
+	"occamy/internal/digest"
 	"occamy/internal/fault"
 	"occamy/internal/mem"
 	"occamy/internal/obs"
@@ -19,40 +20,12 @@ import (
 // the differential tests in checkpoint_test.go enforce across all four
 // architectures.
 
-// ctlState is the fault controller's checkpoint.
-type ctlState struct {
-	perCoreFailed []int
-	cursors       []int
-	recs          []Recovery
-	open          []int
-}
-
-func (ctl *faultCtl) snapshot() *ctlState {
-	if ctl == nil {
-		return nil
-	}
-	return &ctlState{
-		perCoreFailed: append([]int(nil), ctl.perCoreFailed...),
-		cursors:       append([]int(nil), ctl.cursors...),
-		recs:          append([]Recovery(nil), ctl.recs...),
-		open:          append([]int(nil), ctl.open...),
-	}
-}
-
-func (ctl *faultCtl) restore(st *ctlState) {
-	if ctl == nil || st == nil {
-		return
-	}
-	copy(ctl.perCoreFailed, st.perCoreFailed)
-	copy(ctl.cursors, st.cursors)
-	ctl.recs = append(ctl.recs[:0], st.recs...)
-	ctl.open = append(ctl.open[:0], st.open...)
-}
-
 // SystemState is a complete, deep system checkpoint. It captures mutable
-// simulation state only — configuration and wiring (workloads, machine
-// parameters, tick order, probe sinks) are not in it, so a snapshot restores
-// only onto the System it was taken from (or one built identically).
+// simulation state only — each component's state struct, cloned by the
+// state codec (internal/digest) — while configuration and wiring
+// (workloads and their programs, machine parameters, tick order, probe
+// sinks) are not in it, so a snapshot restores only onto the System it was
+// taken from (or one built identically).
 type SystemState struct {
 	stateContent
 
@@ -66,36 +39,56 @@ type SystemState struct {
 // stateContent is everything a SystemState holds but its digest stamp.
 type stateContent struct {
 	engine  sim.EngineState
+	stats   map[string]uint64
 	hier    mem.HierarchyState
 	coprocs []coproc.CheckpointState // one per cluster, in fabric order
-	cplx    coproc.ComplexState
+	cplx    coproc.ComplexCheckpoint
 	cores   []cpu.FullState
-	probe   *obs.ProbeState
-	ctl     *ctlState
+	probe   obs.ProbeState
+	ctl     *ctlState // nil without a fault controller
 	inj     fault.InjectorState
-	tele    *telemetry.SamplerState
+	tele    telemetry.SamplerState
 }
 
 // Cycle returns the cycle the checkpoint was taken at.
 func (st *SystemState) Cycle() uint64 { return st.engine.Cycle() }
 
-// Checkpoint captures the full machine state at the current cycle.
-func (s *System) Checkpoint() *SystemState {
-	st := &SystemState{stateContent: stateContent{
-		engine: s.Engine.Snapshot(),
-		hier:   s.Hier.Snapshot(),
-		cplx:   s.Cplx.Checkpoint(),
-		probe:  s.Probe.Snapshot(),
-		ctl:    s.faults.snapshot(),
-		inj:    s.inj.Snapshot(),
-		tele:   s.Tele.Snapshot(),
-	}}
+// state settles every component and returns the system's live state in a
+// snapshot's layout, sharing storage with the live components. The counter
+// registry and the probe, whose snapshots are built by hand, are left out
+// (zero): withRegistries adds them.
+func (s *System) state() stateContent {
+	st := stateContent{
+		engine: s.Engine.EngineState,
+		hier:   s.Hier.State(),
+		cplx:   s.Cplx.State(),
+		inj:    s.inj.State(),
+		tele:   s.Tele.State(),
+	}
 	for _, cp := range s.Clusters {
-		st.coprocs = append(st.coprocs, cp.Checkpoint())
+		st.coprocs = append(st.coprocs, cp.State())
 	}
 	for _, core := range s.Cores {
-		st.cores = append(st.cores, core.Checkpoint())
+		st.cores = append(st.cores, core.FullState)
 	}
+	if s.faults != nil {
+		st.ctl = &s.faults.ctlState
+	}
+	return st
+}
+
+// withRegistries fills in the snapshots of the counter registry and the
+// probe, which are fresh copies already.
+func (s *System) withRegistries(st stateContent) stateContent {
+	st.stats, st.probe = s.Stats.Snapshot(), s.Probe.Snapshot()
+	return st
+}
+
+// Checkpoint captures the full machine state at the current cycle: the
+// settled live state, cloned.
+func (s *System) Checkpoint() *SystemState {
+	live := s.state()
+	st := &SystemState{stateContent: s.withRegistries(digest.Clone(&live))}
 	st.digest = st.computeDigest()
 	s.Tele.EmitMeta(s.Engine.Cycle(), telemetry.EvCheckpoint, "")
 	return st
@@ -129,6 +122,7 @@ func (s *System) RestoreCheckpointTrusted(st *SystemState) { s.restore(st) }
 
 func (s *System) restore(st *SystemState) {
 	s.Engine.Restore(st.engine)
+	s.Stats.Restore(st.stats)
 	s.Hier.Restore(st.hier)
 	for k, cp := range s.Clusters {
 		cp.RestoreCheckpoint(st.coprocs[k])
@@ -138,7 +132,9 @@ func (s *System) restore(st *SystemState) {
 		core.RestoreCheckpoint(st.cores[c])
 	}
 	s.Probe.Restore(st.probe)
-	s.faults.restore(st.ctl)
+	if s.faults != nil && st.ctl != nil {
+		digest.Copy(&s.faults.ctlState, st.ctl)
+	}
 	s.inj.Restore(st.inj)
 	s.Tele.Restore(st.tele)
 	s.Tele.EmitMeta(s.Engine.Cycle(), telemetry.EvRestore, "")

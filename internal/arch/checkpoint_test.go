@@ -4,9 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"occamy/internal/fault"
+	"occamy/internal/isa"
 	"occamy/internal/obs"
 	"occamy/internal/sim"
 	"occamy/internal/workload"
@@ -203,6 +205,47 @@ func TestCheckpointMidSkipWindow(t *testing.T) {
 			if straight.Engine.SkippedCycles() == 0 || forked.Engine.SkippedCycles() == 0 {
 				t.Errorf("skip path not exercised: straight skipped %d, forked %d",
 					straight.Engine.SkippedCycles(), forked.Engine.SkippedCycles())
+			}
+		})
+	}
+}
+
+// TestCheckpointExcludesProgram: a core's program is wiring, not state.
+// Flipping an immediate in the source system's program after Checkpoint
+// leaves the snapshot valid, and a separately built system restored from
+// it still runs bit-identically to a straight run.
+func TestCheckpointExcludesProgram(t *testing.T) {
+	for _, kind := range Kinds {
+		t.Run(kind.String(), func(t *testing.T) {
+			build := func() *System {
+				sys, err := Build(kind, ckGroup(), Options{Seed: 11, WireInjector: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return sys
+			}
+			src := build()
+			if err := src.RunTo(500); err != nil {
+				t.Fatal(err)
+			}
+			snap := src.Checkpoint()
+			insts := src.Compiled[0].Program.Insts
+			i := slices.IndexFunc(insts, func(in isa.Inst) bool { return in.Op == isa.OpMovI })
+			if i < 0 {
+				t.Fatal("program has no immediate to flip")
+			}
+			insts[i].Imm ^= 1
+			if err := snap.Verify(); err != nil {
+				t.Fatalf("flipping the source's program invalidated its snapshot: %v", err)
+			}
+			straight := build()
+			want := fingerprint(straight, mustRun(t, straight))
+			forked := build()
+			if err := forked.RestoreCheckpoint(snap); err != nil {
+				t.Fatal(err)
+			}
+			if got := fingerprint(forked, mustRun(t, forked)); got != want {
+				t.Errorf("restored run diverges from straight run\nstraight:\n%s\nforked:\n%s", want, got)
 			}
 		})
 	}

@@ -15,8 +15,10 @@ import (
 
 	"occamy/internal/arch"
 	"occamy/internal/coproc"
+	"occamy/internal/digest"
 	"occamy/internal/experiments"
 	"occamy/internal/fault"
+	"occamy/internal/isa"
 	"occamy/internal/telemetry"
 	"occamy/internal/traffic"
 	"occamy/internal/workload"
@@ -129,7 +131,9 @@ func (o *oracle) walk(v reflect.Value) {
 		}
 	case reflect.Struct:
 		for i := 0; i < v.NumField(); i++ {
-			o.walk(v.Field(i))
+			if v.Type().Field(i).Tag.Get("digest") != "-" {
+				o.walk(v.Field(i))
+			}
 		}
 	case reflect.Pointer:
 		if v.IsNil() {
@@ -193,9 +197,9 @@ func servePair() workload.CoSchedule {
 
 var serveOptions = arch.Options{ExeBUs: 8, Seed: 7, WireInjector: true, StallCycles: 2_000_000}
 
-// serveShaped is the snapshot occamy-serve's campaign path caches: the
-// campaign machine warmed up to cycle 20,000.
-func serveShaped(tb testing.TB, kind arch.Kind) *arch.SystemState {
+// serveSystem is occamy-serve's campaign machine warmed up to cycle 20,000;
+// serveShaped is the snapshot the campaign path caches from it.
+func serveSystem(tb testing.TB, kind arch.Kind) *arch.System {
 	tb.Helper()
 	sys, err := arch.Build(kind, servePair(), serveOptions)
 	if err != nil {
@@ -204,16 +208,52 @@ func serveShaped(tb testing.TB, kind arch.Kind) *arch.SystemState {
 	if err := sys.RunTo(20_000); err != nil {
 		tb.Fatal(err)
 	}
-	return sys.Checkpoint()
+	return sys
 }
 
-// digestStates builds kind's snapshots in the four shapes the digest must
+func serveShaped(tb testing.TB, kind arch.Kind) *arch.SystemState {
+	tb.Helper()
+	return serveSystem(tb, kind).Checkpoint()
+}
+
+// digestShape is one snapshot shape: the snapshot, the system it was taken
+// from (left at the checkpoint cycle) and a builder of a fresh, identically
+// built system to restore it onto.
+type digestShape struct {
+	st    *arch.SystemState
+	src   *arch.System
+	fresh func() *arch.System
+}
+
+// digestShapes builds kind's snapshots in the four shapes the digest must
 // cover: the serve-shaped warm-up, the 64-core/4-cluster group, a fork past
 // an applied ExeBU failure and a finished traffic run with telemetry on.
-func digestStates(t *testing.T, kind arch.Kind) map[string]*arch.SystemState {
+func digestShapes(t *testing.T, kind arch.Kind) map[string]digestShape {
 	t.Helper()
 	reg := workload.NewRegistry()
-	states := map[string]*arch.SystemState{"serve": serveShaped(t, kind)}
+	build := func(s workload.CoSchedule, opts arch.Options) func() *arch.System {
+		return func() *arch.System {
+			sys, err := arch.Build(kind, s, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return sys
+		}
+	}
+	shapes := map[string]digestShape{}
+	add := func(name string, fresh func() *arch.System, run func(*arch.System)) {
+		sys := fresh()
+		run(sys)
+		shapes[name] = digestShape{sys.Checkpoint(), sys, fresh}
+	}
+	runTo := func(cycle uint64) func(*arch.System) {
+		return func(sys *arch.System) {
+			if err := sys.RunTo(cycle); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	add("serve", build(servePair(), serveOptions), runTo(20_000))
 
 	group := experiments.ScaleGroup(reg, 64)
 	for _, w := range group.W {
@@ -221,38 +261,24 @@ func digestStates(t *testing.T, kind arch.Kind) map[string]*arch.SystemState {
 			k.Repeats = 1
 		}
 	}
-	sys, err := arch.Build(kind, group, arch.Options{Seed: 11, Topology: &coproc.Topology{
-		Clusters: 4, HopLatency: experiments.ScaleHopLatency, HopBandwidth: experiments.ScaleHopBandwidth}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.RunTo(3000); err != nil {
-		t.Fatal(err)
-	}
-	states["topo64"] = sys.Checkpoint()
+	add("topo64", build(group, arch.Options{Seed: 11, Topology: &coproc.Topology{
+		Clusters: 4, HopLatency: experiments.ScaleHopLatency, HopBandwidth: experiments.ScaleHopBandwidth}}), runTo(3000))
 
 	faults, err := fault.ParseSpec("exebu:1@25000")
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err = arch.Build(kind, workload.MotivatingPair(reg), arch.Options{Seed: 11, WireInjector: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.RunTo(20_000); err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.RestoreCheckpoint(sys.Checkpoint()); err != nil {
-		t.Fatal(err)
-	}
-	sys.SetFaultSchedule(faults)
-	if err := sys.RunTo(26_000); err != nil {
-		t.Fatal(err)
-	}
-	states["fork"] = sys.Checkpoint()
+	add("fork", build(workload.MotivatingPair(reg), arch.Options{Seed: 11, WireInjector: true}), func(sys *arch.System) {
+		runTo(20_000)(sys)
+		if err := sys.RestoreCheckpoint(sys.Checkpoint()); err != nil {
+			t.Fatal(err)
+		}
+		sys.SetFaultSchedule(faults)
+		runTo(26_000)(sys)
+	})
 	// Occamy recovers by repartitioning its lanes; the other three carry
 	// the failure in the co-processor's fault state.
-	if flt := reflect.ValueOf(states["fork"]).Elem().FieldByName("coprocs").Index(0).FieldByName("flt"); flt.IsNil() != (kind == arch.Occamy) {
+	if flt := reflect.ValueOf(shapes["fork"].st).Elem().FieldByName("coprocs").Index(0).FieldByName("flt"); flt.IsNil() != (kind == arch.Occamy) {
 		t.Fatalf("fork snapshot: co-processor fault state nil = %v", flt.IsNil())
 	}
 
@@ -260,15 +286,20 @@ func digestStates(t *testing.T, kind arch.Kind) map[string]*arch.SystemState {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc, err := traffic.Build(kind, ts, arch.Options{Seed: 11, Telemetry: &telemetry.Config{Window: 128}})
-	if err != nil {
-		t.Fatal(err)
+	scenario := func() *traffic.Scenario {
+		sc, err := traffic.Build(kind, ts, arch.Options{Seed: 11, Telemetry: &telemetry.Config{Window: 128}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sc
 	}
+	add("traffic", func() *arch.System { return scenario().Sys }, func(*arch.System) {})
+	sc := scenario()
 	if err := sc.Run(sc.DefaultBudget()); err != nil {
 		t.Fatal(err)
 	}
-	states["traffic"] = sc.Sys.Checkpoint()
-	return states
+	shapes["traffic"] = digestShape{sc.Sys.Checkpoint(), sc.Sys, shapes["traffic"].fresh}
+	return shapes
 }
 
 // TestSnapshotDigestMatchesOracle: the compiled digest — stamped by
@@ -277,7 +308,8 @@ func digestStates(t *testing.T, kind arch.Kind) map[string]*arch.SystemState {
 func TestSnapshotDigestMatchesOracle(t *testing.T) {
 	for _, kind := range arch.Kinds {
 		t.Run(kind.String(), func(t *testing.T) {
-			for name, st := range digestStates(t, kind) {
+			for name, sh := range digestShapes(t, kind) {
+				st := sh.st
 				if err := st.Verify(); err != nil {
 					t.Errorf("%s: %v", name, err)
 				}
@@ -286,6 +318,81 @@ func TestSnapshotDigestMatchesOracle(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestCheckpointRoundTrip: in every snapshot shape on every architecture,
+// the codec's Sum of the source system's live state equals the stamped
+// digest, and a freshly built system restored from the snapshot digests the
+// same live and re-checkpoints to the same digest. A failure names the
+// first differing field path.
+func TestCheckpointRoundTrip(t *testing.T) {
+	for _, kind := range arch.Kinds {
+		t.Run(kind.String(), func(t *testing.T) {
+			for name, sh := range digestShapes(t, kind) {
+				if got := sh.src.LiveDigest(); got != sh.st.Digest() {
+					again := sh.src.Checkpoint()
+					t.Errorf("%s: live state digests %016x, stamp %016x; first difference at %s",
+						name, got, sh.st.Digest(), digest.Diff(sh.st, again))
+				}
+				sys := sh.fresh()
+				if err := sys.RestoreCheckpoint(sh.st); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				again := sys.Checkpoint()
+				if d := digest.Diff(sh.st, again); d != "" || sys.LiveDigest() != sh.st.Digest() {
+					t.Errorf("%s: restored system re-checkpoints differently (live %016x, checkpoint %016x, stamp %016x); first difference at %s",
+						name, sys.LiveDigest(), again.Digest(), sh.st.Digest(), d)
+				}
+			}
+		})
+	}
+}
+
+// TestSnapshotHoldsNoWiring: no program, interface, func or chan is
+// reachable from a snapshot's type — a checkpoint is component state only,
+// never configuration or wiring a restore would have to share.
+func TestSnapshotHoldsNoWiring(t *testing.T) {
+	prog := reflect.TypeOf(isa.Program{})
+	seen := map[reflect.Type]bool{}
+	var walk func(typ reflect.Type, path string)
+	walk = func(typ reflect.Type, path string) {
+		if seen[typ] {
+			return
+		}
+		seen[typ] = true
+		switch typ.Kind() {
+		case reflect.Interface, reflect.Func, reflect.Chan, reflect.UnsafePointer:
+			t.Errorf("%s is a %v", path, typ.Kind())
+		case reflect.Struct:
+			if typ == prog {
+				t.Errorf("%s is a program", path)
+			}
+			for i := 0; i < typ.NumField(); i++ {
+				if f := typ.Field(i); f.Tag.Get("digest") != "-" {
+					walk(f.Type, path+"."+f.Name)
+				}
+			}
+		case reflect.Pointer, reflect.Slice, reflect.Array:
+			walk(typ.Elem(), path+"[]")
+		case reflect.Map:
+			walk(typ.Key(), path+"[key]")
+			walk(typ.Elem(), path+"[]")
+		}
+	}
+	walk(reflect.TypeOf(arch.SystemState{}), "SystemState")
+}
+
+// TestRestoreOntoSelfAllocatesNothing pins restore cost: restoring the
+// serve-shaped snapshot onto the system it was taken from writes every
+// component's state in place.
+func TestRestoreOntoSelfAllocatesNothing(t *testing.T) {
+	for _, kind := range arch.Kinds {
+		sys := serveSystem(t, kind)
+		st := sys.Checkpoint()
+		if n := testing.AllocsPerRun(10, func() { sys.RestoreCheckpointTrusted(st) }); n != 0 {
+			t.Errorf("%v: RestoreCheckpointTrusted onto its own system allocated %v times", kind, n)
+		}
 	}
 }
 
@@ -314,6 +421,10 @@ func TestSnapshotDigestIgnoresPadding(t *testing.T) {
 	cores := reflect.ValueOf(st).Elem().FieldByName("coprocs").Index(0).FieldByName("cores")
 	for c := 0; c < cores.Len(); c++ {
 		queue := cores.Index(c).FieldByName("queue")
+		if queue.IsNil() {
+			continue
+		}
+		queue = queue.Elem()
 		for i := 0; i < queue.Len(); i++ {
 			base := unsafe.Pointer(queue.Index(i).UnsafeAddr())
 			for _, b := range pad {
@@ -381,7 +492,8 @@ func (l *tamperLeaf) flip(bit int) {
 // tamperLeaves enumerates v's leaves reflectively, independent of the
 // digest's plans: fields in order, elements by index, map values in key
 // order (through a copy that commit writes back), pointers followed once.
-// Shape (lengths, nil-ness, map keys) is not a leaf.
+// Shape (lengths, nil-ness, map keys) is not a leaf, and neither is a field
+// tagged `digest:"-"`, which is not state.
 func tamperLeaves(v reflect.Value, path string, commit func(), seen map[uintptr]bool, out []tamperLeaf) []tamperLeaf {
 	switch v.Kind() {
 	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
@@ -411,7 +523,9 @@ func tamperLeaves(v reflect.Value, path string, commit func(), seen map[uintptr]
 			sep = ""
 		}
 		for i := 0; i < v.NumField(); i++ {
-			out = tamperLeaves(v.Field(i), path+sep+v.Type().Field(i).Name, commit, seen, out)
+			if f := v.Type().Field(i); f.Tag.Get("digest") != "-" {
+				out = tamperLeaves(v.Field(i), path+sep+f.Name, commit, seen, out)
+			}
 		}
 	case reflect.Pointer:
 		if v.IsNil() || seen[v.Pointer()] {
@@ -445,9 +559,7 @@ func tamperLeaves(v reflect.Value, path string, commit func(), seen map[uintptr]
 // FuzzCheckpointTamper flips one bit of one leaf of a snapshot. The digest
 // must catch it: RestoreCheckpoint returns *CorruptCheckpointError and
 // leaves the target exactly as it was (its own checkpoint digest does not
-// move), and flipping the bit back restores cleanly. The target checkpoints
-// after the flip, so a leaf the snapshot shares with live systems (the
-// program, held by reference) is compared flipped on both sides.
+// move), and flipping the bit back restores cleanly.
 func FuzzCheckpointTamper(f *testing.F) {
 	build := func(cycle uint64) *arch.System {
 		sys, err := arch.Build(arch.Occamy, servePair(), serveOptions)
@@ -465,7 +577,7 @@ func FuzzCheckpointTamper(f *testing.F) {
 
 	// One seed per plan kind: a raw tag-array word, a byte image, a field
 	// of a padded struct, a map value and a field behind a pointer.
-	for _, want := range []string{"hier.L2.lines[", "hier.Mem.pages[", ".queue[", "engine.stats[", "ctl->"} {
+	for _, want := range []string{"hier.L2.lines[", "hier.Mem.pages[", ".queue->[", "stats[", "ctl->"} {
 		i := slices.IndexFunc(leaves, func(l tamperLeaf) bool { return strings.Contains(l.path, want) })
 		if i < 0 {
 			f.Fatalf("no leaf under %q", want)

@@ -63,6 +63,11 @@ func (r Recovery) TimeToRepartition() uint64 {
 type faultCtl struct {
 	sys *System
 	n   int
+	ctlState
+}
+
+// ctlState is the fault controller's checkpointed state.
+type ctlState struct {
 	// perCoreFailed assigns failed ExeBUs to cores' static partitions
 	// (round-robin over the per-cluster cursor) for the architectures whose
 	// loss is per-core (Private, VLS). The assignment is a modeling
@@ -78,11 +83,10 @@ type faultCtl struct {
 
 func newFaultCtl(sys *System) *faultCtl {
 	n := len(sys.Cores)
-	return &faultCtl{
-		sys: sys, n: n,
+	return &faultCtl{sys: sys, n: n, ctlState: ctlState{
 		perCoreFailed: make([]int, n),
 		cursors:       make([]int, len(sys.Clusters)),
-	}
+	}}
 }
 
 // clusterOf resolves a fault's target cluster: an explicit clN names that

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"occamy/internal/digest"
 	"occamy/internal/isa"
 	"occamy/internal/lanemgr"
 	"occamy/internal/sim"
@@ -36,6 +37,16 @@ type Complex struct {
 	hier  *lanemgr.Hier
 	group []int // core -> fabric position
 
+	ComplexState
+
+	zbuf [][]float32 // migration scratch for the vector-state move
+}
+
+// ComplexState is the routing layer's checkpointed state: in-flight
+// migration proposals and the fabric's bandwidth window. The core→cluster
+// assignment is the lane hierarchy's (lanemgr.HierState), and the
+// per-cluster instances checkpoint themselves (Coproc.State).
+type ComplexState struct {
 	// Fabric bandwidth accounting: per-cluster transmissions accepted in the
 	// cycle bwCycle (lazily reset when the cycle advances).
 	bwCycle   uint64
@@ -46,8 +57,6 @@ type Complex struct {
 	// (-1 none). Set when Hier.Balance's proposal is accepted; cleared when
 	// the migration completes or is abandoned at a strip boundary.
 	pendMig []int
-
-	zbuf [][]float32 // migration scratch for the vector-state move
 }
 
 // NewComplex builds the routed complex over per-cluster instances. Every
@@ -77,12 +86,11 @@ func NewComplex(topo Topology, cls []*Coproc) *Complex {
 		mgrs[k] = cls[k].mgr
 	}
 	cx := &Complex{
-		topo:    topo,
-		cores:   cores,
-		cls:     cls,
-		group:   make([]int, cores),
-		bwUsed:  make([]int, len(cls)),
-		pendMig: make([]int, cores),
+		topo:         topo,
+		cores:        cores,
+		cls:          cls,
+		group:        make([]int, cores),
+		ComplexState: ComplexState{bwUsed: make([]int, len(cls)), pendMig: make([]int, cores)},
 	}
 	gw := topo.groupWidth(cores)
 	for c := range cx.group {
@@ -457,33 +465,21 @@ func (cx *Complex) Z(c int, r isa.Reg, i int) float32 {
 
 // --- Checkpoint ------------------------------------------------------------
 
-// ComplexState checkpoints the routing layer: the core→cluster assignment,
-// in-flight migration proposals and the fabric's bandwidth window. The
-// per-cluster instances checkpoint themselves through Coproc.Checkpoint.
-type ComplexState struct {
-	hier      lanemgr.HierState
-	pendMig   []int
-	bwCycle   uint64
-	bwUsed    []int
-	bwRefused uint64
+// ComplexCheckpoint is the routing layer's checkpoint: its own state and the
+// lane hierarchy's.
+type ComplexCheckpoint struct {
+	ComplexState
+	hier lanemgr.HierState
 }
 
-// Checkpoint captures the routing layer's state.
-func (cx *Complex) Checkpoint() ComplexState {
-	return ComplexState{
-		hier:      cx.hier.Snapshot(),
-		pendMig:   append([]int(nil), cx.pendMig...),
-		bwCycle:   cx.bwCycle,
-		bwUsed:    append([]int(nil), cx.bwUsed...),
-		bwRefused: cx.bwRefused,
-	}
+// State returns the routing layer's live state in a checkpoint's layout,
+// sharing storage with the complex.
+func (cx *Complex) State() ComplexCheckpoint {
+	return ComplexCheckpoint{ComplexState: cx.ComplexState, hier: cx.hier.HierState}
 }
 
 // RestoreCheckpoint rewinds the routing layer.
-func (cx *Complex) RestoreCheckpoint(st ComplexState) {
+func (cx *Complex) RestoreCheckpoint(st ComplexCheckpoint) {
+	digest.Copy(&cx.ComplexState, &st.ComplexState)
 	cx.hier.Restore(st.hier)
-	copy(cx.pendMig, st.pendMig)
-	cx.bwCycle = st.bwCycle
-	copy(cx.bwUsed, st.bwUsed)
-	cx.bwRefused = st.bwRefused
 }

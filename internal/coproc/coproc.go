@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/bits"
 
+	"occamy/internal/digest"
 	"occamy/internal/isa"
 	"occamy/internal/lanemgr"
 	"occamy/internal/mem"
@@ -94,7 +95,19 @@ const (
 	queueMask = queueRing - 1
 )
 
+// coreState is one core's row on a co-processor instance: its checkpointed
+// state and the issue scoreboard derived from it.
 type coreState struct {
+	rowState
+	// sb tracks the renamed, unissued instructions for the issue scan
+	// (scoreboard.go): derived from the queue, never checkpointed.
+	sb scoreboard
+}
+
+// rowState is a row's checkpointed state: a deep, cycle-accurate account of
+// everything Tick and Transmit mutate, so a restored run resumes
+// bit-identically mid-flight — mid-backlog, mid-drain, even mid-fault.
+type rowState struct {
 	// queue is a fixed ring of queueRing slots. head, renamed and tail are
 	// monotonically increasing stream positions (never reset); at() maps a
 	// position to its slot. Occupancy (tail-head) is bounded by queueCap <
@@ -112,9 +125,6 @@ type coreState struct {
 	// region [head, renamed) holds physical destination registers and is
 	// eligible for out-of-order issue.
 	renamed int
-	// sb tracks the renamed, unissued instructions for the issue scan
-	// (scoreboard.go): derived from the queue, never checkpointed.
-	sb scoreboard
 
 	// z is the functional architectural vector state: 32 registers of
 	// Lanes() float32 elements, updated in program order at transmit.
@@ -188,7 +198,7 @@ type coreState struct {
 // maxRel bounds that exactly: entries are only added at issue (a visited
 // instant < st.acct), so within the window the in-flight population only
 // expires, and the last cycle with work is min(upTo-1, maxRel-1).
-func (st *coreState) flushAcct(upTo uint64) {
+func (st *rowState) flushAcct(upTo uint64) {
 	if st.acct >= upTo {
 		return
 	}
@@ -206,7 +216,7 @@ func (st *coreState) flushAcct(upTo uint64) {
 }
 
 // at returns the pool slot of stream position i (valid for head <= i < tail).
-func (st *coreState) at(i int) *XInst { return &st.queue[i&queueMask] }
+func (st *rowState) at(i int) *XInst { return &st.queue[i&queueMask] }
 
 // rowSet is a bitmap over a Coproc's core rows. A clustered machine gives
 // every cluster a row per machine core, yet only a cluster's home rows (and
@@ -301,16 +311,11 @@ type Coproc struct {
 
 	respond ScalarResponder
 
-	emsimdBusyUntil uint64 // LaneMgr plan-computation occupancy
+	coprocState
 
 	// renameStallNow marks, per core, whether this cycle's issue was
 	// blocked on physical registers (Figure 13's metric).
 	renameStallNow []bool
-
-	// busyLaneCycles accumulates the whole-array busy fraction for the
-	// SIMD-utilization metric of §2.
-	busyLaneCycles float64
-	cycles         uint64
 
 	// rotStart/rotLast cache the priority-rotation origin (now % Cores) so
 	// consecutive ticks increment it instead of dividing. Invariant:
@@ -323,14 +328,9 @@ type Coproc struct {
 	// lanes is cfg.Lanes() as the busy-lane divisor, fixed at New so Tick
 	// does not copy the whole Config through Lanes' value receiver.
 	lanes float64
-	// acctUpTo is one past the last cycle Tick/SkipTicks covered — the
-	// bound flushAcct backfills to on reads and snapshots.
-	acctUpTo uint64
 
-	// events is the lane-management log (bounded; see laneEventCap).
-	// decArena backs the events' Decisions slices in chunks, so logging
-	// does not allocate per event.
-	events   []LaneEvent
+	// decArena backs the lane events' Decisions slices in chunks, so
+	// logging does not allocate per event.
 	decArena []int
 
 	// probe is the observability hook (nil when the run is not observed;
@@ -345,6 +345,24 @@ type Coproc struct {
 	// event log's tap. Invoked only on lane-management actions, never on
 	// the per-cycle path.
 	laneSink func(LaneEvent)
+}
+
+// coprocState is a co-processor instance's checkpointed state besides its
+// rows, its resource table and its lane manager's counter.
+type coprocState struct {
+	emsimdBusyUntil uint64 // LaneMgr plan-computation occupancy
+
+	// busyLaneCycles accumulates the whole-array busy fraction for the
+	// SIMD-utilization metric of §2.
+	busyLaneCycles float64
+	cycles         uint64
+
+	// acctUpTo is one past the last cycle Tick/SkipTicks covered — the
+	// bound flushAcct backfills to on reads and snapshots.
+	acctUpTo uint64
+
+	// events is the lane-management log (bounded; see laneEventCap).
+	events []LaneEvent
 
 	// flt holds injected fault effects; nil on healthy runs, so the
 	// fault hooks cost one pointer check on the hot path (see fault.go).
@@ -432,7 +450,7 @@ func New(cfg Config, vecPort mem.SharedPort, data *mem.Memory, model roofline.Mo
 	cp.drainWaitCell = stats.Counter("coproc.drain_wait_cycles")
 	lanes := cfg.Lanes()
 	for c := 0; c < cfg.Cores; c++ {
-		st := &coreState{busyTimeline: *sim.NewTimeline(1000), lastReject: -1}
+		st := &coreState{rowState: rowState{busyTimeline: *sim.NewTimeline(1000), lastReject: -1}}
 		// Pre-size the hold trackers to their architectural bounds so
 		// steady-state Add never grows a backing array: LHQ/STQ are hard
 		// caps, register holds cannot exceed the physical pool, and live
@@ -1126,23 +1144,9 @@ func (cp *Coproc) SaveVecState(c int) [][]float32 {
 // arrays are reused when the shapes match (a task's repeated preemptions then
 // cost no allocation), and the possibly re-allocated buffer is returned.
 func (cp *Coproc) CopyVecState(c int, dst [][]float32) [][]float32 {
-	st := cp.cores[c]
-	if len(dst) != len(st.z) {
-		dst = make([][]float32, len(st.z))
-	}
-	for r := range st.z {
-		if len(dst[r]) != len(st.z[r]) {
-			dst[r] = make([]float32, len(st.z[r]))
-		}
-		copy(dst[r], st.z[r])
-	}
+	digest.Copy(&dst, &cp.cores[c].z)
 	return dst
 }
 
 // RestoreVecState installs previously saved vector registers on core c.
-func (cp *Coproc) RestoreVecState(c int, z [][]float32) {
-	st := cp.cores[c]
-	for r := range st.z {
-		copy(st.z[r], z[r])
-	}
-}
+func (cp *Coproc) RestoreVecState(c int, z [][]float32) { digest.Copy(&cp.cores[c].z, &z) }

@@ -160,7 +160,7 @@ func TestLaneKernelsMatchPerLane(t *testing.T) {
 		}
 		xGot, xWant := x, x
 		cp := &Coproc{data: mGot}
-		cp.applyFunctional(&xGot, &coreState{z: zGot})
+		cp.applyFunctional(&xGot, &coreState{rowState: rowState{z: zGot}})
 		applyPerLane(&xWant, zWant, mWant)
 		where := fmt.Sprintf("%s active=%d shift=%d z%d=f(z%d,z%d) addr=%#x",
 			x.Op, x.Active, shift, x.Dst, x.Src1, x.Src2, x.Addr)

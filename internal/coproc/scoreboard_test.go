@@ -87,9 +87,9 @@ func TestDoneRingAllocatedOnFirstTransmit(t *testing.T) {
 	}
 	r.setVL(t, 0, 2)
 	snap := r.cp.Checkpoint()
-	if snap.cores[0].done == nil || snap.cores[1].done != nil {
+	if snap.cores[0].done.entries == nil || snap.cores[1].done.entries != nil {
 		t.Fatalf("checkpoint rings: core 0 nil=%v, core 1 nil=%v; want a ring for core 0 only",
-			snap.cores[0].done == nil, snap.cores[1].done == nil)
+			snap.cores[0].done.entries == nil, snap.cores[1].done.entries == nil)
 	}
 	r.setVL(t, 1, 2)
 	if r.cp.cores[1].done.entries == nil {

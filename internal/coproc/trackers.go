@@ -10,6 +10,9 @@ import (
 // release cycle; Count reports how many are still held at a given cycle.
 // Used for physical-register occupancy, load/store queue occupancy and the
 // pipeline-drain check.
+//
+// Only the entries are checkpointed state; the two bounds are derived, so
+// the state codec skips them and rebuild re-derives them after a restore.
 type holdTracker struct {
 	releases []uint64
 	// nextRel is the earliest entry (MaxUint64 when there is none), or zero
@@ -17,11 +20,11 @@ type holdTracker struct {
 	// from restore until that drain. drain is a no-op while now is below
 	// it, which turns the per-cycle Count calls on busy trackers into a
 	// compare instead of an O(entries) scan.
-	nextRel uint64
+	nextRel uint64 `digest:"-"`
 	// maxRel is the latest release ever added (entries expire out of
 	// releases, this does not decay): lazy lastActive accounting needs the
 	// last cycle the tracker held anything, even after drain dropped it.
-	maxRel uint64
+	maxRel uint64 `digest:"-"`
 }
 
 func (t *holdTracker) drain(now uint64) {
@@ -71,16 +74,16 @@ func (t *holdTracker) Add(now, release uint64) {
 	}
 }
 
-// restore replaces the entries from a checkpoint and invalidates the drain
-// bound (the restored entries may release earlier than the current ones).
-// maxRel is recomputed from the surviving entries: history that expired
-// before the checkpoint can only matter to windows the checkpoint already
-// flushed, so the maximum over live entries is behaviourally identical.
-func (t *holdTracker) restore(rs []uint64) {
-	t.releases = append(t.releases[:0], rs...)
+// rebuild re-derives the bounds after the entries were restored from a
+// checkpoint: the drain bound is invalidated (the restored entries may
+// release earlier than the current ones), and maxRel is recomputed from the
+// surviving entries — history that expired before the checkpoint can only
+// matter to windows the checkpoint already flushed, so the maximum over
+// live entries is behaviourally identical.
+func (t *holdTracker) rebuild() {
 	t.nextRel = 0
 	t.maxRel = 0
-	for _, r := range rs {
+	for _, r := range t.releases {
 		if r > t.maxRel {
 			t.maxRel = r
 		}

@@ -32,7 +32,8 @@ func TestHoldTrackerWakeAnswers(t *testing.T) {
 						rs = append(rs, r)
 					}
 				}
-				h.restore(rs)
+				h.releases = append(h.releases[:0], rs...)
+				h.rebuild()
 			}
 			wantMax := scanMax(&h)
 			wantNext := scanNext(&h, now)

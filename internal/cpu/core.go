@@ -29,6 +29,7 @@ import (
 	"math"
 
 	"occamy/internal/coproc"
+	"occamy/internal/digest"
 	"occamy/internal/isa"
 	"occamy/internal/mem"
 	"occamy/internal/obs"
@@ -76,31 +77,22 @@ type CoprocPort interface {
 
 // Core is one scalar CPU core executing a compiled program.
 type Core struct {
-	id    int
-	cfg   Config
+	id  int
+	cfg Config
+	// prog is wiring, not state: Build installs it, and an OS scheduler
+	// swaps it with SetProgram when it dispatches another task.
 	prog  *isa.Program
 	cp    CoprocPort
 	l1    mem.Port
 	data  *mem.Memory
 	stats *sim.Stats
 
-	pc     int
-	x      [isa.NumXRegs]int64
-	f      [isa.NumFRegs]float32
-	xReady [isa.NumXRegs]uint64
-	fReady [isa.NumFRegs]uint64
-	halted bool
-	parked bool
+	FullState
 
-	// tailActive is the transmit-side predicate set by VWHILE; -1 means
-	// full vector length.
-	tailActive int
-
-	// phase tracks the current compiler phase for attribution. The counter
-	// cells are resolved once (Stats.Counter pointers are stable across
-	// Restore) so the per-cycle bumps are a pointer add, not a map lookup —
-	// the string-keyed form showed up as ~16% of sweep time in profiles.
-	phase             int
+	// The phase counter cells are resolved once (Stats.Counter pointers
+	// are stable across Restore) so the per-cycle bumps are a pointer add,
+	// not a map lookup — the string-keyed form showed up as ~16% of sweep
+	// time in profiles.
 	phaseCycleCells   []*uint64
 	phaseEnteredCells []*uint64
 	phaseCyclePool    []*uint64
@@ -110,14 +102,49 @@ type Core struct {
 	haltCycleCell     *uint64
 	reconfigCell      *uint64
 	monitorCell       *uint64
-	haltCycle         uint64
 
 	// probe is the observability hook; nil when the run is not observed
-	// (every obs method is nil-receiver-safe). phaseStart is the cycle the
-	// current phase's Perfetto slice opened at.
-	probe      *obs.Probe
-	phaseStart uint64
+	// (every obs method is nil-receiver-safe).
+	probe *obs.Probe
 
+	// xinst stages the instruction being transmitted. Transmit takes it by
+	// pointer, and the pointer points into the Core, so the interface call
+	// neither copies the 136-byte instruction nor makes anything escape.
+	xinst coproc.XInst
+}
+
+// State is a core's architectural context, for OS context switching (§5):
+// everything program-visible — the program counter, the scalar integer
+// and FP register files, the transmit-side tail predicate — plus the halt
+// flag and the attribution phase. The program itself is not in it (see
+// SetProgram), and vector registers live in the co-processor and are saved
+// separately.
+type State struct {
+	pc int
+	x  [isa.NumXRegs]int64
+	f  [isa.NumFRegs]float32
+	// tailActive is the transmit-side predicate set by VWHILE; -1 means
+	// full vector length.
+	tailActive int
+	halted     bool
+	haltCycle  uint64
+	// phase tracks the current compiler phase for attribution.
+	phase int
+}
+
+// FullState is a core's checkpointed state. Unlike State — the OS
+// context-switch view, which requires quiescence and clears the
+// scoreboards — it also holds the register-ready timestamps, the park
+// status, the open attribution slice and the progress counters, so a
+// restored run resumes mid-flight bit-identically to one that never
+// stopped.
+type FullState struct {
+	State
+	xReady [isa.NumXRegs]uint64
+	fReady [isa.NumFRegs]uint64
+	parked bool
+	// phaseStart is the cycle the current phase's Perfetto slice opened at.
+	phaseStart uint64
 	// insts counts executed instructions for the forward-progress
 	// watchdog; elems counts vector elements offered at strip boundaries
 	// (each RdElems adds the sampled width), the work measure of the
@@ -126,11 +153,6 @@ type Core struct {
 	// registry must stay bit-identical whether or not anyone reads them.
 	insts uint64
 	elems uint64
-
-	// xinst stages the instruction being transmitted. Transmit takes it by
-	// pointer, and the pointer points into the Core, so the interface call
-	// neither copies the 136-byte instruction nor makes anything escape.
-	xinst coproc.XInst
 }
 
 // SetProbe attaches the observability probe (nil disables).
@@ -139,10 +161,8 @@ func (c *Core) SetProbe(p *obs.Probe) { c.probe = p }
 // New builds a core. l1 is the core's private L1D port; data the functional
 // memory.
 func New(id int, cfg Config, prog *isa.Program, cp CoprocPort, l1 mem.Port, data *mem.Memory, stats *sim.Stats) *Core {
-	c := &Core{
-		id: id, cfg: cfg, prog: prog, cp: cp, l1: l1, data: data, stats: stats,
-		tailActive: -1, phase: -1,
-	}
+	c := &Core{id: id, cfg: cfg, prog: prog, cp: cp, l1: l1, data: data, stats: stats}
+	c.State = NewState()
 	// Resolve every counter cell the execute path can touch: the tick path
 	// must stay allocation-free, so no fmt.Sprintf after construction, and
 	// Stats creates a counter on first touch — on a large machine a core's
@@ -641,104 +661,33 @@ func (c *Core) transmit() bool {
 	return true
 }
 
-// State is a complete architectural snapshot of the core, for OS context
-// switching (§5). It captures everything program-visible: the program and
-// its counter, the scalar integer and FP register files, and the
-// transmit-side tail predicate. Vector registers live in the co-processor
-// and are saved separately.
-type State struct {
-	Prog       *isa.Program
-	PC         int
-	X          [isa.NumXRegs]int64
-	F          [isa.NumFRegs]float32
-	TailActive int
-	Halted     bool
-	HaltCycle  uint64
-	Phase      int
+// SetProgram installs prog as the core's program, leaving every register
+// as it is: an OS scheduler calls it, then Restore, to switch a task in.
+func (c *Core) SetProgram(prog *isa.Program) {
+	c.prog = prog
+	c.buildPhaseNames(prog)
 }
 
 // Snapshot captures the core's architectural state. The caller must ensure
 // the core is quiescent (parked and the co-processor drained), mirroring
 // §5's "when all the pipelines are drained".
-func (c *Core) Snapshot() State {
-	return State{
-		Prog:       c.prog,
-		PC:         c.pc,
-		X:          c.x,
-		F:          c.f,
-		TailActive: c.tailActive,
-		Halted:     c.halted,
-		HaltCycle:  c.haltCycle,
-		Phase:      c.phase,
-	}
-}
+func (c *Core) Snapshot() State { return c.State }
 
-// Restore installs a previously captured state (possibly of a different
-// task/program). Pending scoreboard entries are cleared: quiescence
-// guarantees no results are in flight.
+// Restore installs a previously captured context (possibly of a different
+// task, whose program SetProgram installed). Pending scoreboard entries are
+// cleared: quiescence guarantees no results are in flight.
 func (c *Core) Restore(s State) {
-	c.prog = s.Prog
-	c.pc = s.PC
-	c.x = s.X
-	c.f = s.F
-	c.tailActive = s.TailActive
-	c.halted = s.Halted
-	c.haltCycle = s.HaltCycle
-	c.phase = s.Phase
-	for i := range c.xReady {
-		c.xReady[i] = 0
-	}
-	for i := range c.fReady {
-		c.fReady[i] = 0
-	}
-	// Rebuild per-phase counter names for the (possibly new) program.
-	c.buildPhaseNames(s.Prog)
+	c.State = s
+	c.xReady = [isa.NumXRegs]uint64{}
+	c.fReady = [isa.NumFRegs]uint64{}
 }
 
-// FullState is a cycle-accurate checkpoint of the core. Unlike State — the
-// OS context-switch view, which requires quiescence and clears the
-// scoreboards — it also preserves the register-ready timestamps, park
-// status, the open attribution slice, and the progress counters, so a
-// restored run resumes mid-flight bit-identically to one that never stopped.
-type FullState struct {
-	st         State
-	xReady     [isa.NumXRegs]uint64
-	fReady     [isa.NumFRegs]uint64
-	parked     bool
-	phaseStart uint64
-	insts      uint64
-	elems      uint64
-}
+// RestoreCheckpoint rewinds the core to a Checkpoint. The program is
+// wiring and stays installed.
+func (c *Core) RestoreCheckpoint(s FullState) { digest.Copy(&c.FullState, &s) }
 
-// Checkpoint captures the core's complete simulation state at any cycle —
-// no quiescence precondition.
-func (c *Core) Checkpoint() FullState {
-	return FullState{
-		st:         c.Snapshot(),
-		xReady:     c.xReady,
-		fReady:     c.fReady,
-		parked:     c.parked,
-		phaseStart: c.phaseStart,
-		insts:      c.insts,
-		elems:      c.elems,
-	}
-}
-
-// RestoreCheckpoint rewinds the core to a Checkpoint.
-func (c *Core) RestoreCheckpoint(s FullState) {
-	c.Restore(s.st)
-	c.xReady = s.xReady
-	c.fReady = s.fReady
-	c.parked = s.parked
-	c.phaseStart = s.phaseStart
-	c.insts = s.insts
-	c.elems = s.elems
-}
-
-// NewState builds the boot state for a fresh task.
-func NewState(prog *isa.Program) State {
-	return State{Prog: prog, TailActive: -1, Phase: -1}
-}
+// NewState is the boot context of a fresh task.
+func NewState() State { return State{tailActive: -1, phase: -1} }
 
 // Park stops the core from fetching (the OS descheduled it); Unpark resumes.
 // A parked core still holds its architectural state.

@@ -431,11 +431,13 @@ func TestSnapshotRestoreSwapsPrograms(t *testing.T) {
 		t.Fatal("program A result wrong")
 	}
 	saved := r.core.Snapshot()
-	r.core.Restore(NewState(pb))
+	r.core.SetProgram(pb)
+	r.core.Restore(NewState())
 	r.run(t, 100)
 	if r.core.X(1) != 222 {
 		t.Fatal("program B result wrong")
 	}
+	r.core.SetProgram(pa)
 	r.core.Restore(saved)
 	if r.core.X(1) != 111 || !r.core.Halted() {
 		t.Fatal("restore must bring back A's state")

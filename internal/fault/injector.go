@@ -1,6 +1,10 @@
 package fault
 
-import "sort"
+import (
+	"sort"
+
+	"occamy/internal/digest"
+)
 
 // Handler is implemented by the architecture layer: it applies and reverts
 // fault effects on the hardware models, and advances any deferred actions
@@ -43,6 +47,13 @@ type event struct {
 type Injector struct {
 	handler Handler
 	events  []event
+	InjectorState
+}
+
+// InjectorState is the injector's checkpointed state: the schedule cursors.
+// The event list itself is configuration (fully resolved at construction)
+// and is not in it — a restore rewinds the cursors on the same schedule.
+type InjectorState struct {
 	next    int
 	applied int
 }
@@ -135,31 +146,21 @@ const NeverWakeCycle = ^uint64(0)
 // no-op Poll: there is no accounting to replay.
 func (inj *Injector) SkipTicks(from, n uint64) {}
 
-// InjectorState is the injector's checkpoint: the schedule cursors. The
-// event list itself is configuration (fully resolved at construction) and is
-// not captured — a restore rewinds the cursors on the same schedule.
-type InjectorState struct {
-	next    int
-	applied int
-}
-
-// Snapshot captures the schedule cursors (zero value on a nil injector, so
+// State returns the schedule cursors (zero value on a nil injector, so
 // fault-free architectures checkpoint uniformly).
-func (inj *Injector) Snapshot() InjectorState {
+func (inj *Injector) State() InjectorState {
 	if inj == nil {
 		return InjectorState{}
 	}
-	return InjectorState{next: inj.next, applied: inj.applied}
+	return inj.InjectorState
 }
 
 // Restore rewinds the cursors. Events at or before the restored cycle that
 // had already fired will not re-fire unless the snapshot predates them.
 func (inj *Injector) Restore(st InjectorState) {
-	if inj == nil {
-		return
+	if inj != nil {
+		digest.Copy(&inj.InjectorState, &st)
 	}
-	inj.next = st.next
-	inj.applied = st.applied
 }
 
 // Reschedule replaces the injector's fault schedule in place and rewinds the

@@ -1,6 +1,10 @@
 package lanemgr
 
-import "fmt"
+import (
+	"fmt"
+
+	"occamy/internal/digest"
+)
 
 // Hier is the global level of the two-level lane hierarchy: one Manager per
 // co-processor cluster (each running the unchanged §5.2 per-cluster pass
@@ -16,14 +20,11 @@ type Hier struct {
 	Topo Topology
 	// Mgrs holds one per-cluster Manager, indexed by cluster.
 	Mgrs []*Manager
-	// Assign maps each core to its home cluster.
-	Assign []int
+	HierState
 	// Threshold is the minimum active-tenant imbalance (max cluster minus
 	// min cluster) that justifies a migration; below it the clusters are
 	// considered balanced. DefaultThreshold when zero-built via NewHier.
 	Threshold int
-	// Migrations counts completed tenant migrations.
-	Migrations uint64
 	// OnMigrate, when non-nil, receives a migration proposal (core, from,
 	// to) and reports whether it was accepted. A rejection (e.g. the core
 	// already has a migration in flight) leaves the assignment untouched;
@@ -51,7 +52,7 @@ func NewHier(topo Topology, mgrs []*Manager) *Hier {
 	h := &Hier{
 		Topo:      topo,
 		Mgrs:      mgrs,
-		Assign:    make([]int, topo.Cores),
+		HierState: HierState{Assign: make([]int, topo.Cores)},
 		Threshold: DefaultThreshold,
 		active:    make([]int, topo.Clusters),
 	}
@@ -139,20 +140,17 @@ func (h *Hier) CompleteMigration(c, to int) {
 	h.Migrations++
 }
 
-// HierState checkpoints the assignment and migration counter (the shards
-// snapshot themselves through their tables).
+// HierState is the hierarchy's checkpointed state: the assignment and the
+// migration counter (the shards snapshot themselves through their tables).
 type HierState struct {
-	assign     []int
-	migrations uint64
+	// Assign maps each core to its home cluster.
+	Assign []int
+	// Migrations counts completed tenant migrations.
+	Migrations uint64
 }
 
 // Snapshot captures the hierarchy's global state.
-func (h *Hier) Snapshot() HierState {
-	return HierState{assign: append([]int(nil), h.Assign...), migrations: h.Migrations}
-}
+func (h *Hier) Snapshot() HierState { return digest.Clone(&h.HierState) }
 
 // Restore rewinds to a Snapshot taken on a same-shaped hierarchy.
-func (h *Hier) Restore(st HierState) {
-	copy(h.Assign, st.assign)
-	h.Migrations = st.migrations
-}
+func (h *Hier) Restore(st HierState) { digest.Copy(&h.HierState, &st) }

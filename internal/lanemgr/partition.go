@@ -95,9 +95,7 @@ func planInto(m roofline.Model, ois []isa.OIPair, total int, vls []int, cands []
 type Manager struct {
 	Model roofline.Model
 	Tbl   *ResourceTbl
-	// Repartitions counts plan computations, for the Figure 15 overhead
-	// accounting.
-	Repartitions uint64
+	ManagerState
 	// Scratch buffers reused across Repartition calls (grown once, then
 	// steady-state allocation-free — repartitioning is on the context-switch
 	// hot path under preemptive traffic).
@@ -111,6 +109,13 @@ type Manager struct {
 	// and the hook hands control to Hier.Balance, the global pass that
 	// reassigns cores between clusters when load diverges.
 	AfterRepartition func()
+}
+
+// ManagerState is the lane manager's checkpointed state.
+type ManagerState struct {
+	// Repartitions counts plan computations, for the Figure 15 overhead
+	// accounting.
+	Repartitions uint64
 }
 
 // NewManager returns a lane manager over tbl using roofline model m.

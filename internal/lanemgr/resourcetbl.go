@@ -8,6 +8,7 @@ package lanemgr
 import (
 	"fmt"
 
+	"occamy/internal/digest"
 	"occamy/internal/isa"
 )
 
@@ -16,7 +17,13 @@ import (
 // register. Registers are stored raw (32-bit) exactly as the MSR/MRS data
 // path sees them; typed accessors decode them.
 type ResourceTbl struct {
-	total    int // N: number of ExeBUs (128-bit granules)
+	total int // N: number of ExeBUs (128-bit granules)
+	TblState
+}
+
+// TblState is the table's checkpointed state: the registers and the fault
+// exclusions.
+type TblState struct {
 	failed   int // units excluded from allocation by fault injection
 	oi       []uint32
 	decision []uint32
@@ -66,13 +73,12 @@ func NewResourceTbl(topo Topology) *ResourceTbl {
 	if err := topo.Validate(); err != nil {
 		panic(err)
 	}
-	return &ResourceTbl{
-		total:    topo.PerCluster(),
+	return &ResourceTbl{total: topo.PerCluster(), TblState: TblState{
 		oi:       make([]uint32, topo.Cores),
 		decision: make([]uint32, topo.Cores),
 		vl:       make([]uint32, topo.Cores),
 		status:   make([]uint32, topo.Cores),
-	}
+	}}
 }
 
 // Cores returns the number of CPU cores served.
@@ -222,35 +228,8 @@ func (t *ResourceTbl) RestoreVL(c, l int) {
 	t.status[c] = 1
 }
 
-// TblState is a deep copy of the resource table's registers and fault
-// exclusions, for checkpoint/restore.
-type TblState struct {
-	failed   int
-	oi       []uint32
-	decision []uint32
-	vl       []uint32
-	status   []uint32
-}
-
-// Snapshot captures the table's full state.
-func (t *ResourceTbl) Snapshot() TblState {
-	return TblState{
-		failed:   t.failed,
-		oi:       append([]uint32(nil), t.oi...),
-		decision: append([]uint32(nil), t.decision...),
-		vl:       append([]uint32(nil), t.vl...),
-		status:   append([]uint32(nil), t.status...),
-	}
-}
-
 // Restore rewinds the table to a Snapshot taken on a same-shaped instance.
-func (t *ResourceTbl) Restore(st TblState) {
-	t.failed = st.failed
-	copy(t.oi, st.oi)
-	copy(t.decision, st.decision)
-	copy(t.vl, st.vl)
-	copy(t.status, st.status)
-}
+func (t *ResourceTbl) Restore(st TblState) { digest.Copy(&t.TblState, &st) }
 
 // ActiveOIs returns the decoded <OI> of every core; cores not executing a
 // phase hold the zero pair.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 
+	"occamy/internal/digest"
 	"occamy/internal/sim"
 )
 
@@ -30,10 +31,8 @@ type CacheConfig struct {
 // Cache is a set-associative, write-back, write-allocate timing cache with
 // LRU replacement. It tracks tags only; data lives in the functional Memory.
 type Cache struct {
-	cfg   CacheConfig
-	lines []cacheLine // set-major: set s holds lines[s*Ways : (s+1)*Ways]
-	bw    bwMeter
-	miss  missTracker
+	cfg CacheConfig
+	CacheState
 	next  Port
 	stats *sim.Stats
 	// setMask and setShift locate the set index in an address; tagShift
@@ -48,6 +47,17 @@ type Cache struct {
 	cHit, cMiss, cReject, cWriteback, cPrefetch *uint64
 	// retryHits is ReplayRetries' reusable scratch buffer.
 	retryHits []hitLine
+}
+
+// CacheState is a cache's checkpointed state: every tag-array line, the
+// bandwidth meter's exact float occupancy (including any fault-injected
+// derating), and the outstanding-miss reservations. Counter values are NOT
+// in it — they live in the engine-wide sim.Stats registry, which snapshots
+// separately.
+type CacheState struct {
+	lines []cacheLine // set-major: set s holds lines[s*Ways : (s+1)*Ways]
+	bw    bwMeter
+	miss  missTracker
 }
 
 // hitLine is one leading resident line of a replayed retry attempt.
@@ -96,11 +106,13 @@ func NewCache(cfg CacheConfig, next Port, stats *sim.Stats) *Cache {
 		cfg.MissSlots = 16
 	}
 	c := &Cache{
-		cfg:      cfg,
-		next:     next,
-		stats:    stats,
-		bw:       bwMeter{bytesPerCycle: cfg.BytesPerCycle},
-		miss:     missTracker{slots: cfg.MissSlots, quota: cfg.MissQuota},
+		cfg:   cfg,
+		next:  next,
+		stats: stats,
+		CacheState: CacheState{
+			bw:   bwMeter{bytesPerCycle: cfg.BytesPerCycle},
+			miss: missTracker{slots: cfg.MissSlots, quota: cfg.MissQuota},
+		},
 		setMask:  uint64(numSets - 1),
 		setShift: 6, // log2(LineBytes)
 		tagShift: 6 + uint(bits.TrailingZeros(uint(numSets))),
@@ -389,35 +401,13 @@ func (c *Cache) Misses() uint64 {
 	return *c.cMiss
 }
 
-// CacheState is a deep, cycle-accurate snapshot of a Cache: every tag-array
-// line, the bandwidth meter's exact float occupancy (including any fault-
-// injected derating), and the outstanding-miss reservations. Counter values
-// are NOT included — they live in the engine-wide sim.Stats registry, which
-// snapshots separately.
-type CacheState struct {
-	lines         []cacheLine
-	bytesPerCycle float64
-	nextFree      float64
-	pending       []missEntry
-}
-
 // Snapshot captures the cache's full timing state.
-func (c *Cache) Snapshot() CacheState {
-	return CacheState{
-		lines:         append([]cacheLine(nil), c.lines...),
-		bytesPerCycle: c.bw.bytesPerCycle,
-		nextFree:      c.bw.nextFree,
-		pending:       append([]missEntry(nil), c.miss.pending...),
-	}
-}
+func (c *Cache) Snapshot() CacheState { return digest.Clone(&c.CacheState) }
 
 // Restore rewinds the cache to a Snapshot taken on an identically configured
-// instance.
+// instance, then re-derives the MSHR file's order and occupancy counts.
 func (c *Cache) Restore(st CacheState) {
-	copy(c.lines, st.lines)
-	c.bw.bytesPerCycle = st.bytesPerCycle
-	c.bw.nextFree = st.nextFree
-	c.miss.pending = append(c.miss.pending[:0], st.pending...)
+	digest.Copy(&c.CacheState, &st)
 	c.miss.recompute()
 }
 

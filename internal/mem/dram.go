@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"occamy/internal/digest"
 	"occamy/internal/obs"
 	"occamy/internal/sim"
 )
@@ -17,8 +18,8 @@ type DRAMConfig struct {
 // meter. It never rejects requests (the memory controller queue is modeled as
 // unbounded; upstream MSHRs bound the real overlap).
 type DRAM struct {
-	cfg   DRAMConfig
-	bw    bwMeter
+	cfg DRAMConfig
+	DRAMState
 	stats *sim.Stats
 	// lat is the access-latency histogram; nil when the run is not
 	// observed (a nil *Histogram ignores Observe).
@@ -37,7 +38,7 @@ func NewDRAM(cfg DRAMConfig, stats *sim.Stats) *DRAM {
 	if cfg.Name == "" {
 		cfg.Name = "dram"
 	}
-	d := &DRAM{cfg: cfg, bw: bwMeter{bytesPerCycle: cfg.BytesPerCycle}, stats: stats}
+	d := &DRAM{cfg: cfg, DRAMState: DRAMState{bwMeter{bytesPerCycle: cfg.BytesPerCycle}}, stats: stats}
 	if stats != nil {
 		d.cBytes = stats.Counter(cfg.Name + ".bytes")
 		d.cWrites = stats.Counter(cfg.Name + ".writes")
@@ -75,21 +76,12 @@ func (d *DRAM) Access(now uint64, addr uint64, size int, write bool) (uint64, bo
 	return xfer, true
 }
 
-// DRAMState is a cycle-accurate snapshot of the DRAM's timing state: the
-// bandwidth meter's exact float occupancy and its (possibly fault-derated)
-// rate. Counters live in the engine registry and snapshot there.
+// DRAMState is the DRAM's checkpointed timing state: the bandwidth meter's
+// exact float occupancy and its (possibly fault-derated) rate. Counters
+// live in the engine registry and snapshot there.
 type DRAMState struct {
-	bytesPerCycle float64
-	nextFree      float64
-}
-
-// Snapshot captures the DRAM timing state.
-func (d *DRAM) Snapshot() DRAMState {
-	return DRAMState{bytesPerCycle: d.bw.bytesPerCycle, nextFree: d.bw.nextFree}
+	bw bwMeter
 }
 
 // Restore rewinds the DRAM to a Snapshot.
-func (d *DRAM) Restore(st DRAMState) {
-	d.bw.bytesPerCycle = st.bytesPerCycle
-	d.bw.nextFree = st.nextFree
-}
+func (d *DRAM) Restore(st DRAMState) { digest.Copy(&d.DRAMState, &st) }

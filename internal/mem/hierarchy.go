@@ -122,8 +122,8 @@ func (h *Hierarchy) CheckMSHRs() error {
 	return nil
 }
 
-// HierarchyState is a deep snapshot of the whole memory system: functional
-// contents plus every level's timing state.
+// HierarchyState is the whole memory system's state in a checkpoint's
+// layout: functional contents plus every level's timing state.
 type HierarchyState struct {
 	Mem      MemoryState
 	L1D      []CacheState
@@ -132,21 +132,22 @@ type HierarchyState struct {
 	DRAM     DRAMState
 }
 
-// Snapshot captures the hierarchy's full functional and timing state.
-func (h *Hierarchy) Snapshot() HierarchyState {
+// State returns the hierarchy's live state, sharing storage with it: clone
+// it before the hierarchy runs on.
+func (h *Hierarchy) State() HierarchyState {
 	st := HierarchyState{
-		Mem:      h.Mem.Snapshot(),
-		VecCache: h.VecCache.Snapshot(),
-		L2:       h.L2.Snapshot(),
-		DRAM:     h.DRAM.Snapshot(),
+		Mem:      h.Mem.MemoryState,
+		VecCache: h.VecCache.CacheState,
+		L2:       h.L2.CacheState,
+		DRAM:     h.DRAM.DRAMState,
 	}
 	for _, l1 := range h.L1D {
-		st.L1D = append(st.L1D, l1.Snapshot())
+		st.L1D = append(st.L1D, l1.CacheState)
 	}
 	return st
 }
 
-// Restore rewinds the hierarchy to a Snapshot taken on an identically
+// Restore rewinds the hierarchy to a cloned State taken on an identically
 // configured instance.
 func (h *Hierarchy) Restore(st HierarchyState) {
 	h.Mem.Restore(st.Mem)

@@ -16,6 +16,8 @@ package mem
 import (
 	"encoding/binary"
 	"math"
+
+	"occamy/internal/digest"
 )
 
 // pageBits selects the functional-page size (64 KiB) for the sparse backing
@@ -27,14 +29,31 @@ const pageSize = 1 << pageBits
 // Memory is the sparse functional backing store. The zero value is not
 // usable; create with NewMemory.
 type Memory struct {
-	pages    map[uint64][]byte
+	MemoryState
+	// index finds a page by page number; lastIdx/lastPage cache the last
+	// page touched. Both are derived from pages.
+	index    map[uint64][]byte
 	lastIdx  uint64
 	lastPage []byte
 }
 
+// MemoryState is the functional address space's checkpointed state: every
+// allocated page, in allocation order. Workload footprints are tens of MB,
+// so this is the bulk of a system checkpoint's size — but it is taken once
+// per sweep, not per point.
+type MemoryState struct {
+	pages []memPage
+}
+
+// memPage is one allocated page and its page number.
+type memPage struct {
+	idx  uint64
+	data []byte
+}
+
 // NewMemory returns an empty address space; all bytes read as zero.
 func NewMemory() *Memory {
-	return &Memory{pages: make(map[uint64][]byte)}
+	return &Memory{index: make(map[uint64][]byte)}
 }
 
 func (m *Memory) page(addr uint64, create bool) []byte {
@@ -42,13 +61,14 @@ func (m *Memory) page(addr uint64, create bool) []byte {
 	if m.lastPage != nil && idx == m.lastIdx {
 		return m.lastPage
 	}
-	p, ok := m.pages[idx]
+	p, ok := m.index[idx]
 	if !ok {
 		if !create {
 			return nil
 		}
 		p = make([]byte, pageSize)
-		m.pages[idx] = p
+		m.pages = append(m.pages, memPage{idx, p})
+		m.index[idx] = p
 	}
 	m.lastIdx, m.lastPage = idx, p
 	return p
@@ -169,38 +189,19 @@ func (m *Memory) ReadF32Slice(addr uint64, n int) []float32 {
 	return out
 }
 
-// MemoryState is a deep snapshot of the functional address space.
-type MemoryState struct {
-	pages map[uint64][]byte
-}
+// Snapshot deep-copies every allocated page.
+func (m *Memory) Snapshot() MemoryState { return digest.Clone(&m.MemoryState) }
 
-// Snapshot deep-copies every allocated page. Workload footprints are tens of
-// MB, so this is the bulk of a system checkpoint's size — but it is taken
-// once per sweep, not per point.
-func (m *Memory) Snapshot() MemoryState {
-	st := MemoryState{pages: make(map[uint64][]byte, len(m.pages))}
-	for idx, p := range m.pages {
-		st.pages[idx] = append([]byte(nil), p...)
-	}
-	return st
-}
-
-// Restore rewinds the address space to a Snapshot. Pages allocated since the
-// snapshot are dropped; snapshot pages are copied back in so the restored
-// memory does not alias the checkpoint (it can be restored again).
+// Restore rewinds the address space to a Snapshot: pages allocated since
+// are dropped, and the snapshot's pages are copied in (over the pages this
+// memory already holds where they line up), so the restored memory does not
+// alias the checkpoint and it can be restored again. The page index is
+// rebuilt.
 func (m *Memory) Restore(st MemoryState) {
-	for idx := range m.pages {
-		if _, ok := st.pages[idx]; !ok {
-			delete(m.pages, idx)
-		}
-	}
-	for idx, p := range st.pages {
-		dst, ok := m.pages[idx]
-		if !ok {
-			dst = make([]byte, pageSize)
-			m.pages[idx] = dst
-		}
-		copy(dst, p)
+	digest.Copy(&m.MemoryState, &st)
+	clear(m.index)
+	for _, p := range m.pages {
+		m.index[p.idx] = p.data
 	}
 	m.lastIdx, m.lastPage = 0, nil
 }

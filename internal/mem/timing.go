@@ -72,16 +72,20 @@ func (m *bwMeter) consume(now uint64, b int) uint64 {
 // entries, so the quota check is one compare. The next level's bandwidth
 // meter serializes fills, so a new release almost always lands at the tail
 // and the ordered insert rarely shifts anything.
+//
+// Only pending is checkpointed state: the slot counts are configuration,
+// buf is scratch and held is derived (recompute re-derives it after a
+// restore), so the state codec skips them.
 type missTracker struct {
-	slots int
-	quota int // max per requestor; 0 = no quota
+	slots int `digest:"-"`
+	quota int `digest:"-"` // max per requestor; 0 = no quota
 	// pending is a window of buf: retire advances its start, and reserve
 	// moves it back to buf's front once it reaches buf's end. buf holds
 	// twice the slots, so that move copies at most slots entries once per
 	// slots reservations.
 	pending []missEntry
-	buf     []missEntry
-	held    []int // held[who]: pending entries of requestor who >= 0
+	buf     []missEntry `digest:"-"`
+	held    []int       `digest:"-"` // held[who]: pending entries of requestor who >= 0
 }
 
 type missEntry struct {

@@ -28,7 +28,11 @@
 // collection (TrimTrailingIdle), making the invariant exact.
 package obs
 
-import "fmt"
+import (
+	"fmt"
+
+	"occamy/internal/digest"
+)
 
 // Sig is a set of per-cycle observation signals raised by the hardware
 // models. Multiple signals may be raised for a core in one cycle; the
@@ -173,13 +177,19 @@ func (o Options) Enabled() bool { return o.Attribution || o.Sink != nil }
 // The probe implements sim.Component and must be registered last, so its
 // Tick sees the signals of the whole cycle.
 type Probe struct {
+	Accounts
+	sink  *Perfetto
+	hists map[string]*Histogram
+	// histNames preserves creation order for deterministic reports.
+	histNames []string
+}
+
+// Accounts is the probe's checkpointed attribution state: the in-cycle
+// signal masks and the per-core bucket charges.
+type Accounts struct {
 	mask    []Sig
 	buckets [][NumBuckets]uint64
 	total   []uint64
-	sink    *Perfetto
-	hists   map[string]*Histogram
-	// histNames preserves creation order for deterministic reports.
-	histNames []string
 }
 
 // NewProbe returns an enabled probe for the given core count. sink may be
@@ -189,11 +199,13 @@ func NewProbe(cores int, sink *Perfetto) *Probe {
 		panic(fmt.Sprintf("obs: bad core count %d", cores))
 	}
 	return &Probe{
-		mask:    make([]Sig, cores),
-		buckets: make([][NumBuckets]uint64, cores),
-		total:   make([]uint64, cores),
-		sink:    sink,
-		hists:   make(map[string]*Histogram),
+		Accounts: Accounts{
+			mask:    make([]Sig, cores),
+			buckets: make([][NumBuckets]uint64, cores),
+			total:   make([]uint64, cores),
+		},
+		sink:  sink,
+		hists: make(map[string]*Histogram),
 	}
 }
 
@@ -296,44 +308,35 @@ func (p *Probe) SkipTicks(from, n uint64) {
 	}
 }
 
-// ProbeState is a deep snapshot of the probe's accumulated accounting: the
-// in-cycle signal masks, the per-core bucket charges, and every histogram's
+// ProbeState is the probe's checkpoint: its Accounts and every histogram's
 // values. The Perfetto sink is NOT captured — trace emission is streaming
-// I/O, and checkpointed runs are expected to disable it.
+// I/O.
 type ProbeState struct {
-	mask    []Sig
-	buckets [][NumBuckets]uint64
-	total   []uint64
-	hists   map[string]Histogram
+	Accounts
+	hists map[string]Histogram
 }
 
-// Snapshot captures the probe's accounting (nil on a nil probe).
-func (p *Probe) Snapshot() *ProbeState {
+// Snapshot captures the probe's accounting (the zero state on a nil probe).
+func (p *Probe) Snapshot() ProbeState {
 	if p == nil {
-		return nil
+		return ProbeState{}
 	}
-	st := &ProbeState{
-		mask:    append([]Sig(nil), p.mask...),
-		buckets: append([][NumBuckets]uint64(nil), p.buckets...),
-		total:   append([]uint64(nil), p.total...),
-		hists:   make(map[string]Histogram, len(p.hists)),
-	}
+	st := ProbeState{Accounts: digest.Clone(&p.Accounts), hists: make(map[string]Histogram, len(p.hists))}
 	for n, h := range p.hists {
 		st.hists[n] = *h
 	}
 	return st
 }
 
-// Restore rewinds the probe to a Snapshot. Histograms created since the
-// snapshot are reset to empty (their pointers, cached by components, stay
-// valid); histograms named only in the snapshot are re-created.
-func (p *Probe) Restore(st *ProbeState) {
-	if p == nil || st == nil {
+// Restore rewinds the probe to a Snapshot. The histograms are restored by
+// hand, not copied: components cache their *Histogram pointers, so every
+// histogram is written in place — one created since the snapshot is reset
+// to empty, one named only in the snapshot is re-created.
+func (p *Probe) Restore(st ProbeState) {
+	if p == nil {
 		return
 	}
-	copy(p.mask, st.mask)
-	copy(p.buckets, st.buckets)
-	copy(p.total, st.total)
+	digest.Copy(&p.Accounts, &st.Accounts)
 	for n, h := range p.hists {
 		if saved, ok := st.hists[n]; ok {
 			name := h.name

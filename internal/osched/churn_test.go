@@ -5,7 +5,6 @@ import (
 
 	"occamy/internal/arch"
 	"occamy/internal/compiler"
-	"occamy/internal/cpu"
 	"occamy/internal/fault"
 	"occamy/internal/workload"
 )
@@ -28,7 +27,7 @@ func hostWithTasks(t *testing.T, cores int, ws []*workload.Workload, opts arch.O
 			t.Fatal(err)
 		}
 		compiled = append(compiled, comp)
-		sched.AddTask(w.Name, cpu.NewState(comp.Program))
+		sched.AddTask(w.Name, comp.Program)
 	}
 	sys.Engine.Register(sched)
 	ParkCores(sys)
@@ -224,7 +223,7 @@ func TestSchedulerNoSpuriousSwitchOnStaleQueue(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sched.AddTask(w.Name, cpu.NewState(comp.Program))
+		sched.AddTask(w.Name, comp.Program)
 	}
 	sys.Engine.Register(sched)
 	ParkCores(sys)

@@ -6,6 +6,7 @@ import (
 	"occamy/internal/arch"
 	"occamy/internal/compiler"
 	"occamy/internal/cpu"
+	"occamy/internal/digest"
 	"occamy/internal/isa"
 	"occamy/internal/sim"
 	"occamy/internal/workload"
@@ -36,10 +37,29 @@ type Scheduler struct {
 	slice   uint64
 	elastic bool
 
+	// names and progs are each task's name and compiled program: wiring,
+	// not state.
+	names []string
+	progs []*isa.Program
+
+	SchedState
+
+	hooks Hooks
+}
+
+// SchedState is the scheduler's checkpointed state, composable with
+// arch.System.Checkpoint for bit-identical forked runs. A core's program is
+// wiring outside the system checkpoint, so the scheduler records which
+// task's program each core holds and Restore reinstalls it.
+type SchedState struct {
 	// tasks holds every task's saved context; running[c] is the task id
 	// on core c (-1 = idle).
-	tasks   []*task
+	tasks   []TaskState
 	running []int
+	// prog[c] is the task whose program core c holds (-1: the parked-core
+	// halt program). Dispatch sets it, so a core mid-switch holds the
+	// incoming task's program.
+	prog []int
 
 	// switchState drives the per-core preemption state machine.
 	switchState []switchPhase
@@ -55,8 +75,6 @@ type Scheduler struct {
 	queue []int32
 	qhead int
 	qlen  int
-
-	hooks Hooks
 
 	// Switches counts completed context switches (preemptions and
 	// evictions, not completions).
@@ -79,12 +97,12 @@ type Hooks interface {
 	TaskCompleted(id int, now uint64)
 }
 
-type task struct {
-	name string
-	st   cpu.State
-	vec  [][]float32
-	em   Context
-	vl   int // lanes held when preempted (granules)
+// TaskState is one task's saved context and lifecycle flags.
+type TaskState struct {
+	st  cpu.State
+	vec [][]float32
+	em  Context
+	vl  int // lanes held when preempted (granules)
 
 	vecValid  bool // vec holds a real saved state (not just a warm buffer)
 	started   bool
@@ -108,16 +126,20 @@ const (
 func NewScheduler(sys *arch.System, slice uint64) *Scheduler {
 	n := len(sys.Cores)
 	s := &Scheduler{
-		sys:         sys,
-		slice:       slice,
-		elastic:     sys.Kind == arch.Occamy,
-		running:     make([]int, n),
-		switchState: make([]switchPhase, n),
-		sliceEnd:    make([]uint64, n),
-		pendingIn:   make([]int, n),
+		sys:     sys,
+		slice:   slice,
+		elastic: sys.Kind == arch.Occamy,
+		SchedState: SchedState{
+			running:     make([]int, n),
+			prog:        make([]int, n),
+			switchState: make([]switchPhase, n),
+			sliceEnd:    make([]uint64, n),
+			pendingIn:   make([]int, n),
+		},
 	}
 	for c := 0; c < n; c++ {
 		s.running[c] = -1
+		s.prog[c] = -1
 		s.pendingIn[c] = -1
 	}
 	return s
@@ -126,18 +148,19 @@ func NewScheduler(sys *arch.System, slice uint64) *Scheduler {
 // SetHooks installs the lifecycle observer (nil disables).
 func (s *Scheduler) SetHooks(h Hooks) { s.hooks = h }
 
-// AddTask registers a compiled task. It pre-warms every core's phase-name
-// pool and the task's vector save buffer so that no later dispatch,
-// preemption or save on the tick path allocates.
-func (s *Scheduler) AddTask(name string, prog cpu.State) int {
-	t := &task{name: name, st: prog, vl: 0}
-	if prog.Prog != nil {
-		for _, core := range s.sys.Cores {
-			core.PrewarmPhases(prog.Prog.NumPhases)
-		}
+// AddTask registers a task running prog from its boot context. It
+// pre-warms every core's phase-name pool and the task's vector save buffer
+// so that no later dispatch, preemption or save on the tick path allocates.
+func (s *Scheduler) AddTask(name string, prog *isa.Program) int {
+	for _, core := range s.sys.Cores {
+		core.PrewarmPhases(prog.NumPhases)
 	}
-	t.vec = s.sys.Coproc.CopyVecState(0, nil) // right shape; contents unused until vecValid
-	s.tasks = append(s.tasks, t)
+	s.names = append(s.names, name)
+	s.progs = append(s.progs, prog)
+	s.tasks = append(s.tasks, TaskState{
+		st:  cpu.NewState(),
+		vec: s.sys.Coproc.CopyVecState(0, nil), // right shape; contents unused until vecValid
+	})
 	s.growQueue(len(s.tasks) + 1)
 	return len(s.tasks) - 1
 }
@@ -157,7 +180,7 @@ func (s *Scheduler) growQueue(n int) {
 }
 
 func (s *Scheduler) enqueue(id int) {
-	t := s.tasks[id]
+	t := &s.tasks[id]
 	if t.enqueued {
 		return
 	}
@@ -173,7 +196,7 @@ func (s *Scheduler) enqueue(id int) {
 // order of the remaining entries. Alloc-free: entries are compacted within
 // the existing buffer.
 func (s *Scheduler) removeQueued(id int) {
-	t := s.tasks[id]
+	t := &s.tasks[id]
 	if !t.enqueued {
 		return
 	}
@@ -198,7 +221,7 @@ func (s *Scheduler) popReady() int {
 		id := int(s.queue[s.qhead])
 		s.qhead = (s.qhead + 1) % len(s.queue)
 		s.qlen--
-		t := s.tasks[id]
+		t := &s.tasks[id]
 		t.enqueued = false
 		if t.done || t.canceled || t.suspended {
 			continue
@@ -212,7 +235,7 @@ func (s *Scheduler) popReady() int {
 // to call from another component's Tick in the same cycle; the scheduler
 // ticks after its producers and will consider the task this cycle.
 func (s *Scheduler) EnqueueReady(id int) {
-	t := s.tasks[id]
+	t := &s.tasks[id]
 	if t.done || t.canceled || t.suspended {
 		return
 	}
@@ -223,7 +246,7 @@ func (s *Scheduler) EnqueueReady(id int) {
 // running task drains and saves its context; a queued task is parked where
 // it stands. Resume re-admits it. Models a tenant leaving.
 func (s *Scheduler) Suspend(id int) {
-	t := s.tasks[id]
+	t := &s.tasks[id]
 	if t.done || t.canceled || t.suspended {
 		return
 	}
@@ -243,7 +266,7 @@ func (s *Scheduler) Suspend(id int) {
 // Resume re-admits a suspended task (tenant re-entry). Its saved context —
 // including the exact VL it was preempted with — is restored on dispatch.
 func (s *Scheduler) Resume(id int) {
-	t := s.tasks[id]
+	t := &s.tasks[id]
 	if t.done || t.canceled || !t.suspended {
 		return
 	}
@@ -254,7 +277,7 @@ func (s *Scheduler) Resume(id int) {
 // Cancel permanently removes task id: queued work is discarded, a running
 // task is drained off its core first. Models reneging on tenant exit.
 func (s *Scheduler) Cancel(id int) {
-	t := s.tasks[id]
+	t := &s.tasks[id]
 	if t.done || t.canceled {
 		return
 	}
@@ -299,9 +322,12 @@ func (s *Scheduler) Start() {
 
 // dispatch begins switching task id onto core c.
 func (s *Scheduler) dispatch(c, id int, now uint64) {
-	t := s.tasks[id]
-	s.sys.Cores[c].Restore(t.st)
-	s.sys.Cores[c].Park()
+	t := &s.tasks[id]
+	core := s.sys.Cores[c]
+	core.SetProgram(s.progs[id])
+	core.Restore(t.st)
+	core.Park()
+	s.prog[c] = id
 	if t.vecValid {
 		s.sys.Coproc.RestoreVecState(c, t.vec)
 	}
@@ -343,7 +369,7 @@ func (s *Scheduler) tickRunning(c int, now uint64) {
 		}
 		return
 	}
-	t := s.tasks[id]
+	t := &s.tasks[id]
 	core := s.sys.Cores[c]
 	if core.Halted() && s.sys.Coproc.Quiescent(c, now) {
 		// Task finished: release its context and the core.
@@ -375,7 +401,7 @@ func (s *Scheduler) tickDraining(c int, now uint64) {
 		return
 	}
 	id := s.running[c]
-	t := s.tasks[id]
+	t := &s.tasks[id]
 	core := s.sys.Cores[c]
 	// Save the full context: scalar, vector and (elastic only) EM-SIMD
 	// registers. The task's save buffer was preallocated at AddTask, so
@@ -427,7 +453,7 @@ func (s *Scheduler) tickDraining(c int, now uint64) {
 
 func (s *Scheduler) tickAcquiring(c int, now uint64) {
 	id := s.pendingIn[c]
-	t := s.tasks[id]
+	t := &s.tasks[id]
 	// Re-acquire the lanes the task held when preempted before letting
 	// its SVE instructions resume. A task that held none (or was never
 	// started) can run immediately — its own prologue/monitor negotiates.
@@ -521,8 +547,8 @@ func (s *Scheduler) SkipTicks(from, n uint64) {}
 
 // Done reports whether every task has completed or been canceled.
 func (s *Scheduler) Done() bool {
-	for _, t := range s.tasks {
-		if !t.done && !t.canceled {
+	for i := range s.tasks {
+		if t := &s.tasks[i]; !t.done && !t.canceled {
 			return false
 		}
 	}
@@ -557,103 +583,24 @@ func (s *Scheduler) RunningOn(c int) int { return s.running[c] }
 
 // TaskNames returns the registered task names in order.
 func (s *Scheduler) TaskNames() []string {
-	out := make([]string, len(s.tasks))
-	for i, t := range s.tasks {
-		out[i] = t.name
-	}
-	return out
-}
-
-// TaskState is one task's checkpointed context.
-type TaskState struct {
-	St  cpu.State
-	Vec [][]float32
-	Em  Context
-	VL  int
-
-	VecValid  bool
-	Started   bool
-	Done      bool
-	Canceled  bool
-	Suspended bool
-	Enqueued  bool
-	Evict     bool
-}
-
-// SchedState is a deterministic deep snapshot of the scheduler, composable
-// with arch.System.Checkpoint for bit-identical forked runs.
-type SchedState struct {
-	Running     []int
-	SwitchState []uint8
-	SliceEnd    []uint64
-	PendingIn   []int
-	Queue       []int32 // logical FIFO contents, head first
-	Switches    uint64
-	Tasks       []TaskState
+	return append([]string(nil), s.names...)
 }
 
 // Snapshot captures the scheduler state. The returned state shares nothing
 // mutable with the live scheduler.
-func (s *Scheduler) Snapshot() SchedState {
-	st := SchedState{
-		Running:     append([]int(nil), s.running...),
-		SwitchState: make([]uint8, len(s.switchState)),
-		SliceEnd:    append([]uint64(nil), s.sliceEnd...),
-		PendingIn:   append([]int(nil), s.pendingIn...),
-		Queue:       make([]int32, s.qlen),
-		Switches:    s.Switches,
-		Tasks:       make([]TaskState, len(s.tasks)),
-	}
-	for i, p := range s.switchState {
-		st.SwitchState[i] = uint8(p)
-	}
-	for i := 0; i < s.qlen; i++ {
-		st.Queue[i] = s.queue[(s.qhead+i)%len(s.queue)]
-	}
-	for i, t := range s.tasks {
-		ts := TaskState{
-			St: t.st, Em: t.em, VL: t.vl,
-			VecValid: t.vecValid, Started: t.started, Done: t.done,
-			Canceled: t.canceled, Suspended: t.suspended,
-			Enqueued: t.enqueued, Evict: t.evict,
-		}
-		ts.Vec = make([][]float32, len(t.vec))
-		for r := range t.vec {
-			ts.Vec[r] = append([]float32(nil), t.vec[r]...)
-		}
-		st.Tasks[i] = ts
-	}
-	return st
-}
+func (s *Scheduler) Snapshot() SchedState { return digest.Clone(&s.SchedState) }
 
 // Restore reinstalls a state captured by Snapshot on the same scheduler
-// shape (same cores, same registered tasks).
+// shape (same cores, same registered tasks), then reinstalls on every core
+// the program the snapshot says it holds.
 func (s *Scheduler) Restore(st SchedState) {
-	copy(s.running, st.Running)
-	for i, p := range st.SwitchState {
-		s.switchState[i] = switchPhase(p)
-	}
-	copy(s.sliceEnd, st.SliceEnd)
-	copy(s.pendingIn, st.PendingIn)
-	s.qhead = 0
-	s.qlen = len(st.Queue)
-	copy(s.queue, st.Queue)
-	s.Switches = st.Switches
-	for i, ts := range st.Tasks {
-		t := s.tasks[i]
-		t.st, t.em, t.vl = ts.St, ts.Em, ts.VL
-		t.vecValid, t.started, t.done = ts.VecValid, ts.Started, ts.Done
-		t.canceled, t.suspended = ts.Canceled, ts.Suspended
-		t.enqueued, t.evict = ts.Enqueued, ts.Evict
-		if len(t.vec) != len(ts.Vec) {
-			t.vec = make([][]float32, len(ts.Vec))
+	digest.Copy(&s.SchedState, &st)
+	for c, id := range s.prog {
+		prog := haltProg
+		if id >= 0 {
+			prog = s.progs[id]
 		}
-		for r := range ts.Vec {
-			if len(t.vec[r]) != len(ts.Vec[r]) {
-				t.vec[r] = make([]float32, len(ts.Vec[r]))
-			}
-			copy(t.vec[r], ts.Vec[r])
-		}
+		s.sys.Cores[c].SetProgram(prog)
 	}
 }
 
@@ -684,7 +631,7 @@ func OversubscribedOpts(ws []*workload.Workload, cores int, slice uint64, maxCyc
 			return nil, nil, nil, err
 		}
 		compiled = append(compiled, comp)
-		sched.AddTask(w.Name, cpu.NewState(comp.Program))
+		sched.AddTask(w.Name, comp.Program)
 	}
 	sys.Engine.Register(sched)
 	ParkCores(sys)
@@ -733,14 +680,16 @@ func CompileTask(sys *arch.System, w *workload.Workload, i int, seed uint64) (*c
 // ParkCores replaces every core's boot program with a parked halt loop; the
 // scheduler owns the cores from here on.
 func ParkCores(sys *arch.System) {
-	for c := range sys.Cores {
-		sys.Cores[c].Restore(cpu.NewState(haltProgram()))
+	for _, core := range sys.Cores {
+		core.SetProgram(haltProg)
+		core.Restore(cpu.NewState())
 	}
 }
 
-// haltProgram is the parked-core idle program.
-func haltProgram() *isa.Program {
+// haltProg is the parked-core idle program, shared read-only by every core
+// a scheduler owns.
+var haltProg = func() *isa.Program {
 	b := isa.NewBuilder("halt")
 	b.Emit(isa.Inst{Op: isa.OpHalt})
 	return b.MustFinalize()
-}
+}()

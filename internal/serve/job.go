@@ -3,11 +3,11 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"strings"
 	"sync"
 
 	occamy "occamy"
+	"occamy/internal/digest"
 	"occamy/internal/fault"
 	"occamy/internal/traffic"
 	"occamy/internal/workload"
@@ -170,9 +170,9 @@ func fnvJSON(v any) uint64 {
 		// Specs are plain data; a marshal failure is a programming error.
 		panic(fmt.Sprintf("serve: marshal key: %v", err))
 	}
-	h := fnv.New64a()
-	h.Write(b)
-	return h.Sum64()
+	h := digest.NewFNV()
+	h.Bytes(b)
+	return h.Sum()
 }
 
 // Key is the job's dedup identity: the full spec, tenant included. Two

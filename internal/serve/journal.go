@@ -28,17 +28,24 @@ type Journal struct {
 	f  *os.File
 }
 
+// Replay is one accepted-but-unfinished job found in the journal: its
+// journal ID, under which its end record must be written, and its spec.
+type Replay struct {
+	ID   string
+	Spec JobSpec
+}
+
 // OpenJournal opens (creating if needed) the journal at path and returns it
 // together with the accepted-but-unfinished jobs found in it, in acceptance
 // order — the replay set.
-func OpenJournal(path string) (*Journal, []JobSpec, error) {
+func OpenJournal(path string) (*Journal, []Replay, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, nil, err
 	}
 	type pendingJob struct {
-		spec JobSpec
-		seq  int
+		Replay
+		seq int
 	}
 	pending := map[string]pendingJob{}
 	order := 0
@@ -60,7 +67,7 @@ func OpenJournal(path string) (*Journal, []JobSpec, error) {
 		switch rec.Op {
 		case "accept":
 			if rec.Spec != nil {
-				pending[rec.ID] = pendingJob{spec: *rec.Spec, seq: order}
+				pending[rec.ID] = pendingJob{Replay{rec.ID, *rec.Spec}, order}
 				order++
 			}
 		case "end":
@@ -76,9 +83,9 @@ func OpenJournal(path string) (*Journal, []JobSpec, error) {
 		ordered = append(ordered, p)
 	}
 	sort.Slice(ordered, func(a, b int) bool { return ordered[a].seq < ordered[b].seq })
-	replay := make([]JobSpec, len(ordered))
+	replay := make([]Replay, len(ordered))
 	for i, p := range ordered {
-		replay[i] = p.spec
+		replay[i] = p.Replay
 	}
 	return &Journal{f: f}, replay, nil
 }

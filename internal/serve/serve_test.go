@@ -683,3 +683,101 @@ func TestValidationRejects(t *testing.T) {
 		t.Errorf("rejected specs reached the journal: %q (%v)", data, err)
 	}
 }
+
+// TestJournalReplayValidates: a journaled spec this server refuses — an
+// unknown workload, which once panicked a worker in the pair and campaign
+// paths on every restart, an odd lane count a campaign once ran with, and
+// an injection hook on a server that disallows them — is failed durably at
+// replay: New returns, the server answers, each job reads failed with its
+// error, and a second start on the same journal replays nothing.
+func TestJournalReplayValidates(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "jobs.jsonl")
+	lines := []string{
+		`{"op":"accept","id":"job-1","spec":{"tenant":"t","kind":"pair","arch":"elastic","workloads":["nope"]}}`,
+		`{"op":"accept","id":"job-2","spec":{"tenant":"t","kind":"campaign","arch":"elastic","workloads":["nope"],"faults":[""]}}`,
+		`{"op":"accept","id":"job-3","spec":{"tenant":"t","kind":"campaign","arch":"elastic","workloads":["spec/WL20","spec/WL17"],"faults":[""],"lanes_per_core":3,"scale":0.05}}`,
+		`{"op":"accept","id":"job-4","spec":{"tenant":"t","kind":"pair","arch":"elastic","workloads":["spec/WL20","spec/WL17"],"scale":0.05,"inject":"timeout"}}`,
+	}
+	if err := os.WriteFile(path, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, ts := newTestServer(t, Options{Workers: 1, JournalPath: path})
+	if code := getJSON(t, ts, "/healthz", nil); code != http.StatusOK {
+		t.Fatalf("healthz = %d, want 200", code)
+	}
+	for _, want := range []struct{ id, err string }{
+		{"job-1", "nope"}, {"job-2", "nope"}, {"job-3", "lanes_per_core"}, {"job-4", "injection hooks are disabled"},
+	} {
+		if v := waitTerminal(t, ts, want.id); v.Status != StateFailed || !strings.Contains(v.Error, want.err) {
+			t.Errorf("%s = %s %q, want failed naming %q", want.id, v.Status, v.Error, want.err)
+		}
+	}
+	if err := s.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	again, err := New(Options{Workers: 1, JournalPath: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer again.Drain()
+	if jobs := again.Jobs(); len(jobs) != 0 {
+		t.Fatalf("second start replayed %d jobs, want 0", len(jobs))
+	}
+}
+
+// FuzzJobSpec drives POST /jobs' decoding and validation with arbitrary
+// bodies. Every spec Validate accepts must derive its keys and build
+// configurations without panicking, and must survive a journal round trip
+// as a spec that still validates.
+func FuzzJobSpec(f *testing.F) {
+	for _, seed := range []string{
+		`{"tenant":"t","kind":"pair","arch":"elastic","workloads":["spec/WL20","spec/WL17"]}`,
+		`{"tenant":"t","kind":"campaign","arch":"fts","workloads":["spec/WL1"],"faults":["","exebu:1@5000"],"lanes_per_core":8}`,
+		`{"tenant":"t","kind":"traffic","arch":"vls","traffic":"poisson:load=1,cores=2"}`,
+		`{"tenant":"t","kind":"pair","arch":"elastic","workloads":["nope"]}`,
+		`{"tenant":"t","kind":"campaign","arch":"elastic","workloads":["spec/WL1"],"faults":[""],"lanes_per_core":3}`,
+		`{"tenant":"t","kind":"pair","arch":"private","workloads":["spec/WL1","spec/WL2"],"topology":{"Clusters":2}}`,
+		`{"tenant":"t","kind":"pair","arch":"elastic","workloads":["spec/WL1"],"machine":{"lhq":64}}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	dir := f.TempDir()
+	n := 0
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var spec JobSpec
+		dec := json.NewDecoder(bytes.NewReader(body))
+		dec.DisallowUnknownFields()
+		if dec.Decode(&spec) != nil || spec.Validate() != nil {
+			return
+		}
+		spec.Key()
+		spec.WarmKey()
+		if _, err := baseConfig(&spec); err != nil {
+			t.Fatalf("baseConfig refused a valid spec: %v", err)
+		}
+		if _, _, _, err := campaignOptions(&spec); err != nil && spec.Kind == "campaign" {
+			t.Fatalf("campaignOptions refused a valid campaign: %v", err)
+		}
+		n++
+		path := filepath.Join(dir, fmt.Sprintf("j%d.jsonl", n))
+		j, _, err := OpenJournal(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Accept("job-1", spec); err != nil {
+			t.Fatal(err)
+		}
+		j.Close()
+		j, replay, err := OpenJournal(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		j.Close()
+		if len(replay) != 1 || replay[0].ID != "job-1" {
+			t.Fatalf("journal round trip gave %+v", replay)
+		}
+		if err := replay[0].Spec.Validate(); err != nil {
+			t.Fatalf("journaled spec no longer validates: %v\nspec %+v\nreplayed %+v", err, spec, replay[0].Spec)
+		}
+	})
+}

@@ -5,13 +5,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"net/http"
 	"sort"
 	"strings"
 	"sync"
 	"time"
 
+	"occamy/internal/digest"
 	"occamy/internal/telemetry"
 )
 
@@ -137,7 +137,7 @@ func New(o Options) (*Server, error) {
 	s.cache = NewCache(opts.CacheCap, s.stats)
 	s.runner = &runner{cache: s.cache}
 
-	var replay []JobSpec
+	var replay []Replay
 	if opts.JournalPath != "" {
 		j, pending, err := OpenJournal(opts.JournalPath)
 		if err != nil {
@@ -150,25 +150,48 @@ func New(o Options) (*Server, error) {
 		s.wg.Add(1)
 		go s.worker()
 	}
-	// Replayed jobs were journaled by the previous process; re-admit them
-	// without re-journaling. They bypass quota (they were already accepted
-	// once) but still occupy quota slots while in flight.
-	for _, spec := range replay {
-		job := s.register(spec)
+	// Replayed jobs were journaled by a previous process; re-admit them
+	// under their journal IDs without re-journaling, so their end records
+	// close the accept records a restart would otherwise replay again. They
+	// bypass quota (they were already accepted once) but still occupy quota
+	// slots while in flight. A spec passes Submit's checks again first: one
+	// this server refuses (the journal is a file, written by an older build,
+	// another configuration or an editor) must fail durably here, never
+	// panic a worker on every restart.
+	for _, r := range replay {
+		job := s.register(r.ID, r.Spec)
 		s.stats.Replayed()
+		err := r.Spec.Validate()
+		if err == nil && r.Spec.Inject != "" && !s.opts.AllowInjection {
+			err = errInjectionDisabled
+		}
+		if err != nil {
+			job.fail(fmt.Sprintf("invalid journaled spec: %v", err), "")
+			s.stats.DoneFailed()
+			s.journal.End(job.ID, StateFailed)
+			s.release(job)
+			continue
+		}
 		s.stats.QueueAdd(1)
 		s.queue <- job
 	}
 	return s, nil
 }
 
-// register allocates an ID and indexes a job as in-flight. Caller must not
-// hold s.mu.
-func (s *Server) register(spec JobSpec) *Job {
+// errInjectionDisabled refuses a spec with an injection hook on a server
+// built without Options.AllowInjection.
+var errInjectionDisabled = errors.New("injection hooks are disabled")
+
+// register indexes a replayed job as in-flight under its journal ID, and
+// keeps new IDs clear of it. Caller must not hold s.mu.
+func (s *Server) register(id string, spec JobSpec) *Job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.nextID++
-	job := newJob(fmt.Sprintf("job-%d", s.nextID), spec)
+	var n int
+	if _, err := fmt.Sscanf(id, "job-%d", &n); err == nil && n > s.nextID {
+		s.nextID = n
+	}
+	job := newJob(id, spec)
 	s.jobs[job.ID] = job
 	s.order = append(s.order, job.ID)
 	s.byKey[job.Key] = job
@@ -208,7 +231,7 @@ func (s *Server) Submit(spec JobSpec) (*Job, bool, error) {
 		return nil, false, &SubmitError{Status: http.StatusBadRequest, Msg: err.Error()}
 	}
 	if spec.Inject != "" && !s.opts.AllowInjection {
-		return nil, false, &SubmitError{Status: http.StatusForbidden, Msg: "injection hooks are disabled"}
+		return nil, false, &SubmitError{Status: http.StatusForbidden, Msg: errInjectionDisabled.Error()}
 	}
 	key := spec.Key()
 
@@ -331,14 +354,9 @@ func (s *Server) backoffDelay(key uint64, attempt int) time.Duration {
 	if d > s.opts.BackoffCap || d <= 0 {
 		d = s.opts.BackoffCap
 	}
-	h := fnv.New64a()
-	var b [16]byte
-	for i := 0; i < 8; i++ {
-		b[i] = byte(key >> (8 * i))
-		b[8+i] = byte(uint64(attempt) >> (8 * i))
-	}
-	h.Write(b[:])
-	jitter := time.Duration(h.Sum64() % uint64(d/4+1))
+	h := digest.NewFNV()
+	h.U64(key, uint64(attempt))
+	jitter := time.Duration(h.Sum() % uint64(d/4+1))
 	return d + jitter
 }
 

@@ -20,6 +20,8 @@ package sim
 
 import (
 	"math"
+
+	"occamy/internal/digest"
 )
 
 // Component is a piece of hardware that does work once per cycle.
@@ -70,10 +72,42 @@ type Engine struct {
 	// disables skipping for the whole engine — one opaque component can
 	// make progress at any cycle).
 	sleepers []Sleeper
-	cycle    uint64
-	stats    *Stats
+	EngineState
+	stats *Stats
 
-	skip         bool
+	skip bool
+
+	// interrupt is the cooperative cancellation signal (see cancel.go);
+	// nil when disarmed. pollCtr spaces the channel polls — host-side
+	// bookkeeping only, never snapshotted.
+	interrupt <-chan struct{}
+	pollCtr   uint64
+
+	// wdThreshold arms the forward-progress watchdog (see watchdog.go);
+	// 0 keeps it disarmed. wd is the engine-owned detector's wiring,
+	// created lazily on the first armed RunUntil and persistent across
+	// calls (its samples live in EngineState.watch), so stall detection
+	// depends only on model history — a run split into several RunUntil
+	// segments (e.g. around a checkpoint) detects a stall at the same cycle
+	// an unsplit run does.
+	wdThreshold uint64
+	wd          *watchdog
+	// wdQuietUntil suppresses watchdog firing while the clock is inside a
+	// quiescent window with a declared finite wake: the system is healthily
+	// asleep until a known event, which is progress in waiting, not a stall.
+	// A window with no self-scheduled event (NeverWake) clears it — nothing
+	// can ever happen again, and the watchdog must fire exactly where the
+	// legacy path would. Execution-strategy state, never snapshotted: any
+	// jump re-establishes it from the same declared wake.
+	wdQuietUntil uint64
+}
+
+// EngineState is the engine's checkpointed state: the clock, the
+// skip-ahead bookkeeping and the watchdog's samples. The component list,
+// the counter registry (sim.Stats snapshots itself) and the watchdog
+// threshold are not in it.
+type EngineState struct {
+	cycle        uint64
 	skips        uint64
 	skippedTicks uint64
 
@@ -89,28 +123,7 @@ type Engine struct {
 	probeAt      uint64
 	probeBackoff uint64
 
-	// interrupt is the cooperative cancellation signal (see cancel.go);
-	// nil when disarmed. pollCtr spaces the channel polls — host-side
-	// bookkeeping only, never snapshotted.
-	interrupt <-chan struct{}
-	pollCtr   uint64
-
-	// wdThreshold arms the forward-progress watchdog (see watchdog.go);
-	// 0 keeps it disarmed. wd is the engine-owned detector, created lazily
-	// on the first armed RunUntil and persistent across calls, so stall
-	// detection depends only on model history — a run split into several
-	// RunUntil segments (e.g. around a checkpoint) detects a stall at the
-	// same cycle an unsplit run does.
-	wdThreshold uint64
-	wd          *watchdog
-	// wdQuietUntil suppresses watchdog firing while the clock is inside a
-	// quiescent window with a declared finite wake: the system is healthily
-	// asleep until a known event, which is progress in waiting, not a stall.
-	// A window with no self-scheduled event (NeverWake) clears it — nothing
-	// can ever happen again, and the watchdog must fire exactly where the
-	// legacy path would. Execution-strategy state, never snapshotted: any
-	// jump re-establishes it from the same declared wake.
-	wdQuietUntil uint64
+	watch watchState
 }
 
 // maxProbeBackoff caps the probe interval during live stretches. The cap
@@ -201,66 +214,20 @@ func (e *Engine) skipTo(target uint64) {
 	e.skippedTicks += n
 }
 
-// EngineState is the engine's checkpoint: the clock, the skip-ahead
-// bookkeeping and the full counter registry. The component list and watchdog
-// threshold are configuration, not state.
-type EngineState struct {
-	cycle        uint64
-	skips        uint64
-	skippedTicks uint64
-	probeAt      uint64
-	probeBackoff uint64
-	stats        map[string]uint64
-	// Watchdog detector state (wdArmed false when none existed at the
-	// snapshot): restoring it keeps stall detection segmentation-invariant.
-	wdArmed      bool
-	wdLast       []uint64
-	wdLastChange []uint64
-	wdNextCheck  uint64
-}
-
 // Cycle returns the cycle the snapshot was taken at.
 func (st EngineState) Cycle() uint64 { return st.cycle }
 
-// Snapshot captures the engine's clock and counters.
-func (e *Engine) Snapshot() EngineState {
-	st := EngineState{
-		cycle:        e.cycle,
-		skips:        e.skips,
-		skippedTicks: e.skippedTicks,
-		probeAt:      e.probeAt,
-		probeBackoff: e.probeBackoff,
-		stats:        e.stats.Snapshot(),
-	}
-	if e.wd != nil {
-		st.wdArmed = true
-		st.wdLast = append([]uint64(nil), e.wd.last...)
-		st.wdLastChange = append([]uint64(nil), e.wd.lastChange...)
-		st.wdNextCheck = e.wd.nextCheck
-	}
-	return st
-}
-
-// Restore rewinds the engine to a Snapshot. Counter cells handed out by
-// Stats.Counter stay valid (they are written in place, see Stats.Restore).
+// Restore rewinds the engine to a checkpointed EngineState, re-wiring the
+// watchdog's reporters when the state has samples and this engine has none
+// yet.
 func (e *Engine) Restore(st EngineState) {
-	e.cycle = st.cycle
-	e.skips = st.skips
-	e.skippedTicks = st.skippedTicks
-	e.probeAt = st.probeAt
-	e.probeBackoff = st.probeBackoff
-	e.stats.Restore(st.stats)
+	digest.Copy(&e.EngineState, &st)
 	e.wdQuietUntil = 0
-	if !st.wdArmed {
+	if e.watch.last == nil {
 		e.wd = nil
-		return
+	} else if e.wd == nil {
+		e.wd = e.newWatchdog()
 	}
-	if e.wd == nil {
-		e.wd = e.newWatchdog(st.cycle)
-	}
-	copy(e.wd.last, st.wdLast)
-	copy(e.wd.lastChange, st.wdLastChange)
-	e.wd.nextCheck = st.wdNextCheck
 }
 
 // RunUntil steps the engine until done() reports true or maxCycles elapse.
@@ -290,13 +257,10 @@ func (e *Engine) Restore(st EngineState) {
 // at exactly the cycle the legacy path detects the stall.
 func (e *Engine) RunUntil(done func() bool, maxCycles uint64) (uint64, error) {
 	start := e.cycle
-	var wd *watchdog
-	if e.wdThreshold > 0 {
-		if e.wd == nil {
-			e.wd = e.newWatchdog(start)
-		}
-		wd = e.wd
+	if e.wdThreshold > 0 && e.wd == nil {
+		e.armWatchdog(start)
 	}
+	wd := e.wd
 	for !done() {
 		if e.cycle-start >= maxCycles {
 			return e.cycle - start, &BudgetError{Budget: maxCycles, Start: start}
@@ -304,8 +268,8 @@ func (e *Engine) RunUntil(done func() bool, maxCycles uint64) (uint64, error) {
 		if e.interrupt != nil && e.pollInterrupt() {
 			return e.cycle - start, &CanceledError{Cycle: e.cycle}
 		}
-		if wd != nil && e.cycle >= wd.nextCheck {
-			if serr := wd.check(e.cycle); serr != nil && e.cycle >= e.wdQuietUntil {
+		if wd != nil && e.cycle >= e.watch.nextCheck {
+			if serr := e.checkWatchdog(e.cycle); serr != nil && e.cycle >= e.wdQuietUntil {
 				return e.cycle - start, serr
 			}
 		}
@@ -324,8 +288,8 @@ func (e *Engine) RunUntil(done func() bool, maxCycles uint64) (uint64, error) {
 				if limit := start + maxCycles; wake > limit {
 					wake = limit
 				}
-				if wd != nil && wake > wd.nextCheck {
-					wake = wd.nextCheck
+				if wd != nil && wake > e.watch.nextCheck {
+					wake = e.watch.nextCheck
 				}
 				e.skipTo(wake)
 				e.probeBackoff = 0

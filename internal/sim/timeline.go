@@ -4,8 +4,13 @@ package sim
 // reports the bucket averages. The paper's Figure 2 and Figure 14(b) plot
 // exactly this: "each point represents a set of 1000 consecutive cycles" with
 // the y-axis being the average number of SIMD lanes used per cycle.
+//
+// A Timeline is checkpointed state (its buckets and current index) held by
+// value in a component's state struct; the bucket width is configuration
+// and the cursor is derived, so both are skipped by the state codec and
+// RestoreCursor re-derives the cursor after a restore.
 type Timeline struct {
-	bucket  uint64 // bucket width in cycles
+	bucket  uint64 `digest:"-"` // bucket width in cycles
 	sums    []float64
 	counts  []uint64
 	current uint64 // index of the bucket being filled
@@ -14,9 +19,9 @@ type Timeline struct {
 	// Record fast path is one compare and two pointer bumps — no divide, no
 	// bounds checks. curLo holds invalidWindow whenever the cursor does not
 	// point into the live slices (fresh timeline, pre-restore).
-	curLo  uint64
-	curSum *float64
-	curCnt *uint64
+	curLo  uint64   `digest:"-"`
+	curSum *float64 `digest:"-"`
+	curCnt *uint64  `digest:"-"`
 }
 
 // invalidWindow is a curLo sentinel no reachable cycle can fall inside:
@@ -144,31 +149,12 @@ func SumTimelines(ts []*Timeline) *Timeline {
 	return out
 }
 
-// TimelineState is a deep copy of a Timeline's accumulated buckets.
-type TimelineState struct {
-	sums    []float64
-	counts  []uint64
-	current uint64
-}
-
-// Snapshot captures the timeline for checkpoint/restore.
-func (t *Timeline) Snapshot() TimelineState {
-	return TimelineState{
-		sums:    append([]float64(nil), t.sums...),
-		counts:  append([]uint64(nil), t.counts...),
-		current: t.current,
-	}
-}
-
-// Restore rewinds the timeline to a Snapshot (bucket width is configuration,
-// not state, and is unchanged).
-func (t *Timeline) Restore(st TimelineState) {
-	t.sums = append(t.sums[:0], st.sums...)
-	t.counts = append(t.counts[:0], st.counts...)
-	if st.current < uint64(len(t.sums)) {
-		t.setCurrent(st.current)
+// RestoreCursor re-derives the current-bucket cursor after the buckets were
+// copied in from a checkpoint (the bucket width is unchanged).
+func (t *Timeline) RestoreCursor() {
+	if t.current < uint64(len(t.sums)) {
+		t.setCurrent(t.current)
 	} else {
-		t.current = st.current
-		t.curLo = invalidWindow
+		t.curLo, t.curSum, t.curCnt = invalidWindow, nil, nil
 	}
 }

@@ -59,39 +59,42 @@ func (e *BudgetError) Error() string {
 func (e *Engine) SetWatchdog(threshold uint64) {
 	e.wdThreshold = threshold
 	e.wd = nil
+	e.watch = watchState{}
 	e.wdQuietUntil = 0
 }
 
 // Watchdog returns the armed stall threshold (0 = disarmed).
 func (e *Engine) Watchdog() uint64 { return e.wdThreshold }
 
-// watchdog is the per-RunUntil stall detector. Scanning every reporter each
+// watchdog is the stall detector's wiring. Scanning every reporter each
 // cycle would double the cost of idle ticks, so it samples at threshold/8
 // intervals: a stall is detected within ~9/8 of the threshold, and the
 // scans are read-only so sampling cannot perturb determinism.
 type watchdog struct {
-	threshold  uint64
-	interval   uint64
+	threshold uint64
+	interval  uint64
+	reporters []ProgressReporter
+	names     []string
+}
+
+// watchState is the detector's samples, part of EngineState: each
+// reporter's last progress value and the cycle it last moved, and the next
+// sample cycle. last is nil while no detector exists.
+type watchState struct {
 	nextCheck  uint64
-	reporters  []ProgressReporter
-	names      []string
 	last       []uint64
 	lastChange []uint64
 }
 
-// newWatchdog snapshots the engine's reporters at cycle now. Nil when no
-// component reports progress — with nothing to watch, firing would be noise.
-func (e *Engine) newWatchdog(now uint64) *watchdog {
+// newWatchdog wires the engine's reporters. Nil when no component reports
+// progress — with nothing to watch, firing would be noise.
+func (e *Engine) newWatchdog() *watchdog {
 	w := &watchdog{threshold: e.wdThreshold}
 	for i, c := range e.components {
-		r, ok := c.(ProgressReporter)
-		if !ok {
-			continue
+		if r, ok := c.(ProgressReporter); ok {
+			w.reporters = append(w.reporters, r)
+			w.names = append(w.names, e.components[i].Name())
 		}
-		w.reporters = append(w.reporters, r)
-		w.names = append(w.names, e.components[i].Name())
-		w.last = append(w.last, r.Progress())
-		w.lastChange = append(w.lastChange, now)
 	}
 	if len(w.reporters) == 0 {
 		return nil
@@ -100,22 +103,36 @@ func (e *Engine) newWatchdog(now uint64) *watchdog {
 	if w.interval == 0 {
 		w.interval = 1
 	}
-	w.nextCheck = now + w.interval
 	return w
 }
 
-// check samples the reporters at cycle now and returns a *StallError if none
-// has moved for the full threshold.
-func (w *watchdog) check(now uint64) *StallError {
-	w.nextCheck = now + w.interval
+// armWatchdog creates the detector and takes its first samples at cycle
+// now.
+func (e *Engine) armWatchdog(now uint64) {
+	e.wd = e.newWatchdog()
+	if e.wd == nil {
+		return
+	}
+	e.watch = watchState{nextCheck: now + e.wd.interval}
+	for _, r := range e.wd.reporters {
+		e.watch.last = append(e.watch.last, r.Progress())
+		e.watch.lastChange = append(e.watch.lastChange, now)
+	}
+}
+
+// checkWatchdog samples the reporters at cycle now and returns a
+// *StallError if none has moved for the full threshold.
+func (e *Engine) checkWatchdog(now uint64) *StallError {
+	w, st := e.wd, &e.watch
+	st.nextCheck = now + w.interval
 	newest := uint64(0)
 	for i, r := range w.reporters {
-		if v := r.Progress(); v != w.last[i] {
-			w.last[i] = v
-			w.lastChange[i] = now
+		if v := r.Progress(); v != st.last[i] {
+			st.last[i] = v
+			st.lastChange[i] = now
 		}
-		if w.lastChange[i] > newest {
-			newest = w.lastChange[i]
+		if st.lastChange[i] > newest {
+			newest = st.lastChange[i]
 		}
 	}
 	if now-newest < w.threshold {
@@ -123,7 +140,7 @@ func (w *watchdog) check(now uint64) *StallError {
 	}
 	err := &StallError{Cycle: now, Window: now - newest}
 	for i, name := range w.names {
-		if now-w.lastChange[i] >= w.threshold {
+		if now-st.lastChange[i] >= w.threshold {
 			err.Stalled = append(err.Stalled, name)
 		}
 	}

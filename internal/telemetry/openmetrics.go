@@ -78,13 +78,14 @@ func (s *Sampler) View() View {
 	}
 	var last *Window
 	if s.nwin > 0 {
-		last = &s.wins[int((s.nwin-1)%uint64(len(s.wins)))]
+		slot := int((s.nwin - 1) % uint64(len(s.wins)))
+		last = &s.wins[slot]
 		v.ALGranules = last.ALGranules
 		v.UsableBUs = last.UsableBUs
 		v.FailedBUs = last.FailedBUs
 		v.TotalBUs = last.TotalBUs
 		v.Occupancy = last.Occupancy
-		v.CyclesPerSec = last.HostCyclesPerSec()
+		v.CyclesPerSec = cyclesPerSec(last.Cycles, s.host[slot])
 		if last.HasTraffic {
 			v.HasTraffic = true
 			v.Traffic = last.Traffic

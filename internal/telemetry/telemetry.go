@@ -24,18 +24,15 @@
 //     skip-ahead runs, legacy runs and checkpoint-forked runs all produce
 //     bit-identical windows and events (Digest; differential-tested in
 //     internal/arch). The only non-deterministic quantity — host wall time
-//     per window, for the sim-cycles/s gauge — is quarantined in
-//     Window.HostNanos and excluded from Digest and from snapshots.
+//     per window, for the sim-cycles/s gauge — is kept outside the
+//     checkpointed SamplerState and reported as Window.HostNanos.
 package telemetry
 
 import (
-	"encoding/binary"
-	"hash/fnv"
-	"io"
-	"math"
 	"sync"
 	"time"
 
+	"occamy/internal/digest"
 	"occamy/internal/obs"
 	"occamy/internal/sim"
 )
@@ -186,9 +183,9 @@ type Window struct {
 	// Occupancy is the whole-array busy fraction over the window (0..1).
 	Occupancy float64
 
-	// HostNanos is host wall time elapsed since the previous boundary. It is
-	// the one non-deterministic field: excluded from Digest and zeroed by
-	// Snapshot/Restore.
+	// HostNanos is host wall time elapsed since the previous boundary, the
+	// one non-deterministic field. The sampler keeps it outside its
+	// checkpointed ring and fills it in when CopyWindow copies a window out.
 	HostNanos int64
 
 	Cores []CoreWindow
@@ -203,11 +200,13 @@ type Window struct {
 }
 
 // HostCyclesPerSec converts HostNanos into a simulation throughput gauge.
-func (w *Window) HostCyclesPerSec() float64 {
-	if w.HostNanos <= 0 {
+func (w *Window) HostCyclesPerSec() float64 { return cyclesPerSec(w.Cycles, w.HostNanos) }
+
+func cyclesPerSec(cycles uint64, nanos int64) float64 {
+	if nanos <= 0 {
 		return 0
 	}
-	return float64(w.Cycles) / (float64(w.HostNanos) / 1e9)
+	return float64(cycles) / (float64(nanos) / 1e9)
 }
 
 // Event kinds. Constants, not formatted strings: the emitting sites must not
@@ -290,14 +289,10 @@ type Sampler struct {
 
 	mu sync.Mutex
 
-	wins []Window // ring; slot i holds window (nwin-... ) — see winAt
-	nwin uint64   // windows produced (monotonic)
+	SamplerState
 
-	prev prevState
-
-	events []Event // deterministic ring
-	nev    uint64  // deterministic events produced (monotonic)
-	meta   []Event // host-side meta log (append-only, small)
+	host []int64 // host wall time of each ring slot's window (Window.HostNanos)
+	meta []Event // host-side meta log (append-only, small)
 
 	// Delta scratch (guarded by mu).
 	scratch [obs.NumBins]uint64
@@ -312,6 +307,19 @@ type Sampler struct {
 	sink *obs.Perfetto
 }
 
+// SamplerState is the sampler's checkpointed state: the full deterministic
+// history (windows, counters, event ring, delta baselines). Host wall time
+// is not in it — a restored run re-measures its own throughput.
+type SamplerState struct {
+	wins []Window // ring; slot nwin%len(wins) is the next window's
+	nwin uint64   // windows produced (monotonic)
+
+	prev prevState
+
+	events []Event // deterministic ring
+	nev    uint64  // deterministic events produced (monotonic)
+}
+
 // eventsTid is the telemetry process's thread for system-wide instants.
 const eventsTid = 0
 
@@ -321,12 +329,12 @@ func NewSampler(cfg Config, src Sources) *Sampler {
 	cfg = cfg.normalized()
 	n := len(src.Cores)
 	s := &Sampler{
-		cfg:    cfg,
-		src:    src,
-		hists:  make([]*obs.Histogram, n),
-		wins:   make([]Window, cfg.Windows),
-		events: make([]Event, cfg.Events),
-		sink:   src.Probe.Sink(), // nil-safe: nil probe → nil sink
+		cfg:          cfg,
+		src:          src,
+		hists:        make([]*obs.Histogram, n),
+		SamplerState: SamplerState{wins: make([]Window, cfg.Windows), events: make([]Event, cfg.Events)},
+		host:         make([]int64, cfg.Windows),
+		sink:         src.Probe.Sink(), // nil-safe: nil probe → nil sink
 	}
 	// The per-core processes are the cores' own (pid = core id, named by
 	// the system builder); system-wide tracks go to one more process.
@@ -416,11 +424,12 @@ func (s *Sampler) sample(now uint64) {
 	s.lastWall = wall
 
 	s.mu.Lock()
-	w := &s.wins[int(s.nwin%uint64(len(s.wins)))]
+	slot := int(s.nwin % uint64(len(s.wins)))
+	w := &s.wins[slot]
 	w.Index = s.nwin
 	w.EndCycle = now
 	w.Cycles = now - s.prev.cycle
-	w.HostNanos = host
+	s.host[slot] = host
 
 	var repart, reconf uint64
 	if s.repartCell != nil {
@@ -513,7 +522,7 @@ func (s *Sampler) sample(now uint64) {
 
 	s.sampleTraffic(w)
 	if s.sink != nil {
-		s.traceWindow(w)
+		s.traceWindow(w, host)
 	}
 
 	s.prev.cycle = now
@@ -557,17 +566,18 @@ func (s *Sampler) EmitMeta(cycle uint64, kind string, detail string) {
 	s.mu.Unlock()
 }
 
-// traceWindow appends closed window w to the trace as counter samples at its
-// boundary cycle: the system-wide tracks on the telemetry process, the
-// per-core tracks on each core's process. Caller holds s.mu.
-func (s *Sampler) traceWindow(w *Window) {
+// traceWindow appends closed window w, which took host nanoseconds of wall
+// time, to the trace as counter samples at its boundary cycle: the
+// system-wide tracks on the telemetry process, the per-core tracks on each
+// core's process. Caller holds s.mu.
+func (s *Sampler) traceWindow(w *Window, host int64) {
 	sys, ts := len(w.Cores), w.EndCycle
 	s.sink.EmitCounter(sys, "telemetry.al_granules", "granules", ts, float64(w.ALGranules))
 	s.sink.EmitCounter(sys, "telemetry.exebus_usable", "units", ts, float64(w.UsableBUs))
 	s.sink.EmitCounter(sys, "telemetry.exebus_failed", "units", ts, float64(w.FailedBUs))
 	s.sink.EmitCounter(sys, "telemetry.repartitions", "per-window", ts, float64(w.Repartitions))
 	s.sink.EmitCounter(sys, "telemetry.occupancy", "fraction", ts, w.Occupancy)
-	s.sink.EmitCounter(sys, "telemetry.host_mcycles_per_s", "Mc/s", ts, w.HostCyclesPerSec()/1e6)
+	s.sink.EmitCounter(sys, "telemetry.host_mcycles_per_s", "Mc/s", ts, cyclesPerSec(w.Cycles, host)/1e6)
 	for c := range w.Cores {
 		cw := &w.Cores[c]
 		mean := 0.0
@@ -637,21 +647,9 @@ func (s *Sampler) CopyWindow(i int, dst *Window) bool {
 	if i < 0 || i >= n {
 		return false
 	}
-	first := s.nwin - uint64(n)
-	src := &s.wins[int((first+uint64(i))%uint64(len(s.wins)))]
-	cores := dst.Cores
-	if len(cores) != len(src.Cores) {
-		cores = make([]CoreWindow, len(src.Cores))
-	}
-	copy(cores, src.Cores)
-	clusters := dst.Clusters
-	if len(clusters) != len(src.Clusters) {
-		clusters = make([]ClusterWindow, len(src.Clusters))
-	}
-	copy(clusters, src.Clusters)
-	*dst = *src
-	dst.Cores = cores
-	dst.Clusters = clusters
+	slot := int((s.nwin - uint64(n) + uint64(i)) % uint64(len(s.wins)))
+	digest.Copy(dst, &s.wins[slot])
+	dst.HostNanos = s.host[slot]
 	return true
 }
 
@@ -686,166 +684,48 @@ func (s *Sampler) EventsProduced() uint64 {
 	return s.nev
 }
 
-// SamplerState is the sampler's checkpoint: the full deterministic history
-// (windows, counters, event ring, delta baselines). Host wall-time residue
-// is not captured — a restored run re-measures its own throughput.
-type SamplerState struct {
-	nwin   uint64
-	wins   []Window
-	prev   prevState
-	events []Event
-	nev    uint64
-}
-
-// Snapshot deep-copies the sampler's deterministic state (nil on a nil
-// sampler).
-func (s *Sampler) Snapshot() *SamplerState {
+// State returns the sampler's deterministic state, sharing storage with the
+// sampler (the zero state on a nil sampler). Only the simulation goroutine
+// mutates it, so that goroutine may hold the result until it runs on.
+func (s *Sampler) State() SamplerState {
 	if s == nil {
-		return nil
+		return SamplerState{}
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := &SamplerState{
-		nwin:   s.nwin,
-		wins:   make([]Window, len(s.wins)),
-		events: append([]Event(nil), s.events...),
-		nev:    s.nev,
-	}
-	for i := range s.wins {
-		st.wins[i] = s.wins[i]
-		st.wins[i].HostNanos = 0 // host residue stays out of checkpoints
-		st.wins[i].Cores = append([]CoreWindow(nil), s.wins[i].Cores...)
-		st.wins[i].Clusters = append([]ClusterWindow(nil), s.wins[i].Clusters...)
-	}
-	st.prev = s.prev
-	st.prev.cores = append([]prevCore(nil), s.prev.cores...)
-	return st
+	return s.SamplerState
+}
+
+// Snapshot deep-copies the sampler's deterministic state (the zero state on
+// a nil sampler).
+func (s *Sampler) Snapshot() SamplerState {
+	st := s.State()
+	return digest.Clone(&st)
 }
 
 // Restore rewinds the sampler to a Snapshot taken on an identically
-// configured instance. The ring backing arrays are written in place. Safe
-// (no-op) when either receiver or state is nil.
-func (s *Sampler) Restore(st *SamplerState) {
-	if s == nil || st == nil {
+// configured instance, writing the rings in place. The restored windows'
+// host times are unknown (zero), and the next window re-baselines host
+// throughput. Safe (no-op) on a nil sampler.
+func (s *Sampler) Restore(st SamplerState) {
+	if s == nil {
 		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.nwin = st.nwin
-	for i := range s.wins {
-		cores := s.wins[i].Cores
-		copy(cores, st.wins[i].Cores)
-		clusters := s.wins[i].Clusters
-		copy(clusters, st.wins[i].Clusters)
-		s.wins[i] = st.wins[i]
-		s.wins[i].Cores = cores
-		s.wins[i].Clusters = clusters
-	}
-	copy(s.events, st.events)
-	s.nev = st.nev
-	cores := s.prev.cores
-	copy(cores, st.prev.cores)
-	s.prev = st.prev
-	s.prev.cores = cores
-	s.lastWall = time.Time{} // next window re-baselines host throughput
+	digest.Copy(&s.SamplerState, &st)
+	clear(s.host)
+	s.lastWall = time.Time{}
 }
 
-// Digest hashes the sampler's deterministic history — retained windows
-// (excluding HostNanos) and the deterministic event ring — into one value
-// the differential tests compare across skip/legacy and base/forked runs.
+// Digest hashes the sampler's deterministic state — every ring slot, the
+// event ring, the counters and the delta baselines — into one value the
+// differential tests compare across skip/legacy and base/forked runs.
 func (s *Sampler) Digest() uint64 {
 	if s == nil {
 		return 0
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	h := fnv.New64a()
-	var buf [8]byte
-	put := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
-	}
-	putF := func(f float64) { put(math.Float64bits(f)) }
-	putI := func(i int) { put(uint64(int64(i))) }
-	putB := func(b bool) {
-		if b {
-			put(1)
-		} else {
-			put(0)
-		}
-	}
-	put(s.nwin)
-	n := s.retainedLocked()
-	first := s.nwin - uint64(n)
-	for i := 0; i < n; i++ {
-		w := &s.wins[int((first+uint64(i))%uint64(len(s.wins)))]
-		put(w.Index)
-		put(w.EndCycle)
-		put(w.Cycles)
-		put(w.Repartitions)
-		put(w.Reconfigures)
-		putI(w.ALGranules)
-		putI(w.UsableBUs)
-		putI(w.FailedBUs)
-		putI(w.TotalBUs)
-		for k := range w.Clusters {
-			kw := &w.Clusters[k]
-			putI(kw.ALGranules)
-			putI(kw.UsableBUs)
-			putI(kw.FailedBUs)
-			putI(kw.TotalBUs)
-		}
-		putF(w.Occupancy)
-		if w.HasTraffic {
-			// Gated on wiring so pre-traffic samplers hash unchanged.
-			tw := &w.Traffic
-			putI(tw.Queued)
-			putI(tw.Running)
-			put(tw.Arrived)
-			put(tw.Admitted)
-			put(tw.Completed)
-			put(tw.Canceled)
-			put(tw.SojournCount)
-			putF(tw.SojournP50)
-			putF(tw.SojournP99)
-			put(tw.AdmitCount)
-			putF(tw.AdmitP50)
-			putF(tw.AdmitP99)
-		}
-		for c := range w.Cores {
-			cw := &w.Cores[c]
-			for _, b := range cw.Buckets {
-				put(b)
-			}
-			put(cw.Insts)
-			put(cw.Elems)
-			put(cw.Compute)
-			put(cw.Mem)
-			put(cw.Stalls)
-			putF(cw.BusyLanes)
-			putI(cw.VL)
-			putI(cw.Decision)
-			putI(cw.Headroom)
-			putB(cw.Halted)
-			putB(cw.Parked)
-			put(cw.RetireCount)
-			putF(cw.RetireP50)
-			putF(cw.RetireP99)
-		}
-	}
-	put(s.nev)
-	ne := s.nev
-	if ne > uint64(len(s.events)) {
-		ne = uint64(len(s.events))
-	}
-	efirst := s.nev - ne
-	for i := uint64(0); i < ne; i++ {
-		e := &s.events[int((efirst+i)%uint64(len(s.events)))]
-		put(e.Cycle)
-		io.WriteString(h, e.Kind)
-		putI(e.Core)
-		put(e.Arg)
-		io.WriteString(h, e.Detail)
-	}
-	return h.Sum64()
+	return digest.Sum(&s.SamplerState)
 }

@@ -389,8 +389,8 @@ func TestNilSamplerSafe(t *testing.T) {
 	s.Emit(1, EvFaultApply, 0, 0, "")
 	s.EmitMeta(1, EvCheckpoint, "")
 	s.Flush(10)
-	s.Restore(nil)
-	if s.Snapshot() != nil || s.Digest() != 0 || s.Produced() != 0 || s.Retained() != 0 {
+	s.Restore(SamplerState{})
+	if s.Snapshot().wins != nil || s.Digest() != 0 || s.Produced() != 0 || s.Retained() != 0 {
 		t.Fatal("nil sampler leaked state")
 	}
 }

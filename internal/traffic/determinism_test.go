@@ -1,12 +1,65 @@
 package traffic
 
 import (
+	"sync"
 	"testing"
 
 	"occamy/internal/arch"
-	"occamy/internal/archtest"
+	"occamy/internal/digest"
 	"occamy/internal/fault"
 )
+
+// variant is one execution strategy of the same logical scenario: a run
+// that builds its whole world from its own inputs and returns the outcome
+// digest it is required to reproduce.
+type variant struct {
+	name string
+	run  func(t *testing.T) uint64
+}
+
+// checkVariants runs every variant sequentially and fails the test unless
+// all digests are identical, reporting the full table on divergence.
+func checkVariants(t *testing.T, variants []variant) {
+	t.Helper()
+	digests := make([]uint64, len(variants))
+	for i, v := range variants {
+		digests[i] = v.run(t)
+	}
+	reportVariants(t, variants, digests)
+}
+
+// checkVariantsParallel runs every variant in its own goroutine (the -j N
+// equivalence property: concurrent execution must not perturb outcomes)
+// and fails unless all digests agree.
+func checkVariantsParallel(t *testing.T, variants []variant) {
+	t.Helper()
+	digests := make([]uint64, len(variants))
+	var wg sync.WaitGroup
+	for i, v := range variants {
+		wg.Add(1)
+		go func(i int, v variant) {
+			defer wg.Done()
+			digests[i] = v.run(t)
+		}(i, v)
+	}
+	wg.Wait()
+	reportVariants(t, variants, digests)
+}
+
+func reportVariants(t *testing.T, variants []variant, digests []uint64) {
+	t.Helper()
+	if len(variants) < 2 {
+		t.Fatal("need at least two variants to compare")
+	}
+	for _, d := range digests[1:] {
+		if d != digests[0] {
+			for i, v := range variants {
+				t.Errorf("variant %-24s digest %016x", v.name, digests[i])
+			}
+			t.Fatalf("%d variants diverged", len(variants))
+		}
+	}
+}
 
 func mustFaults(t *testing.T, spec string) []fault.Fault {
 	t.Helper()
@@ -20,7 +73,7 @@ func mustFaults(t *testing.T, spec string) []fault.Fault {
 // outcomeDigest folds everything a traffic run is contractually required to
 // reproduce: the Source's per-task outcome digest and the stop cycle.
 func outcomeDigest(sc *Scenario) uint64 {
-	d := archtest.NewDigest()
+	d := digest.NewFNV()
 	d.U64(sc.Src.Digest(), sc.Sys.Engine.Cycle(), sc.Sched.Switches)
 	return d.Sum()
 }
@@ -42,11 +95,11 @@ func TestTrafficSkipLegacyBitIdentical(t *testing.T) {
 	for _, kind := range arch.Kinds {
 		kind := kind
 		t.Run(kind.String(), func(t *testing.T) {
-			archtest.CheckVariants(t, []archtest.Variant{
-				{Name: "skip-ahead", Run: func(t *testing.T) uint64 {
+			checkVariants(t, []variant{
+				{name: "skip-ahead", run: func(t *testing.T) uint64 {
 					return runDigest(t, kind, spec, arch.Options{Seed: 21})
 				}},
-				{Name: "legacy-tick", Run: func(t *testing.T) uint64 {
+				{name: "legacy-tick", run: func(t *testing.T) uint64 {
 					return runDigest(t, kind, spec, arch.Options{Seed: 21, LegacyTick: true})
 				}},
 			})
@@ -78,11 +131,11 @@ func TestTrafficParallelBitIdentical(t *testing.T) {
 		return runDigest(t, arch.Occamy, spec, arch.Options{Seed: 33})
 	}
 	serial := run(t)
-	archtest.CheckVariantsParallel(t, []archtest.Variant{
-		{Name: "parallel-1", Run: run},
-		{Name: "parallel-2", Run: run},
-		{Name: "parallel-3", Run: run},
-		{Name: "parallel-4", Run: run},
+	checkVariantsParallel(t, []variant{
+		{name: "parallel-1", run: run},
+		{name: "parallel-2", run: run},
+		{name: "parallel-3", run: run},
+		{name: "parallel-4", run: run},
 	})
 	if d := run(t); d != serial {
 		t.Fatalf("serial rerun diverged: %016x vs %016x", d, serial)
@@ -144,9 +197,9 @@ func TestTrafficFaultedDeterminism(t *testing.T) {
 	}
 	legacy := opts
 	legacy.LegacyTick = true
-	archtest.CheckVariants(t, []archtest.Variant{
-		{Name: "faulted-run-1", Run: run},
-		{Name: "faulted-run-2", Run: run},
-		{Name: "faulted-legacy", Run: func(t *testing.T) uint64 { return runDigest(t, arch.Occamy, spec, legacy) }},
+	checkVariants(t, []variant{
+		{name: "faulted-run-1", run: run},
+		{name: "faulted-run-2", run: run},
+		{name: "faulted-legacy", run: func(t *testing.T) uint64 { return runDigest(t, arch.Occamy, spec, legacy) }},
 	})
 }

@@ -5,7 +5,6 @@ import (
 
 	"occamy/internal/arch"
 	"occamy/internal/compiler"
-	"occamy/internal/cpu"
 	"occamy/internal/osched"
 	"occamy/internal/workload"
 )
@@ -53,7 +52,7 @@ func Build(kind arch.Kind, spec Spec, opts arch.Options) (*Scenario, error) {
 		}
 		sc.compiled = append(sc.compiled, comp)
 		sc.names = append(sc.names, name)
-		sched.AddTask(name, cpu.NewState(comp.Program))
+		sched.AddTask(name, comp.Program)
 	}
 	src := NewSource(&sc.Spec, tr, sched)
 	sc.Src = src

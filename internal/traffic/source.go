@@ -1,9 +1,9 @@
 package traffic
 
 import (
-	"hash/fnv"
 	"math/bits"
 
+	"occamy/internal/digest"
 	"occamy/internal/obs"
 	"occamy/internal/osched"
 	"occamy/internal/sim"
@@ -24,12 +24,19 @@ type Source struct {
 	trace *Trace
 	sched *osched.Scheduler
 
+	tenantOf []int32   // task id -> tenant
+	byTenant [][]int32 // tenant -> task ids, arrival order
+
+	SourceState
+}
+
+// SourceState is the Source's checkpointed state, composable with
+// osched.SchedState and arch.SystemState for bit-identical forks.
+type SourceState struct {
 	ai, ci     int // cursors into trace.Arrivals / trace.Churn
 	resumedAll bool
 
 	tenantOn []bool
-	tenantOf []int32   // task id -> tenant
-	byTenant [][]int32 // tenant -> task ids, arrival order
 
 	// Per-task records, indexed by task id (= arrival index).
 	admitCycle    []uint64
@@ -54,14 +61,16 @@ func NewSource(spec *Spec, tr *Trace, sched *osched.Scheduler) *Source {
 	n := len(tr.Arrivals)
 	s := &Source{
 		spec: spec, trace: tr, sched: sched,
-		tenantOn:      make([]bool, spec.Tenants),
-		tenantOf:      make([]int32, n),
-		byTenant:      make([][]int32, spec.Tenants),
-		admitCycle:    make([]uint64, n),
-		completeCycle: make([]uint64, n),
-		admitted:      make([]bool, n),
-		completed:     make([]bool, n),
-		canceled:      make([]bool, n),
+		tenantOf: make([]int32, n),
+		byTenant: make([][]int32, spec.Tenants),
+		SourceState: SourceState{
+			tenantOn:      make([]bool, spec.Tenants),
+			admitCycle:    make([]uint64, n),
+			completeCycle: make([]uint64, n),
+			admitted:      make([]bool, n),
+			completed:     make([]bool, n),
+			canceled:      make([]bool, n),
+		},
 	}
 	for t := range s.tenantOn {
 		s.tenantOn[t] = true
@@ -230,100 +239,30 @@ func (s *Source) CopyAdmitBins(dst *[obs.NumBins]uint64) { *dst = s.admitBins }
 // their digests match; the determinism suite compares it across skip-ahead,
 // parallelism and checkpoint forks.
 func (s *Source) Digest() uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	w64 := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(v >> (8 * i))
-		}
-		h.Write(buf[:])
-	}
-	wb := func(b bool) {
-		if b {
-			w64(1)
-		} else {
-			w64(0)
-		}
-	}
+	d := digest.NewFNV()
 	for _, a := range s.trace.Arrivals {
-		w64(a.Cycle)
-		w64(uint64(a.Tenant))
-		w64(uint64(a.Kernel))
-		w64(uint64(a.Elems))
-		w64(uint64(a.Repeats))
+		d.U64(a.Cycle)
+		d.I64(int64(a.Tenant), int64(a.Kernel), int64(a.Elems), int64(a.Repeats))
 	}
 	for _, c := range s.trace.Churn {
-		w64(c.Cycle)
-		w64(uint64(c.Tenant))
-		wb(c.On)
+		d.U64(c.Cycle)
+		d.I64(int64(c.Tenant))
+		d.Bool(c.On)
 	}
 	for i := range s.admitCycle {
-		w64(s.admitCycle[i])
-		w64(s.completeCycle[i])
-		wb(s.admitted[i])
-		wb(s.completed[i])
-		wb(s.canceled[i])
+		d.U64(s.admitCycle[i], s.completeCycle[i])
+		d.Bool(s.admitted[i])
+		d.Bool(s.completed[i])
+		d.Bool(s.canceled[i])
 	}
-	w64(s.nArrived)
-	w64(s.nAdmitted)
-	w64(s.nCompleted)
-	w64(s.nCanceled)
-	w64(uint64(s.ai))
-	w64(uint64(s.ci))
-	w64(s.sched.Switches)
-	return h.Sum64()
-}
-
-// SourceState is a deterministic deep snapshot of the Source, composable
-// with osched.SchedState and arch.SystemState for bit-identical forks.
-type SourceState struct {
-	AI, CI     int
-	ResumedAll bool
-	TenantOn   []bool
-
-	AdmitCycle    []uint64
-	CompleteCycle []uint64
-	Admitted      []bool
-	Completed     []bool
-	Canceled      []bool
-
-	RunningNow  int
-	NArrived    uint64
-	NAdmitted   uint64
-	NCompleted  uint64
-	NCanceled   uint64
-	SojournBins [obs.NumBins]uint64
-	AdmitBins   [obs.NumBins]uint64
+	d.U64(s.nArrived, s.nAdmitted, s.nCompleted, s.nCanceled)
+	d.I64(int64(s.ai), int64(s.ci))
+	d.U64(s.sched.Switches)
+	return d.Sum()
 }
 
 // Snapshot captures the Source state (deep copy).
-func (s *Source) Snapshot() SourceState {
-	return SourceState{
-		AI: s.ai, CI: s.ci, ResumedAll: s.resumedAll,
-		TenantOn:      append([]bool(nil), s.tenantOn...),
-		AdmitCycle:    append([]uint64(nil), s.admitCycle...),
-		CompleteCycle: append([]uint64(nil), s.completeCycle...),
-		Admitted:      append([]bool(nil), s.admitted...),
-		Completed:     append([]bool(nil), s.completed...),
-		Canceled:      append([]bool(nil), s.canceled...),
-		RunningNow:    s.runningNow,
-		NArrived:      s.nArrived, NAdmitted: s.nAdmitted,
-		NCompleted: s.nCompleted, NCanceled: s.nCanceled,
-		SojournBins: s.sojournBins, AdmitBins: s.admitBins,
-	}
-}
+func (s *Source) Snapshot() SourceState { return digest.Clone(&s.SourceState) }
 
 // Restore reinstalls a state captured by Snapshot on the same scenario.
-func (s *Source) Restore(st SourceState) {
-	s.ai, s.ci, s.resumedAll = st.AI, st.CI, st.ResumedAll
-	copy(s.tenantOn, st.TenantOn)
-	copy(s.admitCycle, st.AdmitCycle)
-	copy(s.completeCycle, st.CompleteCycle)
-	copy(s.admitted, st.Admitted)
-	copy(s.completed, st.Completed)
-	copy(s.canceled, st.Canceled)
-	s.runningNow = st.RunningNow
-	s.nArrived, s.nAdmitted = st.NArrived, st.NAdmitted
-	s.nCompleted, s.nCanceled = st.NCompleted, st.NCanceled
-	s.sojournBins, s.admitBins = st.SojournBins, st.AdmitBins
-}
+func (s *Source) Restore(st SourceState) { digest.Copy(&s.SourceState, &st) }
