@@ -3,12 +3,11 @@ package occamy
 import (
 	"fmt"
 
+	"occamy/internal/arch"
 	"occamy/internal/coproc"
 	"occamy/internal/cpu"
 	"occamy/internal/isa"
-	"occamy/internal/mem"
-	"occamy/internal/roofline"
-	"occamy/internal/sim"
+	"occamy/internal/osched"
 )
 
 // Assembly gives direct access to the simulated machine for hand-written
@@ -16,74 +15,56 @@ import (
 // co-processor. See the isa package's Assemble documentation for the syntax
 // and examples/assembly for a walkthrough of the Figure 9 protocol.
 type Assembly struct {
-	engine *sim.Engine
-	cores  []*cpu.Core
-	cp     *coproc.Coproc
-	memry  *mem.Memory
+	sys *arch.System
 }
 
-// NewAssembly assembles one program per core and wires a fresh elastic
-// system (Table 4 parameters, 4 granules per core).
+// NewAssembly assembles one program per core and installs them on a fresh
+// elastic system (Table 4 parameters, 4 granules per core).
 func NewAssembly(sources ...string) (*Assembly, error) {
 	if len(sources) == 0 {
 		return nil, fmt.Errorf("occamy: no programs")
 	}
-	n := len(sources)
-	engine := sim.NewEngine()
-	stats := engine.Stats()
-	hier := mem.NewHierarchy(mem.DefaultHierarchyConfig(n), stats)
-	ccfg := coproc.DefaultConfig(n)
-	cp := coproc.New(ccfg, hier.VecCache, hier.Mem, roofline.Default(), stats)
-	a := &Assembly{engine: engine, cp: cp, memry: hier.Mem}
+	progs := make([]*isa.Program, len(sources))
 	for c, src := range sources {
 		prog, err := isa.Assemble(fmt.Sprintf("core%d", c), src)
 		if err != nil {
 			return nil, fmt.Errorf("occamy: core %d: %w", c, err)
 		}
-		core := cpu.New(c, cpu.DefaultConfig(), prog, cp, hier.L1D[c], hier.Mem, stats)
-		a.cores = append(a.cores, core)
-		engine.Register(core)
+		progs[c] = prog
 	}
-	engine.Register(cp)
-	cp.SetResponder(func(core int, reg isa.Reg, val uint64, ready uint64) {
-		a.cores[core].HandleResult(core, reg, val, ready)
-	})
-	return a, nil
+	sys, err := osched.BuildHost(arch.Occamy, len(sources), arch.Options{})
+	if err != nil {
+		return nil, err
+	}
+	for c, core := range sys.Cores {
+		core.SetProgram(progs[c])
+		core.Restore(cpu.NewState())
+	}
+	return &Assembly{sys: sys}, nil
 }
 
 // WriteF32 seeds simulated memory before Run.
-func (a *Assembly) WriteF32(addr uint64, v float32) { a.memry.WriteF32(addr, v) }
+func (a *Assembly) WriteF32(addr uint64, v float32) { a.sys.Hier.Mem.WriteF32(addr, v) }
 
 // ReadF32 inspects simulated memory after Run.
-func (a *Assembly) ReadF32(addr uint64) float32 { return a.memry.ReadF32(addr) }
+func (a *Assembly) ReadF32(addr uint64) float32 { return a.sys.Hier.Mem.ReadF32(addr) }
 
 // X reads a scalar register of a core after Run.
-func (a *Assembly) X(core int, reg int) int64 { return a.cores[core].X(isa.Reg(reg)) }
+func (a *Assembly) X(core int, reg int) int64 { return a.sys.Cores[core].X(isa.Reg(reg)) }
 
 // VL reads a core's configured vector length in granules.
-func (a *Assembly) VL(core int) int { return a.cp.VL(core) }
+func (a *Assembly) VL(core int) int { return a.sys.Cplx.VL(core) }
 
 // Run simulates until every core halts and the co-processor drains; it
 // returns the cycle count.
 func (a *Assembly) Run(maxCycles uint64) (uint64, error) {
-	done := func() bool {
-		now := a.engine.Cycle()
-		for c, core := range a.cores {
-			if !core.Halted() || !a.cp.Quiescent(c, now) {
-				return false
-			}
-		}
-		return true
-	}
 	if maxCycles == 0 {
 		maxCycles = 10_000_000
 	}
-	if _, err := a.engine.RunUntil(done, maxCycles); err != nil {
-		return a.engine.Cycle(), err
-	}
-	return a.engine.Cycle(), nil
+	_, err := a.sys.Engine.RunUntil(a.sys.Done, maxCycles)
+	return a.sys.Engine.Cycle(), err
 }
 
 // LaneEvents returns the lane-management log (repartitions and
 // reconfigurations) for inspecting the EM-SIMD protocol.
-func (a *Assembly) LaneEvents() []coproc.LaneEvent { return a.cp.LaneEvents() }
+func (a *Assembly) LaneEvents() []coproc.LaneEvent { return a.sys.Cplx.LaneEvents() }

@@ -268,23 +268,17 @@ type System struct {
 	Kind   Kind
 	Engine *sim.Engine
 	Hier   *mem.Hierarchy
-	// Coproc is the first (on a flat build, the only) co-processor
-	// instance. Code that reasons about one shard (the oversubscription
-	// scheduler, single-cluster tests) uses it directly; machine-wide
-	// views go through Cplx.
-	Coproc *coproc.Coproc
 	// Clusters lists every co-processor instance in fabric order; len 1 on
-	// a flat build (Clusters[0] == Coproc).
+	// a flat build.
 	Clusters []*coproc.Coproc
 	// Cplx is the machine-wide co-processor view: the routed Complex over
 	// Clusters. Every build has one (a flat machine wraps its single
-	// instance in a 1-cluster complex) so reports, diagnostics and
-	// telemetry aggregate uniformly; the scalar cores are wired through the
-	// Complex — fabric delays, bandwidth, migration — only when
-	// Options.Topology was non-nil.
-	Cplx *coproc.Complex
-	// Topo echoes Options.Topology (nil on flat builds).
-	Topo     *coproc.Topology
+	// instance in a 1-cluster complex) so reports, diagnostics, telemetry
+	// and the OS scheduler reach a core's home cluster uniformly. The
+	// scalar cores are wired through the Complex — fabric delays,
+	// bandwidth, migration — only when Options.Topology was non-nil; a
+	// flat build's cores transmit straight to Clusters[0].
+	Cplx     *coproc.Complex
 	Cores    []*cpu.Core
 	Compiled []*compiler.Compiled
 	Sched    workload.CoSchedule
@@ -441,18 +435,16 @@ func Build(kind Kind, sched workload.CoSchedule, opts Options) (*System, error) 
 		}
 	}
 	cplx := coproc.NewComplex(topo, cls)
-	cp := cls[0]
 
 	mode := compiler.ModeFixed
 	if kind == Occamy {
 		mode = compiler.ModeElastic
 	}
 	sys := &System{
-		Kind: kind, Engine: engine, Hier: hier, Coproc: cp,
-		Clusters: cls, Cplx: cplx, Topo: opts.Topology,
+		Kind: kind, Engine: engine, Hier: hier, Clusters: cls, Cplx: cplx,
 		Sched: sched, Stats: stats, StaticVLs: staticVLs,
 	}
-	var port cpu.CoprocPort = cp
+	var port cpu.CoprocPort = cls[0]
 	if opts.Topology != nil {
 		port = cplx
 	}
@@ -516,20 +508,15 @@ func Build(kind Kind, sched workload.CoSchedule, opts Options) (*System, error) 
 		sys.Probe = probe
 	}
 	if opts.Telemetry != nil {
-		// A flat build samples the single instance directly; a clustered
-		// build samples the Complex's machine-wide aggregates (identical
-		// values at 1 cluster, so the digests match bit-for-bit). The
-		// per-cluster table series get one entry per shard either way.
+		// The sampler reads the Complex's machine-wide aggregates (on a flat
+		// build, exactly the single instance's values) and one table series
+		// per shard.
 		srcs := telemetry.Sources{
-			Cp:    telemetry.CoprocSource(cp),
-			Tbl:   telemetry.TableSource(cp.Tbl()),
+			Cp:    cplx,
+			Tbl:   cplx,
 			Probe: sys.Probe,
 			Stats: stats,
 			Lanes: coproc.LanesPerGranule * opts.ExeBUs,
-		}
-		if opts.Topology != nil {
-			srcs.Cp = cplx
-			srcs.Tbl = cplx
 		}
 		for _, ci := range cls {
 			srcs.Tables = append(srcs.Tables, ci.Tbl())

@@ -47,7 +47,7 @@ func fingerprint(sys *System, res *Result) string {
 		flat.Cores[i].Attribution = nil
 	}
 	return fmt.Sprintf("res=%+v\nattr=%v\nstats=%v\nevents=%+v",
-		&flat, attrs, sys.Stats.Snapshot(), sys.Coproc.LaneEvents())
+		&flat, attrs, sys.Stats.Snapshot(), sys.Clusters[0].LaneEvents())
 }
 
 // mustRun runs to completion, failing the test on any engine error.

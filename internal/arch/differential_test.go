@@ -71,8 +71,8 @@ func TestScalarVersionEquivalence(t *testing.T) {
 			t.Errorf("%s scalar version: %v", name, err)
 		}
 		// The scalar version must not have touched the co-processor.
-		if sys.Coproc.ComputeIssued(0) != 0 {
-			t.Errorf("%s: scalar version issued %d vector µops", name, sys.Coproc.ComputeIssued(0))
+		if sys.Clusters[0].ComputeIssued(0) != 0 {
+			t.Errorf("%s: scalar version issued %d vector µops", name, sys.Clusters[0].ComputeIssued(0))
 		}
 	}
 }

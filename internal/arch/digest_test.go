@@ -225,9 +225,10 @@ type digestShape struct {
 	fresh func() *arch.System
 }
 
-// digestShapes builds kind's snapshots in the four shapes the digest must
+// digestShapes builds kind's snapshots in the six shapes the digest must
 // cover: the serve-shaped warm-up, the 64-core/4-cluster group, a fork past
-// an applied ExeBU failure and a finished traffic run with telemetry on.
+// an applied ExeBU failure, flat and on that clustered group, and a finished
+// traffic run with telemetry on, flat and on 2 clusters.
 func digestShapes(t *testing.T, kind arch.Kind) map[string]digestShape {
 	t.Helper()
 	reg := workload.NewRegistry()
@@ -261,21 +262,30 @@ func digestShapes(t *testing.T, kind arch.Kind) map[string]digestShape {
 			k.Repeats = 1
 		}
 	}
-	add("topo64", build(group, arch.Options{Seed: 11, Topology: &coproc.Topology{
-		Clusters: 4, HopLatency: experiments.ScaleHopLatency, HopBandwidth: experiments.ScaleHopBandwidth}}), runTo(3000))
+	topo64 := &coproc.Topology{Clusters: 4, HopLatency: experiments.ScaleHopLatency, HopBandwidth: experiments.ScaleHopBandwidth}
+	add("topo64", build(group, arch.Options{Seed: 11, Topology: topo64}), runTo(3000))
 
-	faults, err := fault.ParseSpec("exebu:1@25000")
-	if err != nil {
-		t.Fatal(err)
-	}
-	add("fork", build(workload.MotivatingPair(reg), arch.Options{Seed: 11, WireInjector: true}), func(sys *arch.System) {
-		runTo(20_000)(sys)
-		if err := sys.RestoreCheckpoint(sys.Checkpoint()); err != nil {
+	// forkAt warms a system up to cycle at, forks it through a checkpoint,
+	// applies spec's faults and runs on to cycle end.
+	forkAt := func(at uint64, spec string, end uint64) func(*arch.System) {
+		faults, err := fault.ParseSpec(spec)
+		if err != nil {
 			t.Fatal(err)
 		}
-		sys.SetFaultSchedule(faults)
-		runTo(26_000)(sys)
-	})
+		return func(sys *arch.System) {
+			runTo(at)(sys)
+			if err := sys.RestoreCheckpoint(sys.Checkpoint()); err != nil {
+				t.Fatal(err)
+			}
+			sys.SetFaultSchedule(faults)
+			runTo(end)(sys)
+		}
+	}
+	add("fork", build(workload.MotivatingPair(reg), arch.Options{Seed: 11, WireInjector: true}), forkAt(20_000, "exebu:1@25000", 26_000))
+	add("topo64-fork", build(group, arch.Options{Seed: 11, Topology: topo64, WireInjector: true}), forkAt(2000, "exebu:cl1:1@2500", 3000))
+	if got := shapes["topo64-fork"].src.Clusters[1].Tbl().Failed(); got != 1 {
+		t.Fatalf("clustered fork: cluster 1 has %d failed ExeBUs, want 1", got)
+	}
 	// Occamy recovers by repartitioning its lanes; the other three carry
 	// the failure in the co-processor's fault state.
 	if flt := reflect.ValueOf(shapes["fork"].st).Elem().FieldByName("coprocs").Index(0).FieldByName("flt"); flt.IsNil() != (kind == arch.Occamy) {
@@ -286,19 +296,20 @@ func digestShapes(t *testing.T, kind arch.Kind) map[string]digestShape {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scenario := func() *traffic.Scenario {
-		sc, err := traffic.Build(kind, ts, arch.Options{Seed: 11, Telemetry: &telemetry.Config{Window: 128}})
-		if err != nil {
+	for name, topo := range map[string]*coproc.Topology{"traffic": nil, "traffic-cl2": {Clusters: 2}} {
+		scenario := func() *traffic.Scenario {
+			sc, err := traffic.Build(kind, ts, arch.Options{Seed: 11, Telemetry: &telemetry.Config{Window: 128}, Topology: topo})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return sc
+		}
+		sc := scenario()
+		if err := sc.Run(sc.DefaultBudget()); err != nil {
 			t.Fatal(err)
 		}
-		return sc
+		shapes[name] = digestShape{sc.Sys.Checkpoint(), sc.Sys, func() *arch.System { return scenario().Sys }}
 	}
-	add("traffic", func() *arch.System { return scenario().Sys }, func(*arch.System) {})
-	sc := scenario()
-	if err := sc.Run(sc.DefaultBudget()); err != nil {
-		t.Fatal(err)
-	}
-	shapes["traffic"] = digestShape{sc.Sys.Checkpoint(), sc.Sys, shapes["traffic"].fresh}
 	return shapes
 }
 

@@ -129,7 +129,7 @@ func TestEngineSkipAheadTimelineIdentical(t *testing.T) {
 	}
 	leg, skip := build(true), build(false)
 	for c := 0; c < pair.Cores(); c++ {
-		lp, sp := leg.Coproc.BusyTimeline(c).Points(), skip.Coproc.BusyTimeline(c).Points()
+		lp, sp := leg.Clusters[0].BusyTimeline(c).Points(), skip.Clusters[0].BusyTimeline(c).Points()
 		if len(lp) != len(sp) {
 			t.Fatalf("core %d: timeline length legacy=%d skip=%d", c, len(lp), len(sp))
 		}

@@ -148,7 +148,7 @@ func TestExeBUFaultAllArchsRecoverable(t *testing.T) {
 		if err := sys.CheckResults(2e-3); err != nil {
 			t.Errorf("%v: functional check after fault: %v", kind, err)
 		}
-		if got := sys.Coproc.Tbl().Failed(); got != 1 {
+		if got := sys.Clusters[0].Tbl().Failed(); got != 1 {
 			t.Errorf("%v: lane table records %d failed units, want 1", kind, got)
 		}
 		if len(res.Recoveries) != 1 {
@@ -166,9 +166,9 @@ func TestExeBUFaultAllArchsRecoverable(t *testing.T) {
 			// Post-fault the published lane plan must fit the survivors.
 			sum := 0
 			for c := range sys.Cores {
-				sum += sys.Coproc.Tbl().VL(c)
+				sum += sys.Clusters[0].Tbl().VL(c)
 			}
-			if usable := sys.Coproc.Tbl().Usable(); sum > usable {
+			if usable := sys.Clusters[0].Tbl().Usable(); sum > usable {
 				t.Errorf("%v: post-fault Σvl=%d exceeds usable=%d", kind, sum, usable)
 			}
 		}
@@ -191,7 +191,7 @@ func TestTransientExeBURepairs(t *testing.T) {
 	if err := sys.CheckResults(2e-3); err != nil {
 		t.Errorf("functional check after transient: %v", err)
 	}
-	tbl := sys.Coproc.Tbl()
+	tbl := sys.Clusters[0].Tbl()
 	if tbl.Failed() != 0 {
 		t.Errorf("transient did not repair: %d units still failed", tbl.Failed())
 	}

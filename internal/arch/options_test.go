@@ -91,8 +91,8 @@ func TestVLSStaticVLOverride(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sys.Coproc.VL(0) != 6 || sys.Coproc.VL(1) != 2 {
-		t.Fatalf("override not applied: VLs = %d/%d", sys.Coproc.VL(0), sys.Coproc.VL(1))
+	if sys.Clusters[0].VL(0) != 6 || sys.Clusters[0].VL(1) != 2 {
+		t.Fatalf("override not applied: VLs = %d/%d", sys.Clusters[0].VL(0), sys.Clusters[0].VL(1))
 	}
 	if _, err := sys.Run(100_000_000); err != nil {
 		t.Fatal(err)

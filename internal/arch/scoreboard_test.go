@@ -10,7 +10,8 @@ import (
 )
 
 // TestIssueScoreboardInvariants checks every co-processor's issue scoreboard
-// against its queue and done ring after every engine step (skip-ahead on, so
+// against its queue, including that every producer a waiting instruction
+// names still holds its pool slot, after every engine step (skip-ahead on, so
 // quiescence probes and skipped windows run between the checks), on all four
 // architectures: a flat pair, the 64-core clustered group, and a pair
 // through a transient ExeBU failure whose issue gates throttle Private and

@@ -38,7 +38,7 @@ func TestTrackerBoundDeepInPhase(t *testing.T) {
 			sys.Engine.SetSkipAhead(false)
 			for sys.Engine.Cycle() < deep {
 				sys.Engine.Step()
-				if err := sys.Coproc.CheckTrackerBound(); err != nil {
+				if err := sys.Clusters[0].CheckTrackerBound(); err != nil {
 					t.Fatalf("cycle %d: %v", sys.Engine.Cycle(), err)
 				}
 			}

@@ -38,8 +38,6 @@ type Complex struct {
 	group []int // core -> fabric position
 
 	ComplexState
-
-	zbuf [][]float32 // migration scratch for the vector-state move
 }
 
 // ComplexState is the routing layer's checkpointed state: in-flight
@@ -106,14 +104,6 @@ func NewComplex(topo Topology, cls []*Coproc) *Complex {
 	}
 	if cls[0].cfg.Elastic {
 		cx.hier.OnMigrate = cx.onMigrate
-	}
-	// Pre-size the migration scratch so completing a migration mid-run
-	// allocates nothing.
-	lanes := cls[0].cfg.Lanes()
-	cx.zbuf = make([][]float32, isa.NumZRegs)
-	backing := make([]float32, isa.NumZRegs*lanes)
-	for r := range cx.zbuf {
-		cx.zbuf[r], backing = backing[:lanes], backing[lanes:]
 	}
 	return cx
 }
@@ -245,8 +235,7 @@ func (cx *Complex) StripBoundary(c int) bool {
 	// Drained: move the architectural vector state, release the old shard,
 	// re-admit on the new one at the same width. The core's own monitor then
 	// adapts <VL> to the destination's plan through the normal MSR protocol.
-	cx.zbuf = old.CopyVecState(c, cx.zbuf)
-	dst.RestoreVecState(c, cx.zbuf)
+	dst.RestoreVecState(c, old.cores[c].z)
 	oi := old.tbl.OI(c)
 	old.tbl.ForceVL(c, 0)
 	old.tbl.SetOI(c, isa.OIPair{})

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/bits"
 
-	"occamy/internal/digest"
 	"occamy/internal/isa"
 	"occamy/internal/lanemgr"
 	"occamy/internal/mem"
@@ -45,10 +44,17 @@ type XInst struct {
 	// Phase attributes the instruction for per-phase statistics.
 	Phase int
 
-	// Renamer-assigned fields.
+	// Renamer-assigned fields. seq is the instruction's stream position
+	// plus one. dep1..3 name, by seq, the producers that had not issued
+	// when the instruction was transmitted; depDone is the latest
+	// completion cycle among those that had.
 	seq              uint64
 	dep1, dep2, dep3 uint64
-	issued           bool
+	depDone          uint64
+	// done is the completion cycle, written into the slot at issue: the
+	// consumers named above read it there (see depReady).
+	done   uint64
+	issued bool
 	// kind caches the opcode's issue class at transmit time, so rename
 	// files the instruction into its scoreboard set without the
 	// opcode-table lookups behind Op.IsEMSIMD/IsVectorMem.
@@ -89,9 +95,14 @@ const (
 	// window caps the renamed, in-flight region per core (ROB size);
 	// physical-register availability bounds it further.
 	window = 120
-	// queueRing is the ring capacity backing the pool: the smallest power
-	// of two >= queueCap, so position indices map to slots with one mask.
-	queueRing = 256
+	// queueRing is the ring capacity backing the pool: a power of two, so
+	// position indices map to slots with one mask, and at least 2*queueCap,
+	// so a producer's slot outlives every consumer that reads it. A producer
+	// still unissued at its consumer's transmit lies fewer than queueCap
+	// positions behind the consumer, and while the consumer waits, every
+	// transmit lands fewer than queueCap positions ahead of it: less than
+	// 2*queueCap past the producer, where reusing its slot takes queueRing.
+	queueRing = 512
 	queueMask = queueRing - 1
 )
 
@@ -115,9 +126,9 @@ type rowState struct {
 	// grow-and-compact slice — steady-state operation neither allocates nor
 	// re-copies the backlog. A fixed-size array (not a slice) so the masked
 	// index in at() is provably in bounds — the issue scan hits it hard.
-	// Like the done ring it is allocated on the core's first Transmit to
-	// this instance: a clustered machine keeps a row for every core on every
-	// cluster, and most of those rows never receive an instruction.
+	// It is allocated on the core's first Transmit to this instance: a
+	// clustered machine keeps a row for every core on every cluster, and
+	// most of those rows never receive an instruction.
 	queue *[queueRing]XInst
 	head  int
 	tail  int
@@ -127,18 +138,15 @@ type rowState struct {
 	renamed int
 
 	// z is the functional architectural vector state: 32 registers of
-	// Lanes() float32 elements, updated in program order at transmit.
-	z [][]float32
+	// Lanes() float32 elements each, register r at z[r*Lanes():], updated in
+	// program order at transmit.
+	z []float32
 
-	// Renamer state: sequence numbers and the last writer of each
-	// architectural vector register.
-	seqCounter uint64
+	// Renamer state: the seq of each architectural vector register's last
+	// writer and, once that writer has issued, its completion cycle (how a
+	// consumer transmitted after the issue resolves the dependence).
 	lastWriter [isa.NumZRegs]uint64
-	// done is a ring of completion cycles indexed by sequence number,
-	// allocated on the core's first Transmit to this instance: a clustered
-	// machine keeps a row for every core on every cluster, but only home
-	// clusters (and migration targets) ever issue.
-	done doneRing
+	writerDone [isa.NumZRegs]uint64
 
 	inflight holdTracker // issued, not yet written back (drain check)
 	lhq      holdTracker // outstanding loads
@@ -217,6 +225,12 @@ func (st *rowState) flushAcct(upTo uint64) {
 
 // at returns the pool slot of stream position i (valid for head <= i < tail).
 func (st *rowState) at(i int) *XInst { return &st.queue[i&queueMask] }
+
+// zreg returns vector register r's lanes.
+func (st *rowState) zreg(r isa.Reg) []float32 {
+	w := len(st.z) / isa.NumZRegs
+	return st.z[int(r)*w : int(r+1)*w]
+}
 
 // rowSet is a bitmap over a Coproc's core rows. A clustered machine gives
 // every cluster a row per machine core, yet only a cluster's home rows (and
@@ -469,11 +483,7 @@ func New(cfg Config, vecPort mem.SharedPort, data *mem.Memory, model roofline.Mo
 			phaseCap = 8
 		}
 		st.computeByPhase = make([]uint64, 0, phaseCap)
-		st.z = make([][]float32, isa.NumZRegs)
-		backing := make([]float32, isa.NumZRegs*lanes)
-		for r := range st.z {
-			st.z[r], backing = backing[:lanes], backing[lanes:]
-		}
+		st.z = make([]float32, isa.NumZRegs*lanes)
 		cp.cores = append(cp.cores, st)
 	}
 	if !cfg.Elastic && !cfg.SharedIssue {
@@ -564,13 +574,11 @@ func (cp *Coproc) Transmit(x *XInst) TransmitStatus {
 	}
 	if st.queue == nil {
 		st.queue = new([queueRing]XInst)
-		st.done.init()
 	}
 	slot := st.at(st.tail)
 	*slot = *x
 	slot.enq = cp.cycles
-	st.seqCounter++
-	slot.seq = st.seqCounter
+	slot.seq = uint64(st.tail) + 1
 	switch {
 	case slot.Op.IsEMSIMD():
 		slot.kind = kindEMSIMD
@@ -654,13 +662,21 @@ func (cp *Coproc) canRename(c int, now uint64) bool {
 
 // renameAndApply assigns RAW dependencies from the renamer's last-writer
 // table and executes the instruction's value semantics against the
-// architectural vector state (program order = transmit order).
+// architectural vector state (program order = transmit order). A producer
+// that has already issued is resolved now, into depDone; positions below
+// head have issued.
 func (cp *Coproc) renameAndApply(x *XInst, st *coreState) {
 	dep := func(r isa.Reg) uint64 {
 		if r == isa.RegNone || int(r) >= len(st.lastWriter) {
 			return 0
 		}
-		return st.lastWriter[r]
+		w := st.lastWriter[r]
+		if q := int(w) - 1; q < st.head || st.at(q).issued {
+			// No writer yet (q is -1, writerDone 0), or it has issued.
+			x.depDone = max(x.depDone, st.writerDone[r])
+			return 0
+		}
+		return w
 	}
 	switch x.Op {
 	case isa.OpVLoad, isa.OpVDupI, isa.OpVDupX, isa.OpVInsX0:
@@ -815,26 +831,27 @@ func (st *coreState) addPhaseCompute(phase int) {
 	st.computeByPhase[idx]++
 }
 
-// depReady reports whether dependency seq has completed.
+// depReady reports whether the producer dependency seq names has completed.
+// Its pool slot still holds it (see queueRing).
 func (st *coreState) depReady(seq, now uint64) bool {
 	if seq == 0 {
 		return true
 	}
-	done, state := st.done.get(seq)
-	switch state {
-	case ringHit:
-		return done <= now
-	case ringOlder:
-		// Overwritten: the writer issued at least ringSize sequence
-		// numbers ago and has long completed.
-		return true
-	default:
-		return false // writer not yet issued
-	}
+	p := st.at(int(seq - 1))
+	return p.issued && p.done <= now
 }
 
 func (x *XInst) depsReady(st *coreState, now uint64) bool {
-	return st.depReady(x.dep1, now) && st.depReady(x.dep2, now) && st.depReady(x.dep3, now)
+	return x.depDone <= now && st.depReady(x.dep1, now) && st.depReady(x.dep2, now) && st.depReady(x.dep3, now)
+}
+
+// setDone records an issued instruction's completion cycle in its slot and,
+// while it is still its register's last writer, in writerDone.
+func (st *coreState) setDone(x *XInst, done uint64) {
+	x.done = done
+	if hasZDst(x.Op) && st.lastWriter[x.Dst] == x.seq {
+		st.writerDone[x.Dst] = done
+	}
 }
 
 // tickCore walks core c's issue scoreboard in age order and issues every
@@ -979,7 +996,7 @@ func (cp *Coproc) issueCompute(c int, x *XInst, now uint64) {
 	if hasZDst(x.Op) {
 		cp.issuePhys(c, now, done)
 	}
-	st.setDone(x.seq, done, now)
+	st.setDone(x, done)
 	st.inflight.Add(now, done)
 	st.computeIssued++
 	st.addPhaseCompute(x.Phase)
@@ -1001,7 +1018,7 @@ func (cp *Coproc) issueMem(c int, x *XInst, now uint64) issueStatus {
 		if hasZDst(x.Op) {
 			cp.issuePhys(c, now, now)
 		}
-		st.setDone(x.seq, now, now)
+		st.setDone(x, now)
 		cp.probe.Signal(c, obs.SigVecIssue)
 		if cp.retireHists != nil {
 			cp.retireHists[c].Observe(now - x.enq)
@@ -1022,7 +1039,7 @@ func (cp *Coproc) issueMem(c int, x *XInst, now uint64) issueStatus {
 			return issueStructural
 		}
 		cp.issuePhys(c, now, done)
-		st.setDone(x.seq, done, now)
+		st.setDone(x, done)
 		st.lhq.Add(now, done)
 		st.inflight.Add(now, done)
 		if cp.retireHists != nil {
@@ -1044,7 +1061,7 @@ func (cp *Coproc) issueMem(c int, x *XInst, now uint64) issueStatus {
 			*cp.mshrRetriesCell++
 			return issueStructural
 		}
-		st.setDone(x.seq, done, now)
+		st.setDone(x, done)
 		st.stq.Add(now, done)
 		st.inflight.Add(now, done)
 		if cp.retireHists != nil {
@@ -1106,7 +1123,7 @@ func (cp *Coproc) LastActive(c int) uint64 {
 }
 
 // Z returns the functional value of lane i of register r on core c (tests).
-func (cp *Coproc) Z(c int, r isa.Reg, i int) float32 { return cp.cores[c].z[r][i] }
+func (cp *Coproc) Z(c int, r isa.Reg, i int) float32 { return cp.cores[c].zreg(r)[i] }
 
 // BusyTimeline returns core c's busy-lane timeline (Figures 2 and 14(b)).
 func (cp *Coproc) BusyTimeline(c int) *sim.Timeline {
@@ -1136,17 +1153,16 @@ func (cp *Coproc) DrainWaitCycles(c int) uint64 { return cp.cores[c].drainWait }
 
 // SaveVecState copies core c's architectural vector registers, for OS
 // context switching (§5). The caller must ensure quiescence.
-func (cp *Coproc) SaveVecState(c int) [][]float32 {
+func (cp *Coproc) SaveVecState(c int) []float32 {
 	return cp.CopyVecState(c, nil)
 }
 
 // CopyVecState is SaveVecState into a caller-owned buffer: dst's backing
-// arrays are reused when the shapes match (a task's repeated preemptions then
+// array is reused when it is large enough (a task's repeated preemptions then
 // cost no allocation), and the possibly re-allocated buffer is returned.
-func (cp *Coproc) CopyVecState(c int, dst [][]float32) [][]float32 {
-	digest.Copy(&dst, &cp.cores[c].z)
-	return dst
+func (cp *Coproc) CopyVecState(c int, dst []float32) []float32 {
+	return append(dst[:0], cp.cores[c].z...)
 }
 
 // RestoreVecState installs previously saved vector registers on core c.
-func (cp *Coproc) RestoreVecState(c int, z [][]float32) { digest.Copy(&cp.cores[c].z, &z) }
+func (cp *Coproc) RestoreVecState(c int, z []float32) { copy(cp.cores[c].z, z) }

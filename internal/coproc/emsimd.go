@@ -116,10 +116,8 @@ func (cp *Coproc) execEMSIMD(c int, x *XInst, now uint64) bool {
 // and poisoning makes any compiler violation of the §6.4 obligations visible
 // as NaN in the workload's results.
 func (cp *Coproc) poison(c int) {
-	nan := float32(math.NaN())
-	for _, reg := range cp.cores[c].z {
-		for i := range reg {
-			reg[i] = nan
-		}
+	z := cp.cores[c].z
+	for i := range z {
+		z[i] = float32(math.NaN())
 	}
 }

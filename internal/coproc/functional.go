@@ -15,41 +15,40 @@ import (
 // accessors.
 func (cp *Coproc) applyFunctional(x *XInst, st *coreState) {
 	n := x.Active
-	z := st.z
 	switch x.Op {
 	case isa.OpVLoad:
-		cp.data.ReadF32s(x.Addr, z[x.Dst][:n])
+		cp.data.ReadF32s(x.Addr, st.zreg(x.Dst)[:n])
 	case isa.OpVStore:
-		cp.data.WriteF32s(x.Addr, z[x.Dst][:n])
+		cp.data.WriteF32s(x.Addr, st.zreg(x.Dst)[:n])
 	case isa.OpVDupI:
-		fill(z[x.Dst][:n], x.FImm)
+		fill(st.zreg(x.Dst)[:n], x.FImm)
 	case isa.OpVDupX:
-		fill(z[x.Dst][:n], math.Float32frombits(x.Val))
+		fill(st.zreg(x.Dst)[:n], math.Float32frombits(x.Val))
 	case isa.OpVInsX0:
-		z[x.Dst][0] = math.Float32frombits(x.Val)
+		st.zreg(x.Dst)[0] = math.Float32frombits(x.Val)
 		if n > 1 {
-			clear(z[x.Dst][1:n])
+			clear(st.zreg(x.Dst)[1:n])
 		}
 	case isa.OpVMovX0:
-		x.respVal = uint64(math.Float32bits(z[x.Src1][0]))
+		x.respVal = uint64(math.Float32bits(st.zreg(x.Src1)[0]))
 	case isa.OpVFAddV:
 		var sum float32
-		for _, v := range z[x.Src1][:n] {
+		for _, v := range st.zreg(x.Src1)[:n] {
 			sum += v
 		}
-		z[x.Dst][0] = sum
+		st.zreg(x.Dst)[0] = sum
 		if n > 1 {
-			clear(z[x.Dst][1:n])
+			clear(st.zreg(x.Dst)[1:n])
 		}
 	case isa.OpVFMla:
-		d, a, b := z[x.Dst][:n], z[x.Src1][:n], z[x.Src2][:n]
+		d, a, b := st.zreg(x.Dst)[:n], st.zreg(x.Src1)[:n], st.zreg(x.Src2)[:n]
 		for i := range d {
 			d[i] += a[i] * b[i]
 		}
 	case isa.OpVFNeg, isa.OpVFAbs, isa.OpVFSqrt:
-		unLanes(x.Op, z[x.Dst][:n], z[x.Src1][:n])
+		unLanes(x.Op, st.zreg(x.Dst)[:n], st.zreg(x.Src1)[:n])
 	default:
-		binLanes(x.Op, z[x.Dst][:n], z[x.Src1][:n], z[x.Src2][:n])
+		binLanes(x.Op, st.zreg(x.Dst)[:n], st.zreg(x.Src1)[:n], st.zreg(x.Src2)[:n])
 	}
 }
 

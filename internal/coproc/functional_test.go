@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"occamy/internal/isa"
@@ -160,13 +161,14 @@ func TestLaneKernelsMatchPerLane(t *testing.T) {
 		}
 		xGot, xWant := x, x
 		cp := &Coproc{data: mGot}
-		cp.applyFunctional(&xGot, &coreState{rowState: rowState{z: zGot}})
+		st := &coreState{rowState: rowState{z: slices.Concat(zGot...)}}
+		cp.applyFunctional(&xGot, st)
 		applyPerLane(&xWant, zWant, mWant)
 		where := fmt.Sprintf("%s active=%d shift=%d z%d=f(z%d,z%d) addr=%#x",
 			x.Op, x.Active, shift, x.Dst, x.Src1, x.Src2, x.Addr)
 		for reg := range zWant {
 			for i := range zWant[reg] {
-				if g, w := math.Float32bits(zGot[reg][i]), math.Float32bits(zWant[reg][i]); g != w {
+				if g, w := math.Float32bits(st.zreg(isa.Reg(reg))[i]), math.Float32bits(zWant[reg][i]); g != w {
 					t.Fatalf("%s: z%d[%d] = %#08x, want %#08x", where, reg, i, g, w)
 				}
 			}

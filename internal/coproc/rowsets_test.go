@@ -100,7 +100,7 @@ func outcome(sys *arch.System, res *arch.Result) string {
 		}
 		flat.Cores[i].Attribution = nil
 	}
-	return fmt.Sprintf("res=%+v\nattr=%v\nstats=%v\nevents=%+v", &flat, attrs, sys.Stats.Snapshot(), sys.Coproc.LaneEvents())
+	return fmt.Sprintf("res=%+v\nattr=%v\nstats=%v\nevents=%+v", &flat, attrs, sys.Stats.Snapshot(), sys.Clusters[0].LaneEvents())
 }
 
 func ringsAllocated(sys *arch.System) int {

@@ -15,17 +15,16 @@ import (
 //     wait list. Issuing the producer is the only event that fixes its
 //     completion cycle, so the producer re-arms its parked consumers then.
 //   - A compute whose producers have all issued is armed: ready caches the
-//     latest producer completion (an overwritten done-ring entry counts as
-//     complete, as in depReady), and the scan tests it with one compare.
+//     latest producer completion, and the scan tests it with one compare.
 //     Until the earliest armed ready cycle the scan skips armed computes
 //     altogether.
 //   - Vector loads, stores and EM-SIMD instructions keep their own sets; the
 //     scan masks a class out once its budget is spent or the LSU blocks.
 //
-// The scoreboard is derived state: it is a pure function of the queue, the
-// pool head and the done ring, so checkpoints do not carry it and
-// RestoreCheckpoint rebuilds it. Everything lives in fixed arrays beside the
-// queue ring, so the tick stays allocation-free.
+// The scoreboard is derived state: it is a pure function of the queue, so
+// checkpoints do not carry it and RestoreCheckpoint rebuilds it. Everything
+// lives in fixed arrays beside the queue ring, so the tick stays
+// allocation-free.
 
 const sbWords = queueRing / 64
 
@@ -119,25 +118,24 @@ func (st *coreState) track(p int) {
 
 // arm files the compute in slot s: parked on its first unissued producer,
 // or armed with the cycle its last producer completes. A dependence's seq
-// is its producer's stream position plus one; positions below head have
-// issued.
+// is its producer's stream position plus one, and the producer's slot still
+// holds it (see queueRing).
 func (st *coreState) arm(s int) {
 	x := &st.queue[s]
-	var ready uint64
+	ready := x.depDone
 	for _, d := range [3]uint64{x.dep1, x.dep2, x.dep3} {
 		if d == 0 {
 			continue
 		}
-		if q := int(d - 1); q >= st.head && !st.at(q).issued {
-			ps := q & queueMask
-			st.sb.waitNext[s] = st.sb.waitHead[ps]
-			st.sb.waitHead[ps] = uint16(s + 1)
-			st.sb.parked.set(s)
-			return
+		ps := int(d-1) & queueMask
+		if p := &st.queue[ps]; p.issued {
+			ready = max(ready, p.done)
+			continue
 		}
-		if done, state := st.done.get(d); state == ringHit && done > ready {
-			ready = done
-		}
+		st.sb.waitNext[s] = st.sb.waitHead[ps]
+		st.sb.waitHead[ps] = uint16(s + 1)
+		st.sb.parked.set(s)
+		return
 	}
 	st.sb.ready[s] = ready
 	st.sb.minReady = min(st.sb.minReady, ready)
@@ -163,23 +161,6 @@ func (st *coreState) issue(s int) {
 	}
 }
 
-// setDone records an issued instruction's completion cycle. When the write
-// evicts a done-ring entry that had not completed by now, depReady starts
-// answering "complete" for that producer (the overwrite rule), so every
-// armed compute's cached ready cycle is recomputed from the ring. That needs
-// a completion more than ringSize issues late — practically unreachable,
-// but the guard keeps the cache exact.
-func (st *coreState) setDone(seq, done, now uint64) {
-	if st.done.set(seq, done) > now {
-		for s := 0; s < queueRing; s++ {
-			if st.sb.compute.has(s) {
-				st.sb.compute.clear(s)
-				st.arm(s)
-			}
-		}
-	}
-}
-
 // rebuildScoreboard re-derives the scoreboard from the queue: every renamed,
 // unissued instruction is tracked again in age order.
 func (st *coreState) rebuildScoreboard() {
@@ -192,9 +173,11 @@ func (st *coreState) rebuildScoreboard() {
 }
 
 // CheckScoreboard verifies every core's issue scoreboard against the queue
-// and the done ring at cycle now, for tests:
+// at cycle now, for tests:
 //   - the sets hold exactly the renamed, unissued instructions, each in the
 //     set of its class (a compute is armed or parked);
+//   - every producer such an instruction names still holds its pool slot
+//     (the bound queueRing is sized for);
 //   - every parked compute sits on the wait list of its first unissued
 //     producer, which is renamed;
 //   - every armed compute's producers have issued, and its cached ready
@@ -280,22 +263,19 @@ func (st *coreState) checkScoreboard(now uint64) error {
 			return fmt.Errorf("position %d (%s) is in %d sets, not its class's", p, x.Op, inSets)
 		}
 		first := -1 // the first unissued producer's position
-		var ready uint64
+		ready := x.depDone
 		for _, d := range [3]uint64{x.dep1, x.dep2, x.dep3} {
 			if d == 0 {
 				continue
 			}
-			if q := int(d - 1); q >= st.head && !st.at(q).issued {
-				if first < 0 {
-					first = q
-				}
-				continue
-			}
-			switch done, state := st.done.get(d); state {
-			case ringHit:
-				ready = max(ready, done)
-			case ringMiss:
-				return fmt.Errorf("position %d: issued producer seq %d missing from the done ring", p, d)
+			q := int(d - 1)
+			switch pr := st.at(q); {
+			case pr.seq != d:
+				return fmt.Errorf("position %d: the slot of its producer at position %d holds seq %d", p, q, pr.seq)
+			case pr.issued:
+				ready = max(ready, pr.done)
+			case first < 0:
+				first = q
 			}
 		}
 		if x.kind != kindCompute {
@@ -314,7 +294,7 @@ func (st *coreState) checkScoreboard(now uint64) error {
 		case !parked && sb.ready[s] < sb.minReady:
 			return fmt.Errorf("position %d: cached ready cycle %d below the armed bound %d", p, sb.ready[s], sb.minReady)
 		case !parked && max(sb.ready[s], now) != max(ready, now):
-			return fmt.Errorf("position %d: cached ready cycle %d, done ring says %d (now %d)", p, sb.ready[s], ready, now)
+			return fmt.Errorf("position %d: cached ready cycle %d, its producers say %d (now %d)", p, sb.ready[s], ready, now)
 		case !parked && (sb.ready[s] <= now) != x.depsReady(st, now):
 			return fmt.Errorf("position %d: cached ready cycle %d disagrees with depReady at %d", p, sb.ready[s], now)
 		}

@@ -1,6 +1,7 @@
 package coproc
 
 import (
+	"strings"
 	"testing"
 
 	"occamy/internal/isa"
@@ -23,6 +24,27 @@ func TestScoreboardSameCycleWakeup(t *testing.T) {
 	}
 	if err := r.cp.CheckScoreboard(r.cycle); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestScoreboardChecksProducerSlot: CheckScoreboard asserts the bound
+// queueRing is sized for. A compute parked on an unissued load passes; once
+// the load's slot reads as reused by the instruction queueRing positions
+// younger, the check fails.
+func TestScoreboardChecksProducerSlot(t *testing.T) {
+	r := newRig(t, func(c *Config) { c.LHQ = 0 }) // the load never issues
+	r.setVL(t, 0, 2)
+	load := r.cp.cores[0].tail
+	r.cp.Transmit(&XInst{Op: isa.OpVLoad, Core: 0, Dst: 1, Addr: 4096, Active: 8, Width: 2})
+	r.cp.Transmit(r.vinst(0, isa.OpVFAdd, 2, 1, 1, 8))
+	r.tick(2)
+	if err := r.cp.CheckScoreboard(r.cycle); err != nil {
+		t.Fatal(err)
+	}
+	r.cp.cores[0].at(load).seq += queueRing
+	err := r.cp.CheckScoreboard(r.cycle)
+	if err == nil || !strings.Contains(err.Error(), "the slot of its producer") {
+		t.Fatalf("CheckScoreboard on a consumer whose producer's slot was reused: %v", err)
 	}
 }
 
@@ -75,28 +97,28 @@ func BenchmarkIssueScan(b *testing.B) {
 	}
 }
 
-// TestDoneRingAllocatedOnFirstTransmit: a core's done ring exists only once
+// TestPoolRingAllocatedOnFirstTransmit: a core's pool ring exists only once
 // the core has transmitted to this instance, a checkpoint carries a missing
 // ring as nil, and restoring such a checkpoint drops a ring allocated since.
-func TestDoneRingAllocatedOnFirstTransmit(t *testing.T) {
+func TestPoolRingAllocatedOnFirstTransmit(t *testing.T) {
 	r := newRig(t, nil)
 	for c, st := range r.cp.cores {
-		if st.done.entries != nil {
-			t.Fatalf("core %d has a done ring before any transmit", c)
+		if st.queue != nil {
+			t.Fatalf("core %d has a pool ring before any transmit", c)
 		}
 	}
 	r.setVL(t, 0, 2)
 	snap := r.cp.Checkpoint()
-	if snap.cores[0].done.entries == nil || snap.cores[1].done.entries != nil {
+	if snap.cores[0].queue == nil || snap.cores[1].queue != nil {
 		t.Fatalf("checkpoint rings: core 0 nil=%v, core 1 nil=%v; want a ring for core 0 only",
-			snap.cores[0].done.entries == nil, snap.cores[1].done.entries == nil)
+			snap.cores[0].queue == nil, snap.cores[1].queue == nil)
 	}
 	r.setVL(t, 1, 2)
-	if r.cp.cores[1].done.entries == nil {
-		t.Fatal("core 1 transmitted but has no done ring")
+	if r.cp.cores[1].queue == nil {
+		t.Fatal("core 1 transmitted but has no pool ring")
 	}
 	r.cp.RestoreCheckpoint(snap)
-	if r.cp.cores[0].done.entries == nil || r.cp.cores[1].done.entries != nil {
+	if r.cp.cores[0].queue == nil || r.cp.cores[1].queue != nil {
 		t.Fatal("restore did not reproduce the checkpoint's rings")
 	}
 }

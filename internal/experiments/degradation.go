@@ -145,7 +145,7 @@ func (c Config) Degradation() (*Degradation, error) {
 	if err != nil {
 		return nil, err
 	}
-	units := probe.Coproc.Tbl().Total()
+	units := probe.Cplx.Total()
 
 	out := &Degradation{Units: units, FaultAt: degFaultAt, Points: make(map[arch.Kind][]DegPoint, len(arch.Kinds))}
 	for _, kind := range arch.Kinds {

@@ -98,7 +98,7 @@ func TestSchedulerSuspendMidStripResume(t *testing.T) {
 	if sched.coreOf(0) >= 0 {
 		t.Fatal("suspended task still occupies a core")
 	}
-	if got := sys.Coproc.Tbl().VL(c); got != 0 {
+	if got := sys.Clusters[0].Tbl().VL(c); got != 0 {
 		t.Fatalf("core %d still holds %d granules after suspend", c, got)
 	}
 
@@ -121,7 +121,7 @@ func TestSchedulerAdmitWithZeroFreeLanes(t *testing.T) {
 		longTask(t, "rgb2hsv", 3000, 2), // the late arrival
 	}
 	sched, sys, compiled := hostWithTasks(t, 2, ws, arch.Options{Seed: 13})
-	tbl := sys.Coproc.Tbl()
+	tbl := sys.Clusters[0].Tbl()
 
 	sched.EnqueueReady(0)
 	if _, err := sys.Engine.RunUntil(func() bool {
@@ -161,7 +161,7 @@ func TestSchedulerResumeAfterFaultRevocation(t *testing.T) {
 		longTask(t, "wsm51", 3000, 2),
 	}
 	sched, sys, compiled := hostWithTasks(t, 2, ws, arch.Options{Seed: 17, Faults: faults})
-	tbl := sys.Coproc.Tbl()
+	tbl := sys.Clusters[0].Tbl()
 
 	// The hog runs alone and grows to the full pool, then is suspended
 	// before the fault fires.

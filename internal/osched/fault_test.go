@@ -94,7 +94,7 @@ func TestSchedulerUnderPermanentFault(t *testing.T) {
 	if sched.Switches == 0 {
 		t.Fatal("oversubscription must cause context switches")
 	}
-	if tbl := sys.Coproc.Tbl(); tbl.Failed() != 4 {
+	if tbl := sys.Clusters[0].Tbl(); tbl.Failed() != 4 {
 		t.Fatalf("failed units = %d, want 4", tbl.Failed())
 	}
 	for i, comp := range compiled {
@@ -126,7 +126,7 @@ func TestSchedulerAcrossTransientFault(t *testing.T) {
 	if sched.Switches < 4 {
 		t.Fatalf("only %d switches", sched.Switches)
 	}
-	if tbl := sys.Coproc.Tbl(); tbl.Failed() != 0 {
+	if tbl := sys.Clusters[0].Tbl(); tbl.Failed() != 0 {
 		t.Fatalf("transient fault left %d units failed after repair", tbl.Failed())
 	}
 	for i, comp := range compiled {

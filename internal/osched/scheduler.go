@@ -5,6 +5,7 @@ import (
 
 	"occamy/internal/arch"
 	"occamy/internal/compiler"
+	"occamy/internal/coproc"
 	"occamy/internal/cpu"
 	"occamy/internal/digest"
 	"occamy/internal/isa"
@@ -100,7 +101,7 @@ type Hooks interface {
 // TaskState is one task's saved context and lifecycle flags.
 type TaskState struct {
 	st  cpu.State
-	vec [][]float32
+	vec []float32
 	em  Context
 	vl  int // lanes held when preempted (granules)
 
@@ -159,7 +160,7 @@ func (s *Scheduler) AddTask(name string, prog *isa.Program) int {
 	s.progs = append(s.progs, prog)
 	s.tasks = append(s.tasks, TaskState{
 		st:  cpu.NewState(),
-		vec: s.sys.Coproc.CopyVecState(0, nil), // right shape; contents unused until vecValid
+		vec: s.sys.Clusters[0].SaveVecState(0), // right length; contents unused until vecValid
 	})
 	s.growQueue(len(s.tasks) + 1)
 	return len(s.tasks) - 1
@@ -328,18 +329,23 @@ func (s *Scheduler) dispatch(c, id int, now uint64) {
 	core.Restore(t.st)
 	core.Park()
 	s.prog[c] = id
+	home := s.home(c)
 	if t.vecValid {
-		s.sys.Coproc.RestoreVecState(c, t.vec)
+		home.RestoreVecState(c, t.vec)
 	}
 	if s.elastic {
 		// Restoring a non-zero <OI> triggers a repartition (§5), so the
 		// incoming task's behaviour immediately influences the plan.
-		Restore(s.sys.Coproc.Manager(), c, t.em)
+		Restore(home.Manager(), c, t.em)
 	}
 	s.pendingIn[c] = id
 	s.switchState[c] = acquiring
 	_ = now
 }
+
+// home returns the co-processor instance core c transmits to: its context
+// is saved from and restored to that cluster.
+func (s *Scheduler) home(c int) *coproc.Coproc { return s.sys.Cplx.Cluster(s.sys.Cplx.Home(c)) }
 
 // Name implements sim.Component.
 func (s *Scheduler) Name() string { return "os-scheduler" }
@@ -371,7 +377,7 @@ func (s *Scheduler) tickRunning(c int, now uint64) {
 	}
 	t := &s.tasks[id]
 	core := s.sys.Cores[c]
-	if core.Halted() && s.sys.Coproc.Quiescent(c, now) {
+	if core.Halted() && s.sys.Cplx.Quiescent(c, now) {
 		// Task finished: release its context and the core.
 		t.done = true
 		t.st = core.Snapshot()
@@ -385,7 +391,7 @@ func (s *Scheduler) tickRunning(c int, now uint64) {
 			// Nobody to run: hand the dead task's lanes back to the pool
 			// so peers can grow instead of idling them until the next
 			// arrival. Save captures-and-releases; the context is dead.
-			_, _ = Save(s.sys.Coproc.Manager(), c)
+			_, _ = Save(s.home(c).Manager(), c)
 		}
 		return
 	}
@@ -397,25 +403,26 @@ func (s *Scheduler) tickRunning(c int, now uint64) {
 }
 
 func (s *Scheduler) tickDraining(c int, now uint64) {
-	if !s.sys.Coproc.Quiescent(c, now) {
+	if !s.sys.Cplx.Quiescent(c, now) {
 		return
 	}
 	id := s.running[c]
 	t := &s.tasks[id]
 	core := s.sys.Cores[c]
+	home := s.home(c)
 	// Save the full context: scalar, vector and (elastic only) EM-SIMD
 	// registers. The task's save buffer was preallocated at AddTask, so
 	// preemptions of a long-lived task do not allocate.
 	t.st = core.Snapshot()
-	t.vec = s.sys.Coproc.CopyVecState(c, t.vec)
+	t.vec = home.CopyVecState(c, t.vec)
 	t.vecValid = true
 	// Record the preemption-time width for every mode: fixed-mode cores can
 	// also change VL while the task is off-core (a fault revocation landing
 	// at another task's strip boundary), and the mid-strip state only
 	// resumes soundly under this exact width.
-	t.vl = s.sys.Coproc.Tbl().VL(c)
+	t.vl = home.Tbl().VL(c)
 	if s.elastic {
-		ctx, err := Save(s.sys.Coproc.Manager(), c)
+		ctx, err := Save(home.Manager(), c)
 		if err != nil {
 			panic(fmt.Sprintf("osched: %v", err)) // quiescence was checked
 		}
@@ -462,7 +469,7 @@ func (s *Scheduler) tickAcquiring(c int, now uint64) {
 	// iteration, store predicates) silently corrupts under any other
 	// length — elastic code only changes VL at strip boundaries.
 	if s.elastic && t.vl > 0 {
-		tbl := s.sys.Coproc.Tbl()
+		tbl := s.home(c).Tbl()
 		if !tbl.TryReconfigure(c, t.vl) {
 			if t.vl <= tbl.Usable() {
 				return // retry next cycle; peers' monitors will release
@@ -483,7 +490,7 @@ func (s *Scheduler) tickAcquiring(c int, now uint64) {
 		// transient fault's repair returns the units). A permanent loss
 		// leaves the task waiting — the watchdog's DNF, the honest
 		// static-partitioning outcome.
-		if tbl := s.sys.Coproc.Tbl(); tbl.VL(c) != t.vl && !tbl.TryReconfigure(c, t.vl) {
+		if tbl := s.home(c).Tbl(); tbl.VL(c) != t.vl && !tbl.TryReconfigure(c, t.vl) {
 			return // retry next cycle
 		}
 	}

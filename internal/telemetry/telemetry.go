@@ -79,7 +79,7 @@ type CoreSource interface {
 }
 
 // CoprocSource is the co-processor state the sampler reads at each boundary
-// (*coproc.Coproc satisfies it).
+// (*coproc.Complex satisfies it).
 type CoprocSource interface {
 	ComputeIssued(c int) uint64
 	MemIssued(c int) uint64

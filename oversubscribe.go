@@ -45,7 +45,7 @@ func RunOversubscribed(cores int, sliceCycles uint64, seed uint64, refs ...Workl
 	return &OversubscribedReport{
 		Cycles:       sys.Engine.Cycle(),
 		Switches:     sched.Switches,
-		Repartitions: sys.Coproc.Manager().Repartitions,
+		Repartitions: sys.Cplx.Repartitions(),
 		Tasks:        sched.TaskNames(),
 	}, nil
 }

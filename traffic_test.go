@@ -78,3 +78,29 @@ func TestRunTrafficSmoke(t *testing.T) {
 		}
 	}
 }
+
+// TestRunTrafficClustered: on a clustered machine the OS scheduler saves and
+// restores each core's context on the core's home cluster, so every task a
+// traffic run completes verifies against the host reference, with and
+// without churn, at 2 and 4 clusters on all four architectures.
+func TestRunTrafficClustered(t *testing.T) {
+	const spec = "poisson:load=2,tenants=4,cores=4,horizon=12000,slice=400,elems=384,repeats=1"
+	for _, clusters := range []int{2, 4} {
+		for _, traffic := range []string{spec, spec + ",churn=900:1300"} {
+			for _, a := range Architectures() {
+				cfg := DefaultConfig(a)
+				cfg.MaxCycles = 0 // horizon-sized budget
+				cfg.Verify = true
+				cfg.Traffic = traffic
+				cfg.Topology = &Topology{Clusters: clusters}
+				rep, err := RunTraffic(cfg)
+				if err != nil {
+					t.Fatalf("%s, %d clusters, %q: %v", a, clusters, traffic, err)
+				}
+				if rep.Total.Completed == 0 {
+					t.Fatalf("%s, %d clusters, %q: no task completed", a, clusters, traffic)
+				}
+			}
+		}
+	}
+}
