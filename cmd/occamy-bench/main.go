@@ -34,7 +34,7 @@ func main() {
 		seed   = flag.Uint64("seed", 1, "workload data seed")
 		html   = flag.String("html", "", "write a self-contained HTML report (SVG charts) to this file and exit")
 		par    = flag.Int("j", 0, "max concurrent simulations in sweeps (0 = one per CPU)")
-		leg    = flag.Bool("legacy-tick", false, "force the every-cycle engine path (disable skip-ahead; results are bit-identical)")
+		leg    = flag.Bool("legacy-tick", false, "force the every-cycle engine path (disable skip-ahead and parking; results are bit-identical)")
 		teleA  = flag.String("telemetry", "", "serve live telemetry for the campaign's runs on this address: GET /metrics (OpenMetrics), /events (JSONL), /stream (SSE)")
 		teleW  = flag.Uint64("telemetry-window", 0, "telemetry sampling window in sim cycles (0 = default 4096)")
 		cpuPr  = flag.String("cpuprofile", "", "write a CPU profile to this file")

@@ -55,7 +55,7 @@ func main() {
 		profile  = flag.Bool("profile", false, "enable cycle attribution and print the top-down table and latency histograms")
 		perfetto = flag.String("perfetto", "", "write the run's Chrome/Perfetto trace-event JSON file (open in ui.perfetto.dev): phase and drain slices, telemetry windows as counter tracks, events as instants; with -arch all, the architecture name is appended to the stem")
 		stats    = flag.Bool("stats", false, "dump the full sorted counter registry (implies -profile)")
-		legacy   = flag.Bool("legacy-tick", false, "force the every-cycle engine path (disable skip-ahead; results are bit-identical)")
+		legacy   = flag.Bool("legacy-tick", false, "force the every-cycle engine path (disable skip-ahead and parking; results are bit-identical)")
 		faults   = flag.String("faults", "", `fault-injection spec: "kind[:target...]@at[+for]; ..." (e.g. "exebu:2@10000+5000; xmit:core0@2000+8000"), or @file.json`)
 		trafSpec = flag.String("traffic", "", `open-loop traffic spec instead of -w0/-w1: "process:key=value,..." (e.g. "poisson:load=2,tenants=6,churn=8000:20000"); prints the per-tenant SLO report`)
 		clusters = flag.Int("clusters", 1, "number of co-processor clusters (1 = the flat machine; cores and ExeBUs must divide evenly over clusters)")
@@ -222,6 +222,9 @@ func main() {
 				for _, h := range rep.Histograms {
 					fmt.Print(h)
 				}
+				// Host-side, so on stderr: stdout stays byte-identical
+				// under -legacy-tick.
+				fmt.Fprintf(os.Stderr, "%s %s", kind, rep.Host)
 			}
 			if *stats {
 				fmt.Println("\ncounters:")

@@ -89,9 +89,10 @@ type Options struct {
 	// window unless Telemetry sets one.
 	Obs obs.Options
 	// LegacyTick forces the every-cycle simulation path, disabling the
-	// engine's skip-ahead fast-forwarding. Results, telemetry and traces
-	// are bit-identical either way (enforced by the engine differential
-	// tests); the switch exists as the differential oracle.
+	// engine's skip-ahead fast-forwarding and the parking of stalled
+	// co-processor rows and scalar cores. Results, telemetry and traces are
+	// bit-identical either way (enforced by the engine differential tests);
+	// the switch exists as the differential oracle.
 	LegacyTick bool
 	// Faults schedules deterministic fault injections (internal/fault).
 	// A non-empty list registers the injector; faulted runs skip ahead
@@ -469,6 +470,11 @@ func Build(kind Kind, sched workload.CoSchedule, opts Options) (*System, error) 
 		ci.SetResponder(func(core int, reg isa.Reg, val uint64, ready uint64) {
 			sys.Cores[core].HandleResult(core, reg, val, ready)
 		})
+		ci.SetSlotWaker(func(core int) { sys.Cores[core].SlotFreed() })
+		ci.SetParking(!opts.LegacyTick)
+	}
+	for _, core := range sys.Cores {
+		core.SetParking(!opts.LegacyTick)
 	}
 	sys.seed = opts.Seed
 	if len(opts.Faults) > 0 || opts.WireInjector {
@@ -553,6 +559,19 @@ func Build(kind Kind, sched workload.CoSchedule, opts Options) (*System, error) 
 	// fault.Injector.NextWake).
 	engine.SetSkipAhead(!opts.LegacyTick)
 	return sys, nil
+}
+
+// ParkedTicks returns the ticks parking replaced with a replay: co-processor
+// row ticks across every cluster, and scalar-core ticks. Host-side, like the
+// engine's skipped cycles, and zero under LegacyTick.
+func (s *System) ParkedTicks() (rows, cores uint64) {
+	for _, cp := range s.Clusters {
+		rows += cp.ParkedTicks()
+	}
+	for _, c := range s.Cores {
+		cores += c.ParkedTicks()
+	}
+	return rows, cores
 }
 
 // SetFaultSchedule replaces the wired injector's fault schedule in place,

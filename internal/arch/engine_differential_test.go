@@ -5,7 +5,10 @@ import (
 	"reflect"
 	"testing"
 
+	"occamy/internal/coproc"
+	"occamy/internal/digest"
 	"occamy/internal/obs"
+	"occamy/internal/sim"
 	"occamy/internal/workload"
 )
 
@@ -139,4 +142,70 @@ func TestEngineSkipAheadTimelineIdentical(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestEngineSkipAheadClusteredStorms pins skip-ahead to the every-cycle path
+// where several clusters storm their shared vector cache in the same skipped
+// window: the scale sweep's 8-core, 4-cluster VLS point, whose four clusters
+// all retry against full MSHRs, two rows each, from cycle 62 on. Real ticks
+// interleave the clusters on the cache port cycle by cycle, so the replay
+// must too; replaying each cluster's window whole used to move the port's
+// bandwidth meter at cycle 64 and end the run one cycle late. The full
+// states must match at every comparison cycle and the results at the end.
+func TestEngineSkipAheadClusteredStorms(t *testing.T) {
+	sched := wideGroup(8).Scaled(0.25)
+	opts := Options{Seed: 1, Topology: &coproc.Topology{Clusters: 4, HopLatency: 2, HopBandwidth: 8}}
+	build := func(legacy bool) *System {
+		o := opts
+		o.LegacyTick = legacy
+		sys, err := Build(VLS, sched, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sys
+	}
+	leg, skip := build(true), build(false)
+	for _, at := range []uint64{60, 64, 72, 96, 160, 512, 2048} {
+		for _, sys := range []*System{leg, skip} {
+			if err := sys.RunTo(at); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if d := stateDiff(leg, skip); d != "" {
+			t.Fatalf("cycle %d: skip-ahead state differs from the every-cycle path at %s", at, d)
+		}
+	}
+	if skip.Engine.SkippedCycles() == 0 {
+		t.Fatal("skip-ahead never engaged")
+	}
+	legRes, err := leg.Run(50_000_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	skipRes, err := skip.Run(50_000_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(legRes, skipRes) {
+		t.Errorf("results diverge: legacy %d cycles, skip %d cycles", legRes.Cycles, skipRes.Cycles)
+	}
+}
+
+// stateDiff returns the first field path where two systems at the same cycle
+// differ in simulated state, or "". The engine's skip bookkeeping is left
+// out, and expired holds are dropped from both first: a tracker drains
+// lazily, so when it last drained depends on the execution strategy.
+func stateDiff(a, b *System) string {
+	now := a.Engine.Cycle()
+	for _, s := range []*System{a, b} {
+		for _, cp := range s.Clusters {
+			cp.ExpireHolds(now)
+		}
+	}
+	sa, sb := a.withRegistries(a.state()), b.withRegistries(b.state())
+	if sa.engine.Cycle() != sb.engine.Cycle() {
+		return fmt.Sprintf("engine.cycle (%d vs %d)", sa.engine.Cycle(), sb.engine.Cycle())
+	}
+	sa.engine, sb.engine = sim.EngineState{}, sim.EngineState{}
+	return digest.Diff(&sa, &sb)
 }

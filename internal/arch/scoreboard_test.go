@@ -16,8 +16,11 @@ import (
 // architectures: a flat pair, the 64-core clustered group, and a pair
 // through a transient ExeBU failure whose issue gates throttle Private and
 // FTS. CheckScoreboard also holds each co-processor's active and live row
-// sets to their definition, and CheckMSHRs holds every cache's MSHR file in
-// release order with exact per-requestor counts. Every few hundred cycles
+// sets to their definition, CheckParked holds every parked row to its sleep
+// mirror and its latch and every core parked on a full pool to a pool that
+// is still full (so a missed wake fails at the cycle it is missed), and
+// CheckMSHRs holds every cache's MSHR file in release order with exact
+// per-requestor counts. Every few hundred cycles
 // the state is also checkpointed and restored into a freshly built system,
 // whose rebuilt scoreboard and row sets must match the live ones slot for
 // slot and whose restored MSHR files must pass the same check.
@@ -52,6 +55,16 @@ func TestIssueScoreboardInvariants(t *testing.T) {
 					now := sys.Engine.Cycle()
 					for _, cp := range sys.Clusters {
 						if err := cp.CheckScoreboard(now); err != nil {
+							failure = fmt.Errorf("cycle %d: %w", now, err)
+							return true
+						}
+						if err := cp.CheckParked(now); err != nil {
+							failure = fmt.Errorf("cycle %d: %w", now, err)
+							return true
+						}
+					}
+					for _, core := range sys.Cores {
+						if err := core.CheckParked(); err != nil {
 							failure = fmt.Errorf("cycle %d: %w", now, err)
 							return true
 						}

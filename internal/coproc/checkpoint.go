@@ -10,9 +10,10 @@ import (
 // resource table's TblState and the lane manager's ManagerState), which the
 // state codec clones and copies back. Configuration and wiring (ports,
 // probe, responder, roofline model) and derived state (the issue
-// scoreboards, the row sets, the sleep-scan memo, renameStallNow) are not
-// captured: a checkpoint restores onto the instance it was taken from (or an
-// identically built one), which rebuilds the derived state.
+// scoreboards, the row sets, the sleep-scan memo, renameStallNow, the
+// parks) are not captured: a checkpoint restores onto the instance it was
+// taken from (or an identically built one), which rebuilds the derived
+// state.
 
 // CheckpointState is a complete co-processor checkpoint.
 type CheckpointState struct {
@@ -49,8 +50,8 @@ func (cp *Coproc) Checkpoint() CheckpointState {
 // identically configured instance, then rebuilds the derived state: the
 // hold trackers' drain bounds, the busy timelines' cursors, the issue
 // scoreboards and row sets (from the restored queues, trackers and gates),
-// and the sleep-scan memo, invalidated so a restored cycle re-probes
-// quiescence from scratch.
+// and the sleep-scan memo, invalidated with every park so a restored cycle
+// re-probes quiescence from scratch.
 func (cp *Coproc) RestoreCheckpoint(st CheckpointState) {
 	digest.Copy(&cp.coprocState, &st.coprocState)
 	cp.tbl.Restore(st.tbl)
@@ -68,6 +69,7 @@ func (cp *Coproc) RestoreCheckpoint(st CheckpointState) {
 	clear(cp.sleepFxs)
 	cp.sleepOK = false
 	cp.sleepStamp = 0
+	cp.unparkAll()
 }
 
 // deriveRowSets computes the row sets from the queues, trackers and gates at

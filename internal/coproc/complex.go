@@ -102,6 +102,12 @@ func NewComplex(topo Topology, cls []*Coproc) *Complex {
 	for _, m := range mgrs {
 		m.AfterRepartition = cx.hier.Balance
 	}
+	// The clusters share the vector-cache port: their skipped retry storms
+	// replay together, in tick order.
+	g := &stormGroup{members: cls}
+	for _, cp := range cls {
+		cp.storms = g
+	}
 	if cls[0].cfg.Elastic {
 		cx.hier.OnMigrate = cx.onMigrate
 	}
@@ -236,6 +242,7 @@ func (cx *Complex) StripBoundary(c int) bool {
 	// re-admit on the new one at the same width. The core's own monitor then
 	// adapts <VL> to the destination's plan through the normal MSR protocol.
 	dst.RestoreVecState(c, old.cores[c].z)
+	old.unpark(c)
 	oi := old.tbl.OI(c)
 	old.tbl.ForceVL(c, 0)
 	old.tbl.SetOI(c, isa.OIPair{})

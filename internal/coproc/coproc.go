@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 
 	"occamy/internal/isa"
 	"occamy/internal/lanemgr"
@@ -107,12 +108,19 @@ const (
 )
 
 // coreState is one core's row on a co-processor instance: its checkpointed
-// state and the issue scoreboard derived from it.
+// state, the issue scoreboard derived from it and its parking status.
 type coreState struct {
 	rowState
 	// sb tracks the renamed, unissued instructions for the issue scan
-	// (scoreboard.go): derived from the queue, never checkpointed.
-	sb scoreboard
+	// (scoreboard.go): derived from the queue, never checkpointed, and
+	// allocated with it, on the row's first Transmit.
+	sb *scoreboard
+	// Parking (park.go), execution-strategy state like the sleep memo:
+	// Tick's walk skips the row for cycles before parkUntil; idle marks a
+	// last tickCore that made no progress, after which the walk probes the
+	// sleep mirror.
+	parkUntil uint64
+	idle      bool
 }
 
 // rowState is a row's checkpointed state: a deep, cycle-accurate account of
@@ -126,9 +134,9 @@ type rowState struct {
 	// grow-and-compact slice — steady-state operation neither allocates nor
 	// re-copies the backlog. A fixed-size array (not a slice) so the masked
 	// index in at() is provably in bounds — the issue scan hits it hard.
-	// It is allocated on the core's first Transmit to this instance: a
-	// clustered machine keeps a row for every core on every cluster, and
-	// most of those rows never receive an instruction.
+	// It is allocated on the core's first Transmit to this instance (see
+	// materialize): a clustered machine keeps a row for every core on every
+	// cluster, and most of those rows never receive an instruction.
 	queue *[queueRing]XInst
 	head  int
 	tail  int
@@ -139,7 +147,8 @@ type rowState struct {
 
 	// z is the functional architectural vector state: 32 registers of
 	// Lanes() float32 elements each, register r at z[r*Lanes():], updated in
-	// program order at transmit.
+	// program order at transmit. Nil, meaning all zero, until the row's
+	// first Transmit or RestoreVecState.
 	z []float32
 
 	// Renamer state: the seq of each architectural vector register's last
@@ -309,11 +318,11 @@ type Coproc struct {
 	//     settle): from then on it can neither issue nor hold a resource, so
 	//     the sleep mirror, the rename check and the MOB query skip it.
 	// allRows is the full set (a shared fault gate makes every row live);
-	// storms is SkipTicks' reusable set of retry-storming rows.
-	active  rowSet
-	live    rowSet
-	allRows rowSet
-	storms  rowSet
+	// stormRows is SkipTicks' reusable set of retry-storming rows.
+	active    rowSet
+	live      rowSet
+	allRows   rowSet
+	stormRows rowSet
 
 	// Sleep-scan memo: NextWake(now) caches each core's per-cycle effects
 	// so a SkipTicks(from==now, n) that immediately follows (the only way
@@ -324,6 +333,21 @@ type Coproc struct {
 	sleepOK    bool
 
 	respond ScalarResponder
+
+	// Parking (park.go): parking enables it; slotFreed wakes a scalar core
+	// parked on a full pool; parkedTicks counts the row ticks it elided,
+	// host-side like the engine's skipped cycles, outside every digest.
+	parking     bool
+	slotFreed   func(core int)
+	parkedTicks uint64
+
+	// storms is the set of instances sharing this one's vector-cache port,
+	// whose skipped retry storms replay together (see stormGroup); the
+	// instance alone until NewComplex groups its clusters. stormFrom and
+	// stormCount describe this instance's storms in the last skipped window.
+	storms     *stormGroup
+	stormFrom  uint64
+	stormCount int
 
 	coprocState
 
@@ -452,17 +476,17 @@ func New(cfg Config, vecPort mem.SharedPort, data *mem.Memory, model roofline.Mo
 		active:         newRowSet(cfg.Cores),
 		live:           newRowSet(cfg.Cores),
 		allRows:        newRowSet(cfg.Cores),
-		storms:         newRowSet(cfg.Cores),
+		stormRows:      newRowSet(cfg.Cores),
 		sleepFxs:       make([]sleepFx, cfg.Cores),
 		lanes:          float64(cfg.Lanes()),
 	}
+	cp.storms = &stormGroup{members: []*Coproc{cp}}
 	for c := 0; c < cfg.Cores; c++ {
 		cp.allRows.set(c)
 	}
 	cp.renameStallsCell = stats.Counter("coproc.rename.stalls")
 	cp.mshrRetriesCell = stats.Counter("coproc.lsu.mshr_retries")
 	cp.drainWaitCell = stats.Counter("coproc.drain_wait_cycles")
-	lanes := cfg.Lanes()
 	for c := 0; c < cfg.Cores; c++ {
 		st := &coreState{rowState: rowState{busyTimeline: *sim.NewTimeline(1000), lastReject: -1}}
 		// Pre-size the hold trackers to their architectural bounds so
@@ -483,7 +507,6 @@ func New(cfg Config, vecPort mem.SharedPort, data *mem.Memory, model roofline.Mo
 			phaseCap = 8
 		}
 		st.computeByPhase = make([]uint64, 0, phaseCap)
-		st.z = make([]float32, isa.NumZRegs*lanes)
 		cp.cores = append(cp.cores, st)
 	}
 	if !cfg.Elastic && !cfg.SharedIssue {
@@ -504,6 +527,11 @@ func New(cfg Config, vecPort mem.SharedPort, data *mem.Memory, model roofline.Mo
 
 // SetResponder wires the scalar-result return path.
 func (cp *Coproc) SetResponder(r ScalarResponder) { cp.respond = r }
+
+// SetSlotWaker wires the pool-slot wake: w is called with a core whose full
+// instruction pool frees a slot, which ends the park of a scalar core whose
+// transmit the full pool refused (see cpu.Core.SlotFreed).
+func (cp *Coproc) SetSlotWaker(w func(core int)) { cp.slotFreed = w }
 
 // Manager exposes the lane manager (for tests and reports).
 func (cp *Coproc) Manager() *lanemgr.Manager { return cp.mgr }
@@ -572,9 +600,8 @@ func (cp *Coproc) Transmit(x *XInst) TransmitStatus {
 	if cp.flt != nil && !cp.flt.linkAccept(c, cp.cycles) {
 		return TransmitLinkDown
 	}
-	if st.queue == nil {
-		st.queue = new([queueRing]XInst)
-	}
+	cp.materialize(st)
+	st.parkUntil, st.idle = 0, false // new work ends a park; the next tick is real
 	slot := st.at(st.tail)
 	*slot = *x
 	slot.enq = cp.cycles
@@ -752,20 +779,20 @@ func (cp *Coproc) Tick(now uint64) {
 	cp.rotStart, cp.rotLast = start, now
 	// tickCore on an empty pool is a pure no-op, so the walk visits only
 	// the active rows, in the rotation's order: start…n−1, then
-	// 0…start−1.
+	// 0…start−1. A parked row replays its stall instead (tickRow).
 	budget := issueBudget{compute: cp.cfg.ComputeIssue, mem: cp.cfg.MemIssue, emsimd: &em}
 	for c := cp.active.next(start); c < n; c = cp.active.next(c + 1) {
-		cp.tickCore(c, now, &budget)
+		cp.tickRow(c, now, &budget)
 	}
 	for c := cp.active.next(0); c < start; c = cp.active.next(c + 1) {
-		cp.tickCore(c, now, &budget)
+		cp.tickRow(c, now, &budget)
 	}
 	totalBusy := 0.0
-	// Accounting settles the rows just ticked — the active set, which
-	// nothing has changed since the walk — in ascending order, so the float
-	// sums keep their order. A row not ticked owes only a zero timeline
-	// sample and a possible in-flight lastActive bump, both settled lazily
-	// by flushAcct.
+	// Accounting settles the rows just ticked or replayed — the active set,
+	// which nothing has changed since the walk — in ascending order, so the
+	// float sums keep their order. A row not ticked owes only a zero
+	// timeline sample and a possible in-flight lastActive bump, both settled
+	// lazily by flushAcct.
 	for c := cp.active.next(0); c < n; c = cp.active.next(c + 1) {
 		st := cp.cores[c]
 		v := cp.cycleBusyLanes[c]
@@ -877,7 +904,7 @@ func (cp *Coproc) tickCore(c int, now uint64, budget *issueBudget) {
 		}
 		return
 	}
-	sb, q := &st.sb, st.queue
+	sb, q := st.sb, st.queue
 	end := st.renamed
 	// Armed computes are walked only once the earliest of them can be
 	// ready (minReady lower-bounds their ready cycles; arming during the
@@ -1123,7 +1150,12 @@ func (cp *Coproc) LastActive(c int) uint64 {
 }
 
 // Z returns the functional value of lane i of register r on core c (tests).
-func (cp *Coproc) Z(c int, r isa.Reg, i int) float32 { return cp.cores[c].zreg(r)[i] }
+func (cp *Coproc) Z(c int, r isa.Reg, i int) float32 {
+	if cp.cores[c].z == nil {
+		return 0
+	}
+	return cp.cores[c].zreg(r)[i]
+}
 
 // BusyTimeline returns core c's busy-lane timeline (Figures 2 and 14(b)).
 func (cp *Coproc) BusyTimeline(c int) *sim.Timeline {
@@ -1159,10 +1191,43 @@ func (cp *Coproc) SaveVecState(c int) []float32 {
 
 // CopyVecState is SaveVecState into a caller-owned buffer: dst's backing
 // array is reused when it is large enough (a task's repeated preemptions then
-// cost no allocation), and the possibly re-allocated buffer is returned.
+// cost no allocation), and the possibly re-allocated buffer is returned. A
+// row that never held registers saves all zeros.
 func (cp *Coproc) CopyVecState(c int, dst []float32) []float32 {
-	return append(dst[:0], cp.cores[c].z...)
+	n := isa.NumZRegs * cp.cfg.Lanes()
+	dst = slices.Grow(dst[:0], n)[:n]
+	if z := cp.cores[c].z; z != nil {
+		copy(dst, z)
+	} else {
+		clear(dst)
+	}
+	return dst
 }
 
-// RestoreVecState installs previously saved vector registers on core c.
-func (cp *Coproc) RestoreVecState(c int, z []float32) { copy(cp.cores[c].z, z) }
+// RestoreVecState installs previously saved vector registers on core c (nil
+// installs all zeros), allocating the row's registers on first use.
+func (cp *Coproc) RestoreVecState(c int, z []float32) {
+	st := cp.cores[c]
+	if st.z == nil {
+		st.z = make([]float32, isa.NumZRegs*cp.cfg.Lanes())
+	}
+	n := copy(st.z, z)
+	clear(st.z[n:])
+	cp.unpark(c)
+}
+
+// materialize allocates what row st needs to hold work, on its first
+// Transmit: the pool ring, the issue scoreboard and the vector registers.
+// Rows that never receive an instruction (most rows of a clustered machine)
+// never allocate them.
+func (cp *Coproc) materialize(st *coreState) {
+	if st.queue == nil {
+		st.queue = new([queueRing]XInst)
+	}
+	if st.sb == nil {
+		st.sb = new(scoreboard)
+	}
+	if st.z == nil {
+		st.z = make([]float32, isa.NumZRegs*cp.cfg.Lanes())
+	}
+}

@@ -71,6 +71,7 @@ func (cp *Coproc) ensureFault() *faultState {
 // the fault controller never force-grows a fixed-mode binary.
 func (cp *Coproc) SetForcedVL(c, want int) {
 	f := cp.ensureFault()
+	cp.unpark(c)
 	if want < 0 || want >= cp.tbl.VL(c) {
 		f.forceVL[c] = -1
 		return
@@ -97,6 +98,7 @@ func (cp *Coproc) StripBoundary(c int) bool {
 	if want := cp.flt.forceVL[c]; want >= 0 {
 		cp.tbl.ForceVL(c, want)
 		cp.flt.forceVL[c] = -1
+		cp.unpark(c)
 	}
 	return true
 }
@@ -106,6 +108,7 @@ func (cp *Coproc) StripBoundary(c int) bool {
 // for good). A gated row is live: the sleep mirror must see its gate.
 func (cp *Coproc) SetIssueGate(c int, gate uint64) {
 	cp.ensureFault().issueGate[c] = gate
+	cp.unpark(c)
 	if gate > 1 {
 		cp.live.set(c)
 	} else {
@@ -121,6 +124,7 @@ const GateDead = deadGate
 // covers every row, so every row is live while it holds.
 func (cp *Coproc) SetSharedGate(gate uint64) {
 	cp.ensureFault().sharedGate = gate
+	cp.unparkAll()
 	if gate > 1 {
 		copy(cp.live, cp.allRows)
 	} else {
@@ -139,6 +143,7 @@ func (cp *Coproc) CutRegs(c, n int) {
 	f := cp.ensureFault()
 	f.regsCut[c] += n
 	f.regsCutTotal += n
+	cp.unpark(c)
 }
 
 // RestoreRegs returns n registers of core c's file to service.
@@ -149,6 +154,7 @@ func (cp *Coproc) RestoreRegs(c, n int) {
 	}
 	f.regsCut[c] -= n
 	f.regsCutTotal -= n
+	cp.unpark(c)
 }
 
 // SetLinkFault opens a dispatch-link fault window on core c: transmissions
@@ -164,6 +170,7 @@ func (cp *Coproc) SetLinkFault(c int, base uint64, now uint64) {
 		backoff:    2 * base,
 		nextAccept: now + base,
 	}
+	cp.unpark(c)
 }
 
 // ClearLinkFault closes core c's dispatch-link fault window.
@@ -171,6 +178,7 @@ func (cp *Coproc) ClearLinkFault(c int) {
 	if cp.flt != nil {
 		cp.flt.link[c] = linkFault{}
 	}
+	cp.unpark(c)
 }
 
 // LinkDrops reports how many transmissions the faulted links refused.

@@ -23,7 +23,7 @@ import (
 //
 // The scoreboard is derived state: it is a pure function of the queue, so
 // checkpoints do not carry it and RestoreCheckpoint rebuilds it. Everything
-// lives in fixed arrays beside the queue ring, so the tick stays
+// lives in fixed arrays allocated with the queue ring, so the tick stays
 // allocation-free.
 
 const sbWords = queueRing / 64
@@ -146,7 +146,7 @@ func (st *coreState) arm(s int) {
 // and every compute parked on it re-arms.
 func (st *coreState) issue(s int) {
 	st.queue[s].issued = true
-	sb := &st.sb
+	sb := st.sb
 	sb.compute.clear(s)
 	sb.load.clear(s)
 	sb.store.clear(s)
@@ -162,9 +162,17 @@ func (st *coreState) issue(s int) {
 }
 
 // rebuildScoreboard re-derives the scoreboard from the queue: every renamed,
-// unissued instruction is tracked again in age order.
+// unissued instruction is tracked again in age order. A row with a pool
+// ring gets its scoreboard here if the restore brought the ring.
 func (st *coreState) rebuildScoreboard() {
-	st.sb = scoreboard{}
+	switch {
+	case st.sb != nil:
+		*st.sb = scoreboard{}
+	case st.queue != nil:
+		st.sb = new(scoreboard)
+	default:
+		return // no ring, nothing to track
+	}
 	for p := st.head; p < st.renamed; p++ {
 		if !st.at(p).issued {
 			st.track(p)
@@ -214,7 +222,13 @@ func (cp *Coproc) CheckScoreboard(now uint64) error {
 }
 
 func (st *coreState) checkScoreboard(now uint64) error {
-	sb := &st.sb
+	sb := st.sb
+	if sb == nil {
+		if st.queue != nil {
+			return fmt.Errorf("pool ring without a scoreboard")
+		}
+		return nil // never held work
+	}
 	var none slotSet
 	if st.head == st.renamed && sb.compute == none && sb.parked == none && sb.load == none &&
 		sb.store == none && sb.emsimd == none && sb.waitHead == [queueRing]uint16{} {
@@ -309,7 +323,10 @@ func (st *coreState) checkScoreboard(now uint64) error {
 // loads, stores and EM-SIMD instructions.
 func (cp *Coproc) ScoreboardString(c int, now uint64) string {
 	st := cp.cores[c]
-	sb := &st.sb
+	sb := st.sb
+	if sb == nil {
+		sb = &scoreboard{}
+	}
 	parkedOn := map[int]int{}
 	for ps := 0; ps < queueRing; ps++ {
 		for w := sb.waitHead[ps]; w != 0; w = sb.waitNext[w-1] {

@@ -1,6 +1,8 @@
 package coproc
 
 import (
+	"fmt"
+
 	"occamy/internal/isa"
 	"occamy/internal/mem"
 	"occamy/internal/obs"
@@ -28,11 +30,12 @@ import (
 // cycle-invariant work (hits on the leading resident lines, a reject count)
 // until an outstanding miss retires — see mem.Cache.ProbeRetry — and
 // SkipTicks bulk-replays exactly those effects via ReplayRetries. When
-// several cores storm the same port at once their bandwidth-meter updates
-// interleave in Tick's priority-rotation order, so the bulk replay switches
-// to a cycle-major loop that visits the storming cores in exactly that
-// rotation (see SkipTicks); within one cycle each core's retry is still the
-// same cycle-invariant line walk.
+// several rows storm the same port at once their bandwidth-meter updates
+// interleave in tick order — cycle by cycle, each cluster in registration
+// order, each cluster's rows in its priority rotation — so the bulk replay
+// switches to a cycle-major loop that visits the storming rows in exactly
+// that order (see stormGroup); within one cycle each row's retry is still
+// the same cycle-invariant line walk.
 
 // minGateSleep is the shortest fault-gate window worth eliding: below it the
 // quiescence probe plus accounting replay cost more than the handful of
@@ -113,10 +116,19 @@ func (cp *Coproc) coreSleep(c int, now uint64) (fx sleepFx, wake uint64, ok bool
 		}
 		return fx, wake, true
 	}
+	if cp.gated(c) {
+		// A periodic gate open now is closed next cycle, and a gated tick
+		// returns before its scan: the scan's effects hold for this cycle
+		// only.
+		wake = now + 1
+	}
+	if st.head == st.tail {
+		return fx, wake, true // nothing to issue
+	}
 	// The scan mirrors tickCore's walk over the issue scoreboard, without
 	// budgets: a ready compute, an executable EM-SIMD instruction or a
 	// memory access that would make progress makes the cycle live.
-	sb := &st.sb
+	sb := st.sb
 	end := st.renamed
 	fence := end // an EM-SIMD instruction past the head stops the scan
 	memBlocked := false
@@ -213,9 +225,10 @@ scan:
 
 // NextWake implements sim.Sleeper. Only live rows are scanned: a row outside
 // live has an empty pool, holds nothing and is not gated, so its scan would
-// report a zero-effect quiescent cycle and no wake. A fully quiescent scan
-// memoizes each row's effects so the SkipTicks call the engine issues for the
-// same cycle can replay them without re-scanning.
+// report a zero-effect quiescent cycle and no wake. A parked row is not
+// scanned either: its latched effects hold until its park ends. A fully
+// quiescent scan memoizes each row's effects so the SkipTicks call the
+// engine issues for the same cycle can replay them without re-scanning.
 func (cp *Coproc) NextWake(now uint64) (uint64, bool) {
 	cp.sleepOK = false
 	wake := uint64(sim.NeverWake)
@@ -223,6 +236,10 @@ func (cp *Coproc) NextWake(now uint64) (uint64, bool) {
 		wake = cp.emsimdBusyUntil
 	}
 	for c := cp.live.next(0); c < len(cp.cores); c = cp.live.next(c + 1) {
+		if p := cp.cores[c].parkUntil; now < p {
+			wake = min(wake, p)
+			continue
+		}
 		fx, w, ok := cp.coreSleep(c, now)
 		if !ok {
 			return 0, false
@@ -242,18 +259,22 @@ func (cp *Coproc) NextWake(now uint64) (uint64, bool) {
 // SkipTicks implements sim.Sleeper: the accounting n quiescent Ticks at
 // cycles [from, from+n) would have performed. Priority rotation and issue
 // budgets need no replay — nothing issues in a quiescent cycle, so budgets
-// never decrement and the visit order has no observable effect. Rows outside
-// live would replay nothing (their memo entries are zero and their last
-// in-flight release is behind them), so only live rows are visited.
+// never decrement and the visit order has no observable effect, except on
+// the shared cache port, where the storm group replays retries in tick
+// order. Rows outside live would replay nothing (their memo entries are zero
+// and their last in-flight release is behind them), so only live rows are
+// visited; a parked row's memo entry is its latch.
 func (cp *Coproc) SkipTicks(from, n uint64) {
 	nc := len(cp.cores)
 	if !cp.sleepOK || cp.sleepStamp != from {
 		for c := cp.live.next(0); c < nc; c = cp.live.next(c + 1) {
-			cp.sleepFxs[c], _, _ = cp.coreSleep(c, from)
+			if from >= cp.cores[c].parkUntil {
+				cp.sleepFxs[c], _, _ = cp.coreSleep(c, from)
+			}
 		}
 	}
-	clear(cp.storms)
-	storms, sole := 0, -1
+	clear(cp.stormRows)
+	cp.stormFrom, cp.stormCount = from, 0
 	for c := cp.live.next(0); c < nc; c = cp.live.next(c + 1) {
 		st := cp.cores[c]
 		fx := &cp.sleepFxs[c]
@@ -271,8 +292,8 @@ func (cp *Coproc) SkipTicks(from, n uint64) {
 		if fx.mshrRetry {
 			st.mshrRetries += n
 			*cp.mshrRetriesCell += n
-			cp.storms.set(c)
-			storms, sole = storms+1, c
+			cp.stormRows.set(c)
+			cp.stormCount++
 		}
 		if st.head < st.tail {
 			st.lastActive = from + n - 1
@@ -289,30 +310,66 @@ func (cp *Coproc) SkipTicks(from, n uint64) {
 		// stalled ticks would: that zero run stays owed on st.acct until
 		// flushAcct backfills it (exact for v == 0; see RecordRun).
 	}
-	switch {
-	case storms == 1:
-		// Sole storming core: one bulk replay covers the window.
-		fx := &cp.sleepFxs[sole]
-		cp.vecProbe.ReplayRetries(from, n, fx.retryAddr, fx.retrySize, fx.retryWrite, sole)
-	case storms > 1:
-		// Concurrent storms interleave their bandwidth-meter updates in
-		// Tick's per-cycle priority rotation, so replay cycle-major,
-		// visiting the storming cores in exactly that rotation. Each
-		// single-cycle ReplayRetries re-walks a few cache lines — far
-		// cheaper than the full component tick it replaces.
-		for t := from; t < from+n; t++ {
-			start := int(t) % nc
-			for _, span := range [2][2]int{{start, nc}, {0, start}} {
-				for c := cp.storms.next(span[0]); c < span[1]; c = cp.storms.next(c + 1) {
-					fx := &cp.sleepFxs[c]
-					cp.vecProbe.ReplayRetries(t, 1, fx.retryAddr, fx.retrySize, fx.retryWrite, c)
-				}
-			}
-		}
+	if g := cp.storms; cp == g.members[len(g.members)-1] {
+		g.replay(from, n)
 	}
 	// busyLaneCycles accumulates 0.0/lanes per stalled cycle — an exact
 	// float64 no-op, so there is nothing to add here.
 	cp.acctUpTo = from + n
 	cp.cycles += n
 	cp.settleIdle()
+}
+
+// stormGroup is the set of co-processor instances sharing one vector-cache
+// port, in registration order: an instance alone, or every cluster of a
+// Complex. Real ticks interleave their rows' retries cycle by cycle — all of
+// the first cluster's storming rows in its priority rotation, then the
+// next cluster's — so the retries of a skipped window replay in that order
+// too. The engine skips every component over the same window, in
+// registration order, so each member's SkipTicks records its storming rows
+// and the last member's replays the whole group's.
+type stormGroup struct {
+	members []*Coproc
+}
+
+// replay applies the retry storms every member recorded for the skipped
+// window [from, from+n).
+func (g *stormGroup) replay(from, n uint64) {
+	total, sole, soleRow := 0, (*Coproc)(nil), -1
+	for _, m := range g.members {
+		if m.stormFrom != from {
+			panic(fmt.Sprintf("coproc: %s skipped from cycle %d, its storm group from %d", m.name, m.stormFrom, from))
+		}
+		if m.stormCount > 0 {
+			total += m.stormCount
+			sole, soleRow = m, m.stormRows.next(0)
+		}
+	}
+	switch {
+	case total == 1:
+		// Sole storming row: one bulk replay covers the window.
+		fx := &sole.sleepFxs[soleRow]
+		sole.vecProbe.ReplayRetries(from, n, fx.retryAddr, fx.retrySize, fx.retryWrite, soleRow)
+	case total > 1:
+		// Concurrent storms interleave their bandwidth-meter updates in
+		// tick order, so replay cycle-major, visiting the storming rows in
+		// exactly that order. Each single-cycle ReplayRetries re-walks a
+		// few cache lines — far cheaper than the full component tick it
+		// replaces.
+		for t := from; t < from+n; t++ {
+			for _, m := range g.members {
+				if m.stormCount == 0 {
+					continue
+				}
+				nc := len(m.cores)
+				start := int(t % uint64(nc))
+				for _, span := range [2][2]int{{start, nc}, {0, start}} {
+					for c := m.stormRows.next(span[0]); c < span[1]; c = m.stormRows.next(c + 1) {
+						fx := &m.sleepFxs[c]
+						m.vecProbe.ReplayRetries(t, 1, fx.retryAddr, fx.retrySize, fx.retryWrite, c)
+					}
+				}
+			}
+		}
+	}
 }

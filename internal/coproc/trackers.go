@@ -100,6 +100,19 @@ func (t *holdTracker) next(now uint64) uint64 {
 	return t.nextRel
 }
 
+// ExpireHolds drops, on every row, the holds released by now. A tracker
+// drains lazily, at its next query, so two runs of one simulation that
+// queried at different cycles — a skipping run and a ticking one — can hold
+// different expired entries; tests comparing their full state expire both
+// first.
+func (cp *Coproc) ExpireHolds(now uint64) {
+	for _, st := range cp.cores {
+		for _, t := range [...]*holdTracker{&st.inflight, &st.lhq, &st.stq, &st.pool.issued} {
+			t.drain(now)
+		}
+	}
+}
+
 // CheckTrackerBound reports a hold tracker holding more entries than a core
 // can have in flight — the renamed window plus the load and store queues —
 // for tests: Add's drain keeps expired holds from piling up while nothing

@@ -111,6 +111,16 @@ type Core struct {
 	// pointer, and the pointer points into the Core, so the interface call
 	// neither copies the 136-byte instruction nor makes anything escape.
 	xinst coproc.XInst
+
+	// Parking, an execution strategy beside skip-ahead that the system
+	// builder turns on (SetParking): a core whose transmit a full pool
+	// refused waits for its row to free a slot (SlotFreed), replaying the
+	// refusal's accounting each cycle instead of re-executing it. waitSlot
+	// is that wait, derived state outside FullState; parkedTicks counts the
+	// ticks replayed, host-side like the engine's skipped cycles.
+	parking     bool
+	waitSlot    bool
+	parkedTicks uint64
 }
 
 // State is a core's architectural context, for OS context switching (§5):
@@ -226,6 +236,32 @@ func (c *Core) HandleResult(core int, reg isa.Reg, val uint64, ready uint64) {
 	}
 	c.x[reg] = int64(val)
 	c.xReady[reg] = ready
+	c.waitSlot = false
+}
+
+// SetParking turns pool-wait parking on or off (off after New). It needs a
+// port whose co-processor calls SlotFreed when the core's full pool frees a
+// slot (coproc.Coproc.SetSlotWaker).
+func (c *Core) SetParking(on bool) {
+	c.parking = on
+	c.waitSlot = false
+}
+
+// SlotFreed ends a wait on a full pool: the core's row freed a slot, so the
+// next tick transmits for real.
+func (c *Core) SlotFreed() { c.waitSlot = false }
+
+// ParkedTicks returns how many ticks the core replayed while waiting on a
+// full pool. Host-side: outside Stats and every checkpoint.
+func (c *Core) ParkedTicks() uint64 { return c.parkedTicks }
+
+// CheckParked reports, for tests, a core waiting on a full pool whose pool
+// has a free slot: a slot-freed wake that was never delivered.
+func (c *Core) CheckParked() error {
+	if c.waitSlot && (!c.parking || !c.cp.PoolFull(c.id)) {
+		return fmt.Errorf("cpu%d: waits on a full pool, but parking is %v and the pool full %v", c.id, c.parking, c.cp.PoolFull(c.id))
+	}
+	return nil
 }
 
 // Name implements sim.Component.
@@ -241,6 +277,13 @@ func (c *Core) Tick(now uint64) {
 	// A live core's fallback explanation for this cycle is scalar work;
 	// more specific signals raised below take priority in the classifier.
 	c.probe.Signal(c.id, obs.SigScalar)
+	if c.waitSlot {
+		// The refused transmit would be refused again: replay its effects.
+		c.probe.Signal(c.id, obs.SigDispatchFull)
+		*c.poolFullCell++
+		c.parkedTicks++
+		return
+	}
 	for slot := 0; slot < c.cfg.Width && !c.halted; slot++ {
 		in := c.prog.AtPtr(c.pc)
 		if in.Phase != c.phase {
@@ -651,11 +694,14 @@ func (c *Core) stage(op isa.Opcode, phase int) *coproc.XInst {
 	return x
 }
 
-// transmit sends the instruction staged in c.xinst.
+// transmit sends the instruction staged in c.xinst. A refusal by a full
+// pool parks a parking core until its row frees a slot: until then every
+// retry would be refused the same way, with no effect but the accounting.
 func (c *Core) transmit() bool {
-	if c.cp.Transmit(&c.xinst) != coproc.TransmitOK {
+	if st := c.cp.Transmit(&c.xinst); st != coproc.TransmitOK {
 		c.probe.Signal(c.id, obs.SigDispatchFull)
 		*c.poolFullCell++
+		c.waitSlot = c.parking && st == coproc.TransmitQueueFull
 		return false
 	}
 	return true
@@ -666,6 +712,7 @@ func (c *Core) transmit() bool {
 func (c *Core) SetProgram(prog *isa.Program) {
 	c.prog = prog
 	c.buildPhaseNames(prog)
+	c.waitSlot = false
 }
 
 // Snapshot captures the core's architectural state. The caller must ensure
@@ -680,21 +727,25 @@ func (c *Core) Restore(s State) {
 	c.State = s
 	c.xReady = [isa.NumXRegs]uint64{}
 	c.fReady = [isa.NumFRegs]uint64{}
+	c.waitSlot = false
 }
 
 // RestoreCheckpoint rewinds the core to a Checkpoint. The program is
-// wiring and stays installed.
-func (c *Core) RestoreCheckpoint(s FullState) { digest.Copy(&c.FullState, &s) }
+// wiring and stays installed; a pool wait ends, so the next tick re-executes.
+func (c *Core) RestoreCheckpoint(s FullState) {
+	digest.Copy(&c.FullState, &s)
+	c.waitSlot = false
+}
 
 // NewState is the boot context of a fresh task.
 func NewState() State { return State{tailActive: -1, phase: -1} }
 
 // Park stops the core from fetching (the OS descheduled it); Unpark resumes.
 // A parked core still holds its architectural state.
-func (c *Core) Park() { c.parked = true }
+func (c *Core) Park() { c.parked, c.waitSlot = true, false }
 
 // Unpark resumes fetching.
-func (c *Core) Unpark() { c.parked = false }
+func (c *Core) Unpark() { c.parked, c.waitSlot = false, false }
 
 // Parked reports whether the core is parked.
 func (c *Core) Parked() bool { return c.parked }

@@ -140,8 +140,8 @@ func (c *Core) stallGate(in *isa.Inst, now uint64) (wake uint64, sig obs.Sig, co
 // shrink as time passes, so the first failing gate is stable until its
 // declared wake).
 func (c *Core) NextWake(now uint64) (uint64, bool) {
-	if c.halted || c.parked {
-		return sim.NeverWake, true
+	if c.halted || c.parked || c.waitSlot {
+		return sim.NeverWake, true // a pool wait ends only at a co-processor event
 	}
 	in := c.prog.AtPtr(c.pc)
 	if in.Phase != c.phase {

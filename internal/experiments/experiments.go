@@ -36,7 +36,8 @@ type Config struct {
 	// zero means one per host CPU.
 	Parallel int
 	// LegacyTick forces the every-cycle engine path, disabling skip-ahead
-	// fast-forwarding (A/B validation; results are bit-identical).
+	// fast-forwarding and parking (A/B validation; results are
+	// bit-identical).
 	LegacyTick bool
 	// Telemetry, when non-nil, attaches every experiment run's live sampler
 	// to the given HTTP server (occamy-bench -telemetry): long campaigns

@@ -106,8 +106,9 @@ type Config struct {
 	// instants. Implies Profile and windowed sampling (see
 	// TelemetryWindow).
 	PerfettoPath string
-	// LegacyTick forces the engine to tick every cycle instead of
-	// skip-ahead fast-forwarding over quiescent windows. Results are
+	// LegacyTick forces the engine to tick every component every cycle,
+	// without skip-ahead fast-forwarding over quiescent windows and without
+	// parking stalled co-processor rows and scalar cores. Results are
 	// bit-identical either way; the switch exists for A/B validation and
 	// engine benchmarking.
 	LegacyTick bool

@@ -76,6 +76,27 @@ type Report struct {
 	// telemetry): retained time-series windows, latency quantiles and the
 	// structured event log, for programmatic consumers.
 	Telemetry *TelemetrySampler
+	// Host is the simulator's account of the work it elided. It is
+	// host-side: it differs between a default run and a LegacyTick run of
+	// the same simulation, whose every simulated number is identical.
+	Host HostProfile
+}
+
+// HostProfile counts what the simulator elided while running a simulation:
+// the cycles the engine skipped because the whole machine was quiescent, in
+// how many jumps, and the co-processor row ticks and scalar-core ticks that
+// parking replaced with a replay of their stall. All zero under LegacyTick.
+type HostProfile struct {
+	SkippedCycles   uint64
+	Jumps           uint64
+	ParkedRowTicks  uint64
+	ParkedCoreTicks uint64
+}
+
+// String renders the profile as one line.
+func (h HostProfile) String() string {
+	return fmt.Sprintf("host: skipped %d cycles in %d jumps; parked %d co-processor row ticks and %d core ticks\n",
+		h.SkippedCycles, h.Jumps, h.ParkedRowTicks, h.ParkedCoreTicks)
 }
 
 func newReport(sys *arch.System, res *arch.Result) *Report {
@@ -112,6 +133,8 @@ func newReport(sys *arch.System, res *arch.Result) *Report {
 		}
 	}
 	r.Telemetry = sys.Tele
+	r.Host = HostProfile{SkippedCycles: sys.Engine.SkippedCycles(), Jumps: sys.Engine.Skips()}
+	r.Host.ParkedRowTicks, r.Host.ParkedCoreTicks = sys.ParkedTicks()
 	return r
 }
 
