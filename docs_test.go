@@ -32,6 +32,28 @@ func TestExperimentsFigure10MatchesGolden(t *testing.T) {
 	}
 }
 
+// TestExperimentsMeasuredRowsMatchGolden keeps EXPERIMENTS.md's Figure 11
+// and Figure 13 tables in step with the report: each "measured" row's
+// Private, FTS, VLS and Occamy cells must be the golden's summary row under
+// that figure (GM for Figure 11, Mean for Figure 13).
+func TestExperimentsMeasuredRowsMatchGolden(t *testing.T) {
+	for _, fig := range []struct{ doc, docRow, golden, goldenRow string }{
+		{"## Figure 11", "| measured GM |", "Figure 11:", "GM "},
+		{"## Figure 13", "| measured |", "Figure 13:", "Mean "},
+	} {
+		want := rowFields(t, linesFrom(t, "testdata/occamy-bench.golden", fig.golden), fig.goldenRow, " ")
+		got := rowFields(t, linesFrom(t, "EXPERIMENTS.md", fig.doc), fig.docRow, "|")
+		if len(want) != 5 || len(got) != 5 {
+			t.Fatalf("%s: golden row %q, EXPERIMENTS.md row %q; want an architecture per column", fig.golden, want, got)
+		}
+		for i, arch := range []string{"Private", "FTS", "VLS", "Occamy"} {
+			if cell := strings.ReplaceAll(got[1+i], "*", ""); cell != want[1+i] {
+				t.Errorf("EXPERIMENTS.md %s %s = %s, golden has %s", fig.doc[3:], arch, cell, want[1+i])
+			}
+		}
+	}
+}
+
 // linesFrom returns file's lines from the first one starting with heading.
 func linesFrom(t *testing.T, file, heading string) []string {
 	t.Helper()

@@ -405,17 +405,17 @@ func Build(kind Kind, sched workload.CoSchedule, opts Options) (*System, error) 
 		ccfg.Elastic = true
 	}
 
-	var cls []*coproc.Coproc
+	cfgs := []coproc.Config{ccfg}
 	if opts.Topology == nil {
 		if err := ccfg.Validate(); err != nil {
 			return nil, err
 		}
-		cls = []*coproc.Coproc{coproc.New(ccfg, hier.VecCache, hier.Mem, model, stats)}
 	} else {
-		// Each cluster hosts every core's row (global IDs index every
-		// shard; foreign rows stay inert) but owns only its ExeBU shard,
-		// and shared-structure arithmetic divides by its resident tenants.
-		for k := 0; k < clusters; k++ {
+		// Each cluster owns only its ExeBU shard and hosts the rows of its
+		// group of cores (global core IDs index the machine's rows), and
+		// shared-structure arithmetic divides by its resident tenants.
+		cfgs = make([]coproc.Config, clusters)
+		for k := range cfgs {
 			kcfg := ccfg
 			kcfg.ExeBUs = opts.ExeBUs / clusters
 			kcfg.ActiveCores = group
@@ -430,12 +430,17 @@ func Build(kind Kind, sched workload.CoSchedule, opts Options) (*System, error) 
 			if err := kcfg.Validate(); err != nil {
 				return nil, fmt.Errorf("arch: cluster %d: %w", k, err)
 			}
-			cp := coproc.New(kcfg, hier.VecCache, hier.Mem, model, stats)
-			cp.SetName(fmt.Sprintf("coproc%d", k))
-			cls = append(cls, cp)
+			cfgs[k] = kcfg
 		}
 	}
-	cplx := coproc.NewComplex(topo, cls)
+	cplx := coproc.NewComplex(topo, cfgs, hier.VecCache, hier.Mem, model, stats)
+	cls := make([]*coproc.Coproc, clusters)
+	for k := range cls {
+		cls[k] = cplx.Cluster(k)
+		if opts.Topology != nil {
+			cls[k].SetName(fmt.Sprintf("coproc%d", k))
+		}
+	}
 
 	mode := compiler.ModeFixed
 	if kind == Occamy {

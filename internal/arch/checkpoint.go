@@ -38,16 +38,15 @@ type SystemState struct {
 
 // stateContent is everything a SystemState holds but its digest stamp.
 type stateContent struct {
-	engine  sim.EngineState
-	stats   map[string]uint64
-	hier    mem.HierarchyState
-	coprocs []coproc.CheckpointState // one per cluster, in fabric order
-	cplx    coproc.ComplexCheckpoint
-	cores   []cpu.FullState
-	probe   obs.ProbeState
-	ctl     *ctlState // nil without a fault controller
-	inj     fault.InjectorState
-	tele    telemetry.SamplerState
+	engine sim.EngineState
+	stats  map[string]uint64
+	hier   mem.HierarchyState
+	cplx   coproc.ComplexCheckpoint
+	cores  []cpu.FullState
+	probe  obs.ProbeState
+	ctl    *ctlState // nil without a fault controller
+	inj    fault.InjectorState
+	tele   telemetry.SamplerState
 }
 
 // Cycle returns the cycle the checkpoint was taken at.
@@ -64,9 +63,6 @@ func (s *System) state() stateContent {
 		cplx:   s.Cplx.State(),
 		inj:    s.inj.State(),
 		tele:   s.Tele.State(),
-	}
-	for _, cp := range s.Clusters {
-		st.coprocs = append(st.coprocs, cp.State())
 	}
 	for _, core := range s.Cores {
 		st.cores = append(st.cores, core.FullState)
@@ -124,9 +120,6 @@ func (s *System) restore(st *SystemState) {
 	s.Engine.Restore(st.engine)
 	s.Stats.Restore(st.stats)
 	s.Hier.Restore(st.hier)
-	for k, cp := range s.Clusters {
-		cp.RestoreCheckpoint(st.coprocs[k])
-	}
 	s.Cplx.RestoreCheckpoint(st.cplx)
 	for c, core := range s.Cores {
 		core.RestoreCheckpoint(st.cores[c])

@@ -288,7 +288,7 @@ func digestShapes(t *testing.T, kind arch.Kind) map[string]digestShape {
 	}
 	// Occamy recovers by repartitioning its lanes; the other three carry
 	// the failure in the co-processor's fault state.
-	if flt := reflect.ValueOf(shapes["fork"].st).Elem().FieldByName("coprocs").Index(0).FieldByName("flt"); flt.IsNil() != (kind == arch.Occamy) {
+	if flt := reflect.ValueOf(shapes["fork"].st).Elem().FieldByName("cplx").FieldByName("clusters").Index(0).FieldByName("flt"); flt.IsNil() != (kind == arch.Occamy) {
 		t.Fatalf("fork snapshot: co-processor fault state nil = %v", flt.IsNil())
 	}
 
@@ -429,13 +429,9 @@ func TestSnapshotDigestIgnoresPadding(t *testing.T) {
 		t.Fatal("XInst has no padding; the test needs a padded type")
 	}
 	entries := 0
-	cores := reflect.ValueOf(st).Elem().FieldByName("coprocs").Index(0).FieldByName("cores")
-	for c := 0; c < cores.Len(); c++ {
-		queue := cores.Index(c).FieldByName("queue")
-		if queue.IsNil() {
-			continue
-		}
-		queue = queue.Elem()
+	rows := reflect.ValueOf(st).Elem().FieldByName("cplx").FieldByName("rows")
+	for c := 0; c < rows.Len(); c++ {
+		queue := rows.Index(c).FieldByName("queue").Elem()
 		for i := 0; i < queue.Len(); i++ {
 			base := unsafe.Pointer(queue.Index(i).UnsafeAddr())
 			for _, b := range pad {

@@ -99,6 +99,9 @@ func (ctl *faultCtl) clusterOf(f fault.Fault) int {
 	return f.Cluster
 }
 
+// home returns core c's current home cluster.
+func (ctl *faultCtl) home(c int) *coproc.Coproc { return ctl.sys.Cplx.Cluster(ctl.sys.Cplx.Home(c)) }
+
 // members returns the half-open core-ID range built onto cluster k. Fault
 // accounting uses the build-time grouping, not the migrated assignment: the
 // static per-core loss model applies to Private/VLS, which never migrate.
@@ -137,13 +140,9 @@ func (ctl *faultCtl) Apply(f fault.Fault, now uint64) {
 			ctl.open = append(ctl.open, len(ctl.recs))
 		}
 	case fault.RegBank:
-		// The core's physical register file travels with the core, not the
-		// fabric: cut its pool on every shard so the loss follows it
-		// through migrations (foreign rows rename nothing, so only the
-		// home cut is ever observable).
-		for _, cp := range ctl.sys.Clusters {
-			cp.CutRegs(f.Core, f.Count)
-		}
+		// The cut stays on the core's row, so it follows the core through
+		// migrations; a shared pool is charged on the home cluster only.
+		ctl.home(f.Core).CutRegs(f.Core, f.Count)
 	case fault.Bandwidth:
 		ctl.bwTarget(f.Level).SetBWFactor(f.Factor)
 	case fault.XmitLink:
@@ -174,9 +173,7 @@ func (ctl *faultCtl) Revert(f fault.Fault, now uint64) {
 		}
 		ctl.react(k)
 	case fault.RegBank:
-		for _, cp := range ctl.sys.Clusters {
-			cp.RestoreRegs(f.Core, f.Count)
-		}
+		ctl.home(f.Core).RestoreRegs(f.Core, f.Count)
 	case fault.Bandwidth:
 		ctl.bwTarget(f.Level).SetBWFactor(1)
 	case fault.XmitLink:

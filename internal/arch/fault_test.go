@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"occamy/internal/coproc"
 	"occamy/internal/fault"
 	"occamy/internal/sim"
 	"occamy/internal/telemetry"
@@ -320,6 +321,36 @@ func TestRegBankAndBandwidthFaultsComplete(t *testing.T) {
 		if res.Cycles <= baseRes.Cycles {
 			t.Errorf("%s: faulted run (%d cycles) not slower than clean run (%d)",
 				name, res.Cycles, baseRes.Cycles)
+		}
+	}
+}
+
+// TestRegBankFaultCutsHomePoolOnly: on a clustered FTS machine each cluster
+// renames against its own shared register pool, and a failed register bank
+// is charged to its victim's home pool only. A failure that takes every free
+// register of the victim's pool stalls the victim for good, while the core
+// on the other cluster runs to completion.
+func TestRegBankFaultCutsHomePoolOnly(t *testing.T) {
+	pair := faultPair(512, 12)
+	for victim := range pair.W {
+		// Each cluster's pool holds half of the 160 shared registers, 32 of
+		// them architectural: 48 are free.
+		sys, err := Build(FTS, pair, Options{Seed: 11, Topology: &coproc.Topology{Clusters: 2}, StallCycles: 20_000,
+			Faults: []fault.Fault{{Kind: fault.RegBank, Core: victim, Count: 48, At: 300}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = sys.Run(400_000_000)
+		var stall *sim.StallError
+		if !errors.As(err, &stall) {
+			t.Fatalf("victim core %d: the run ended with %v, want a stall", victim, err)
+		}
+		other, now := 1-victim, sys.Engine.Cycle()
+		if !sys.Cores[other].Halted() || !sys.Cplx.Quiescent(other, now) {
+			t.Errorf("victim core %d: core %d on the other cluster did not finish", victim, other)
+		}
+		if sys.Cores[victim].Halted() {
+			t.Errorf("victim core %d finished without a free register", victim)
 		}
 	}
 }

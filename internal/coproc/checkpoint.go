@@ -6,64 +6,40 @@ import (
 )
 
 // This file implements the co-processor side of the system checkpoint. The
-// state lives in plain-data structs (coprocState, each row's rowState, the
-// resource table's TblState and the lane manager's ManagerState), which the
-// state codec clones and copies back. Configuration and wiring (ports,
-// probe, responder, roofline model) and derived state (the issue
-// scoreboards, the row sets, the sleep-scan memo, renameStallNow, the
-// parks) are not captured: a checkpoint restores onto the instance it was
-// taken from (or an identically built one), which rebuilds the derived
-// state.
+// state lives in plain-data structs (each cluster's coprocState, its
+// resource table's TblState and its lane manager's ManagerState, and each
+// row's rowState), which the state codec clones and copies back; the
+// Complex's checkpoint holds every cluster's and, once, every row's.
+// Configuration and wiring (ports, probe, responder, roofline model) and
+// derived state (the issue scoreboards, the home and row sets, the
+// sleep-scan memo, renameStallNow, the parks) are not captured: a
+// checkpoint restores onto the machine it was taken from (or an identically
+// built one), which rebuilds the derived state.
 
-// CheckpointState is a complete co-processor checkpoint.
+// CheckpointState is one co-processor instance's checkpoint: its own state,
+// its resource table's and its lane manager's. The rows it hosts are the
+// Complex's to checkpoint.
 type CheckpointState struct {
 	coprocState
-	cores []rowState
-	tbl   lanemgr.TblState
-	mgr   lanemgr.ManagerState
+	tbl lanemgr.TblState
+	mgr lanemgr.ManagerState
 }
 
-// State settles every row's owed accounting and returns the co-processor's
-// live state in a checkpoint's layout. It shares storage with the instance:
-// clone it (Checkpoint) before the instance runs on.
-func (cp *Coproc) State() CheckpointState {
-	st := CheckpointState{
-		coprocState: cp.coprocState,
-		cores:       make([]rowState, len(cp.cores)),
-		tbl:         cp.tbl.TblState,
-		mgr:         cp.mgr.ManagerState,
-	}
-	for i, c := range cp.cores {
-		c.flushAcct(cp.acctUpTo)
-		st.cores[i] = c.rowState
-	}
-	return st
+// state returns the instance's live state in a checkpoint's layout, sharing
+// storage with the instance.
+func (cp *Coproc) state() CheckpointState {
+	return CheckpointState{coprocState: cp.coprocState, tbl: cp.tbl.TblState, mgr: cp.mgr.ManagerState}
 }
 
-// Checkpoint captures the co-processor's full simulation state at any cycle.
-func (cp *Coproc) Checkpoint() CheckpointState {
-	st := cp.State()
-	return digest.Clone(&st)
-}
-
-// RestoreCheckpoint rewinds the co-processor to a Checkpoint taken on an
-// identically configured instance, then rebuilds the derived state: the
-// hold trackers' drain bounds, the busy timelines' cursors, the issue
-// scoreboards and row sets (from the restored queues, trackers and gates),
-// and the sleep-scan memo, invalidated with every park so a restored cycle
-// re-probes quiescence from scratch.
-func (cp *Coproc) RestoreCheckpoint(st CheckpointState) {
+// restore rewinds the instance to a checkpoint of an identically configured
+// one whose rows and home set are already restored, then rebuilds its
+// derived state: the row sets (from the restored queues, trackers and
+// gates) and the sleep-scan memo, invalidated with every park so a restored
+// cycle re-probes quiescence from scratch.
+func (cp *Coproc) restore(st CheckpointState) {
 	digest.Copy(&cp.coprocState, &st.coprocState)
 	cp.tbl.Restore(st.tbl)
 	digest.Copy(&cp.mgr.ManagerState, &st.mgr)
-	for i, c := range cp.cores {
-		digest.Copy(&c.rowState, &st.cores[i])
-		for _, t := range [...]*holdTracker{&c.inflight, &c.lhq, &c.stq, &c.pool.issued} {
-			t.rebuild()
-		}
-		c.busyTimeline.RestoreCursor()
-		c.rebuildScoreboard()
-	}
 	clear(cp.renameStallNow)
 	cp.deriveRowSets(cp.active, cp.live)
 	clear(cp.sleepFxs)
@@ -72,17 +48,29 @@ func (cp *Coproc) RestoreCheckpoint(st CheckpointState) {
 	cp.unparkAll()
 }
 
-// deriveRowSets computes the row sets from the queues, trackers and gates at
-// the cycle boundary acctUpTo (see Coproc.active): the definition
-// RestoreCheckpoint rebuilds from, and CheckScoreboard holds the running
+// restore rewinds the row to a checkpointed rowState, then rebuilds what is
+// derived from it: the hold trackers' drain bounds, the busy timeline's
+// cursor and the issue scoreboard.
+func (st *coreState) restore(rs *rowState) {
+	digest.Copy(&st.rowState, rs)
+	for _, t := range [...]*holdTracker{&st.inflight, &st.lhq, &st.stq, &st.pool.issued} {
+		t.rebuild()
+	}
+	st.busyTimeline.RestoreCursor()
+	st.rebuildScoreboard()
+}
+
+// deriveRowSets computes the row sets from the home rows' queues, trackers
+// and gates at the cycle boundary acctUpTo (see Coproc.active): the
+// definition restore rebuilds from, and CheckScoreboard holds the running
 // sets to. A hold is live at acctUpTo exactly when its release is later:
 // every drain so far ran at an earlier cycle, so the latest release (maxRel,
 // recomputed from the surviving entries on restore) is still tracked.
 func (cp *Coproc) deriveRowSets(active, live rowSet) {
 	clear(active)
 	clear(live)
-	for c, st := range cp.cores {
-		if st.head < st.tail {
+	for c := cp.home.next(0); c < len(cp.cores); c = cp.home.next(c + 1) {
+		if st := cp.cores[c]; st.head < st.tail {
 			active.set(c)
 			live.set(c)
 		} else if st.inflight.maxRel > cp.acctUpTo || cp.gated(c) {

@@ -7,6 +7,8 @@ import (
 	"occamy/internal/digest"
 	"occamy/internal/isa"
 	"occamy/internal/lanemgr"
+	"occamy/internal/mem"
+	"occamy/internal/roofline"
 	"occamy/internal/sim"
 )
 
@@ -21,19 +23,24 @@ const TransmitFabricBusy TransmitStatus = 3
 // while every cycle of real work still happens inside the per-cluster Coproc
 // instances, which tick as independent engine components.
 //
+// The machine has one row per core (Figure 5's per-core pool, rename state
+// and registers), shared by every cluster; each cluster hosts the rows of
+// the cores assigned to it and walks only those. Per-core views read the
+// row through its home cluster.
+//
 // The two-level lane hierarchy lives here: each cluster's lanemgr.Manager is
 // the unchanged per-cluster partitioning pass, and lanemgr.Hier (wired
 // through every Manager's AfterRepartition hook) is the global pass that
 // proposes moving a tenant to a less-loaded cluster. The Complex owns the
 // data-path half of a migration: it holds the proposing core at its next
-// strip boundary, waits for its old cluster to drain, moves the architectural
-// vector state, and re-admits the core on the destination shard with a
-// non-zero initial width (so an elastic binary's strip loop never observes
+// strip boundary, waits for its old cluster to drain, moves the core's row
+// to the destination, and re-admits the core on the destination shard with
+// a non-zero initial width (so an elastic binary's strip loop never observes
 // VL=0 — the livelock guard).
 type Complex struct {
 	topo  Topology
-	cores int
 	cls   []*Coproc
+	rows  []*coreState // every core's row, shared by the clusters
 	hier  *lanemgr.Hier
 	group []int // core -> fabric position
 
@@ -42,8 +49,7 @@ type Complex struct {
 
 // ComplexState is the routing layer's checkpointed state: in-flight
 // migration proposals and the fabric's bandwidth window. The core→cluster
-// assignment is the lane hierarchy's (lanemgr.HierState), and the
-// per-cluster instances checkpoint themselves (Coproc.State).
+// assignment is the lane hierarchy's (lanemgr.HierState).
 type ComplexState struct {
 	// Fabric bandwidth accounting: per-cluster transmissions accepted in the
 	// cycle bwCycle (lazily reset when the cycle advances).
@@ -57,36 +63,39 @@ type ComplexState struct {
 	pendMig []int
 }
 
-// NewComplex builds the routed complex over per-cluster instances. Every
-// cluster must be built with the machine-wide core count (global core IDs
-// index every shard) and the same per-cluster ExeBU share. The complex wires
+// NewComplex builds a machine's co-processor: one instance per
+// configuration in cfgs, in fabric order, over one row per machine core.
+// Every configuration must name the machine-wide core count (global core IDs
+// index the rows) and the same per-cluster ExeBU share. The complex wires
 // the two-level hierarchy: per-cluster Managers keep their unchanged local
 // pass, and the global balancing pass runs after every local repartition.
 // Migration is enabled only for the elastic (Occamy) policy — fixed-width
 // binaries cannot adopt a new cluster's partition.
-func NewComplex(topo Topology, cls []*Coproc) *Complex {
-	if len(cls) == 0 || len(cls) != topo.Clusters {
-		panic(fmt.Sprintf("coproc: %d clusters built for topology of %d", len(cls), topo.Clusters))
+func NewComplex(topo Topology, cfgs []Config, vecPort mem.SharedPort, data *mem.Memory, model roofline.Model, stats *sim.Stats) *Complex {
+	if len(cfgs) == 0 || len(cfgs) != topo.Clusters {
+		panic(fmt.Sprintf("coproc: %d cluster configurations for topology of %d", len(cfgs), topo.Clusters))
 	}
-	cores := cls[0].cfg.Cores
-	per := cls[0].cfg.ExeBUs
-	for k, cp := range cls {
-		if cp.cfg.Cores != cores || cp.cfg.ExeBUs != per {
+	cores, per := cfgs[0].Cores, cfgs[0].ExeBUs
+	for k, cfg := range cfgs {
+		if cfg.Cores != cores || cfg.ExeBUs != per {
 			panic(fmt.Sprintf("coproc: cluster %d shape %d cores/%d ExeBUs differs from cluster 0 (%d/%d)",
-				k, cp.cfg.Cores, cp.cfg.ExeBUs, cores, per))
+				k, cfg.Cores, cfg.ExeBUs, cores, per))
 		}
 	}
 	if err := topo.Validate(cores, per*topo.Clusters); err != nil {
 		panic(err)
 	}
-	mgrs := make([]*lanemgr.Manager, len(cls))
-	for k := range cls {
+	rows := newRows(cfgs[0])
+	cls := make([]*Coproc, len(cfgs))
+	mgrs := make([]*lanemgr.Manager, len(cfgs))
+	for k, cfg := range cfgs {
+		cls[k] = newCoproc(cfg, rows, vecPort, data, model, stats)
 		mgrs[k] = cls[k].mgr
 	}
 	cx := &Complex{
 		topo:         topo,
-		cores:        cores,
 		cls:          cls,
+		rows:         rows,
 		group:        make([]int, cores),
 		ComplexState: ComplexState{bwUsed: make([]int, len(cls)), pendMig: make([]int, cores)},
 	}
@@ -102,17 +111,32 @@ func NewComplex(topo Topology, cls []*Coproc) *Complex {
 	for _, m := range mgrs {
 		m.AfterRepartition = cx.hier.Balance
 	}
+	cx.rehome()
 	// The clusters share the vector-cache port: their skipped retry storms
 	// replay together, in tick order.
 	g := &stormGroup{members: cls}
 	for _, cp := range cls {
 		cp.storms = g
 	}
-	if cls[0].cfg.Elastic {
+	if cfgs[0].Elastic {
 		cx.hier.OnMigrate = cx.onMigrate
 	}
 	return cx
 }
+
+// rehome gives every cluster the rows of the cores the lane hierarchy
+// assigns to it.
+func (cx *Complex) rehome() {
+	for _, cp := range cx.cls {
+		clear(cp.home)
+	}
+	for c := range cx.rows {
+		cx.homeOf(c).home.set(c)
+	}
+}
+
+// homeOf returns core c's home cluster.
+func (cx *Complex) homeOf(c int) *Coproc { return cx.cls[cx.hier.Home(c)] }
 
 // onMigrate is Hier.Balance's proposal hook: accept unless the core already
 // has a migration in flight. The assignment does not change here — the move
@@ -191,38 +215,29 @@ func (cx *Complex) Transmit(x *XInst) TransmitStatus {
 // scan. Fabric saturation is deliberately not mirrored: the scan then reports
 // the cycle live and the refusal replays for real, which is conservative and
 // exact.
-func (cx *Complex) PoolFull(c int) bool { return cx.cls[cx.hier.Home(c)].PoolFull(c) }
+func (cx *Complex) PoolFull(c int) bool { return cx.homeOf(c).PoolFull(c) }
 
 // VL returns core c's configured vector length on its home cluster.
-func (cx *Complex) VL(c int) int { return cx.cls[cx.hier.Home(c)].VL(c) }
+func (cx *Complex) VL(c int) int { return cx.homeOf(c).VL(c) }
 
 // ReadSysNow reads a system register combinationally from the home shard.
 func (cx *Complex) ReadSysNow(c int, sys isa.SysReg) uint32 {
-	return cx.cls[cx.hier.Home(c)].ReadSysNow(c, sys)
+	return cx.homeOf(c).ReadSysNow(c, sys)
 }
 
-// MemInFlight counts core c's outstanding vector memory operations across
-// every cluster (during a migration's drain window the backlog still lives on
-// the old cluster).
-func (cx *Complex) MemInFlight(c int, now uint64) int {
-	n := 0
-	for _, cp := range cx.cls {
-		n += cp.MemInFlight(c, now)
-	}
-	return n
-}
+// MemInFlight counts core c's outstanding vector memory operations.
+func (cx *Complex) MemInFlight(c int, now uint64) int { return cx.homeOf(c).MemInFlight(c, now) }
 
 // StripBoundary lands pending per-cluster revocations and completes (or
 // abandons) core c's pending migration. It returns false while the migration
 // is waiting for the old cluster to drain — the core holds the strip
 // boundary, transmitting nothing, so the drain is guaranteed to finish.
 func (cx *Complex) StripBoundary(c int) bool {
-	k := cx.hier.Home(c)
 	to := cx.pendMig[c]
+	old := cx.homeOf(c)
 	if to < 0 {
-		return cx.cls[k].StripBoundary(c)
+		return old.StripBoundary(c)
 	}
-	old := cx.cls[k]
 	if !old.Quiescent(c, old.cycles) {
 		return false
 	}
@@ -238,11 +253,10 @@ func (cx *Complex) StripBoundary(c int) bool {
 		// the balance pass may propose it again once lanes free up.
 		return old.StripBoundary(c)
 	}
-	// Drained: move the architectural vector state, release the old shard,
-	// re-admit on the new one at the same width. The core's own monitor then
-	// adapts <VL> to the destination's plan through the normal MSR protocol.
-	dst.RestoreVecState(c, old.cores[c].z)
-	old.unpark(c)
+	// Drained: move the row, release the old shard, re-admit on the new one
+	// at the same width. The core's own monitor then adapts <VL> to the
+	// destination's plan through the normal MSR protocol.
+	moveRow(c, old, dst)
 	oi := old.tbl.OI(c)
 	old.tbl.ForceVL(c, 0)
 	old.tbl.SetOI(c, isa.OIPair{})
@@ -253,42 +267,38 @@ func (cx *Complex) StripBoundary(c int) bool {
 	return dst.StripBoundary(c)
 }
 
+// moveRow hands core c's drained row from cluster old to cluster dst. The
+// row keeps its registers, counters and register-bank cut; what a row
+// starts a tenancy with is reset: the park, and the rejection streak the
+// lane-event log keys on. Only elastic clusters migrate, and they rename
+// against per-core register files, so no shared pool's cut moves.
+func moveRow(c int, old, dst *Coproc) {
+	st := old.cores[c]
+	old.home.clear(c)
+	old.live.clear(c)
+	old.sleepFxs[c] = sleepFx{}
+	st.parkUntil, st.lastReject = 0, -1
+	dst.home.set(c)
+	if dst.gated(c) {
+		dst.live.set(c)
+	}
+}
+
 // --- Aggregation views -----------------------------------------------------
 //
 // Everything below presents the clustered machine as one co-processor to
-// reports, figures, traces and telemetry. Per-core quantities sum across
-// clusters (a core's rows are inert on every cluster but its home, so the
-// sums are exact even across migrations); machine-wide rates average.
+// reports, figures, traces and telemetry. A core's quantities are its row's,
+// read through its home cluster; machine-wide quantities sum or average over
+// the clusters.
 
-// Quiescent reports whether core c has no queued or in-flight work anywhere.
-func (cx *Complex) Quiescent(c int, now uint64) bool {
-	for _, cp := range cx.cls {
-		if !cp.Quiescent(c, now) {
-			return false
-		}
-	}
-	return true
-}
+// Quiescent reports whether core c has no queued or in-flight work.
+func (cx *Complex) Quiescent(c int, now uint64) bool { return cx.homeOf(c).Quiescent(c, now) }
 
-// LastActive returns the latest cycle core c had work on any cluster.
-func (cx *Complex) LastActive(c int) uint64 {
-	var m uint64
-	for _, cp := range cx.cls {
-		if la := cp.LastActive(c); la > m {
-			m = la
-		}
-	}
-	return m
-}
+// LastActive returns the latest cycle core c had queued or in-flight work.
+func (cx *Complex) LastActive(c int) uint64 { return cx.homeOf(c).LastActive(c) }
 
-// QueueLen reports core c's total instruction-pool occupancy.
-func (cx *Complex) QueueLen(c int) int {
-	n := 0
-	for _, cp := range cx.cls {
-		n += cp.QueueLen(c)
-	}
-	return n
-}
+// QueueLen reports core c's instruction-pool occupancy.
+func (cx *Complex) QueueLen(c int) int { return cx.homeOf(c).QueueLen(c) }
 
 // Cycles returns how many cycles the machine has simulated.
 func (cx *Complex) Cycles() uint64 { return cx.cls[0].Cycles() }
@@ -303,70 +313,23 @@ func (cx *Complex) Utilization() float64 {
 	return s / float64(len(cx.cls))
 }
 
-// CoreSnapshot sums core c's counters across clusters.
-func (cx *Complex) CoreSnapshot(c int) Snapshot {
-	var out Snapshot
-	for _, cp := range cx.cls {
-		s := cp.CoreSnapshot(c)
-		out.ComputeIssued += s.ComputeIssued
-		out.MemIssued += s.MemIssued
-		out.RenameStalls += s.RenameStalls
-		out.MSHRRetries += s.MSHRRetries
-		out.DrainWait += s.DrainWait
-		for len(out.ComputeByPhase) < len(s.ComputeByPhase) {
-			out.ComputeByPhase = append(out.ComputeByPhase, 0)
-		}
-		for i, v := range s.ComputeByPhase {
-			out.ComputeByPhase[i] += v
-		}
-	}
-	return out
-}
+// CoreSnapshot returns core c's counters.
+func (cx *Complex) CoreSnapshot(c int) Snapshot { return cx.homeOf(c).CoreSnapshot(c) }
 
-// ComputeIssued sums core c's issued SIMD compute instructions.
-func (cx *Complex) ComputeIssued(c int) uint64 {
-	var n uint64
-	for _, cp := range cx.cls {
-		n += cp.ComputeIssued(c)
-	}
-	return n
-}
+// ComputeIssued returns core c's issued SIMD compute instructions.
+func (cx *Complex) ComputeIssued(c int) uint64 { return cx.homeOf(c).ComputeIssued(c) }
 
-// MemIssued sums core c's issued vector memory instructions.
-func (cx *Complex) MemIssued(c int) uint64 {
-	var n uint64
-	for _, cp := range cx.cls {
-		n += cp.MemIssued(c)
-	}
-	return n
-}
+// MemIssued returns core c's issued vector memory instructions.
+func (cx *Complex) MemIssued(c int) uint64 { return cx.homeOf(c).MemIssued(c) }
 
-// RenameStalls sums core c's rename-stall cycles.
-func (cx *Complex) RenameStalls(c int) uint64 {
-	var n uint64
-	for _, cp := range cx.cls {
-		n += cp.RenameStalls(c)
-	}
-	return n
-}
+// RenameStalls returns core c's rename-stall cycles.
+func (cx *Complex) RenameStalls(c int) uint64 { return cx.homeOf(c).RenameStalls(c) }
 
-// BusyLaneCycles sums core c's cumulative busy-lane count.
-func (cx *Complex) BusyLaneCycles(c int) float64 {
-	s := 0.0
-	for _, cp := range cx.cls {
-		s += cp.BusyLaneCycles(c)
-	}
-	return s
-}
+// BusyLaneCycles returns core c's cumulative busy-lane count.
+func (cx *Complex) BusyLaneCycles(c int) float64 { return cx.homeOf(c).BusyLaneCycles(c) }
 
-// DrainWaitCycles sums core c's reconfiguration drain waits.
-func (cx *Complex) DrainWaitCycles(c int) uint64 {
-	var n uint64
-	for _, cp := range cx.cls {
-		n += cp.DrainWaitCycles(c)
-	}
-	return n
-}
+// DrainWaitCycles returns core c's reconfiguration drain waits.
+func (cx *Complex) DrainWaitCycles(c int) uint64 { return cx.homeOf(c).DrainWaitCycles(c) }
 
 // LinkDrops sums refused transmissions across every cluster's faulted links.
 func (cx *Complex) LinkDrops() uint64 {
@@ -390,16 +353,8 @@ func (cx *Complex) Repartitions() uint64 {
 	return n
 }
 
-// BusyTimeline merges core c's busy-lane timeline across clusters into one
-// machine-wide view (report time only; allocates). Every cluster records
-// every cycle, so bucket sums add and the sample counts agree.
-func (cx *Complex) BusyTimeline(c int) *sim.Timeline {
-	ts := make([]*sim.Timeline, len(cx.cls))
-	for k, cp := range cx.cls {
-		ts[k] = cp.BusyTimeline(c)
-	}
-	return sim.SumTimelines(ts)
-}
+// BusyTimeline returns core c's busy-lane timeline.
+func (cx *Complex) BusyTimeline(c int) *sim.Timeline { return cx.homeOf(c).BusyTimeline(c) }
 
 // LaneEvents merges every cluster's lane-management log in cycle order.
 func (cx *Complex) LaneEvents() []LaneEvent {
@@ -449,33 +404,54 @@ func (cx *Complex) Total() int {
 }
 
 // Decision returns core c's planner decision on its home shard.
-func (cx *Complex) Decision(c int) int {
-	return cx.cls[cx.hier.Home(c)].tbl.Decision(c)
-}
+func (cx *Complex) Decision(c int) int { return cx.homeOf(c).tbl.Decision(c) }
 
-// Z returns the functional value of lane i of register r on core c's home
-// cluster (tests).
-func (cx *Complex) Z(c int, r isa.Reg, i int) float32 {
-	return cx.cls[cx.hier.Home(c)].Z(c, r, i)
-}
+// Z returns the functional value of lane i of register r on core c (tests).
+func (cx *Complex) Z(c int, r isa.Reg, i int) float32 { return cx.homeOf(c).Z(c, r, i) }
 
 // --- Checkpoint ------------------------------------------------------------
 
-// ComplexCheckpoint is the routing layer's checkpoint: its own state and the
-// lane hierarchy's.
+// ComplexCheckpoint is the co-processor's checkpoint: the routing layer's
+// state, the lane hierarchy's, each cluster's and every core's row, once.
 type ComplexCheckpoint struct {
 	ComplexState
-	hier lanemgr.HierState
+	hier     lanemgr.HierState
+	clusters []CheckpointState // in fabric order
+	rows     []rowState        // by core ID
 }
 
-// State returns the routing layer's live state in a checkpoint's layout,
-// sharing storage with the complex.
+// State settles every row's owed accounting and returns the co-processor's
+// live state in a checkpoint's layout. It shares storage with the machine:
+// clone it before the machine runs on.
 func (cx *Complex) State() ComplexCheckpoint {
-	return ComplexCheckpoint{ComplexState: cx.ComplexState, hier: cx.hier.HierState}
+	st := ComplexCheckpoint{
+		ComplexState: cx.ComplexState,
+		hier:         cx.hier.HierState,
+		clusters:     make([]CheckpointState, len(cx.cls)),
+		rows:         make([]rowState, len(cx.rows)),
+	}
+	for k, cp := range cx.cls {
+		st.clusters[k] = cp.state()
+	}
+	for c, row := range cx.rows {
+		row.flushAcct(cx.homeOf(c).acctUpTo)
+		st.rows[c] = row.rowState
+	}
+	return st
 }
 
-// RestoreCheckpoint rewinds the routing layer.
+// RestoreCheckpoint rewinds the co-processor to a checkpoint of an
+// identically built machine: the routing layer, the lane hierarchy and the
+// rows, then each cluster over the home rows the restored hierarchy assigns
+// it.
 func (cx *Complex) RestoreCheckpoint(st ComplexCheckpoint) {
 	digest.Copy(&cx.ComplexState, &st.ComplexState)
 	cx.hier.Restore(st.hier)
+	for c, row := range cx.rows {
+		row.restore(&st.rows[c])
+	}
+	cx.rehome()
+	for k, cp := range cx.cls {
+		cp.restore(st.clusters[k])
+	}
 }

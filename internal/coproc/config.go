@@ -33,10 +33,11 @@ type Config struct {
 	ExeBUs int
 
 	// ActiveCores is the number of cores actually resident on this instance
-	// (0 means all of Cores). A clustered machine builds each shard with the
-	// machine-wide Cores rows — global core IDs index directly, foreign rows
-	// stay inert — but shared-structure arithmetic (the FTS register-file
-	// quota) must divide by the tenants this shard really hosts.
+	// (0 means all of Cores). On a clustered machine Cores is the
+	// machine-wide count — global core IDs index the machine's one row per
+	// core, which every cluster shares — but shared-structure arithmetic
+	// (the FTS register-file quota) must divide by the tenants this shard
+	// hosts.
 	ActiveCores int
 
 	// ComputeIssue and MemIssue are the per-core (or, with SharedIssue,

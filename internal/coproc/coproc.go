@@ -107,13 +107,15 @@ const (
 	queueMask = queueRing - 1
 )
 
-// coreState is one core's row on a co-processor instance: its checkpointed
-// state, the issue scoreboard derived from it and its parking status.
+// coreState is one core's row (Figure 5's per-core instruction pool, rename
+// state and registers): its checkpointed state, the issue scoreboard derived
+// from it and its parking status. A machine has exactly one row per core; on
+// a clustered machine every cluster shares the rows and walks only the ones
+// it hosts (Coproc.home).
 type coreState struct {
 	rowState
 	// sb tracks the renamed, unissued instructions for the issue scan
-	// (scoreboard.go): derived from the queue, never checkpointed, and
-	// allocated with it, on the row's first Transmit.
+	// (scoreboard.go): derived from the queue, never checkpointed.
 	sb *scoreboard
 	// Parking (park.go), execution-strategy state like the sleep memo:
 	// Tick's walk skips the row for cycles before parkUntil; idle marks a
@@ -134,9 +136,6 @@ type rowState struct {
 	// grow-and-compact slice — steady-state operation neither allocates nor
 	// re-copies the backlog. A fixed-size array (not a slice) so the masked
 	// index in at() is provably in bounds — the issue scan hits it hard.
-	// It is allocated on the core's first Transmit to this instance (see
-	// materialize): a clustered machine keeps a row for every core on every
-	// cluster, and most of those rows never receive an instruction.
 	queue *[queueRing]XInst
 	head  int
 	tail  int
@@ -147,8 +146,7 @@ type rowState struct {
 
 	// z is the functional architectural vector state: 32 registers of
 	// Lanes() float32 elements each, register r at z[r*Lanes():], updated in
-	// program order at transmit. Nil, meaning all zero, until the row's
-	// first Transmit or RestoreVecState.
+	// program order at transmit.
 	z []float32
 
 	// Renamer state: the seq of each architectural vector register's last
@@ -161,6 +159,9 @@ type rowState struct {
 	lhq      holdTracker // outstanding loads
 	stq      holdTracker // outstanding stores
 	pool     regPool     // per-core physical-register namespace
+	// regsCut physical registers of the core's RegBlk file are out of
+	// service (a failed register bank): the loss travels with the core.
+	regsCut int
 
 	computeIssued  uint64
 	memIssued      uint64
@@ -241,10 +242,8 @@ func (st *rowState) zreg(r isa.Reg) []float32 {
 	return st.z[int(r)*w : int(r+1)*w]
 }
 
-// rowSet is a bitmap over a Coproc's core rows. A clustered machine gives
-// every cluster a row per machine core, yet only a cluster's home rows (and
-// migration targets) ever hold work, so the per-cycle walks visit members
-// only.
+// rowSet is a bitmap over the machine's core rows, indexed by core ID: a
+// cluster's home rows, and the subsets of them its per-cycle walks visit.
 type rowSet []uint64
 
 func newRowSet(n int) rowSet { return make(rowSet, (n+63)/64) }
@@ -299,7 +298,12 @@ type Coproc struct {
 	vecProbe mem.RetryProber
 	data     *mem.Memory
 	stats    *sim.Stats
-	cores    []*coreState
+	// cores holds every machine core's row, indexed by core ID and shared by
+	// every cluster of a Complex; home marks the rows this instance hosts.
+	// Every walk is bounded by home: a row is another cluster's business
+	// until a migration moves it here.
+	cores []*coreState
+	home  rowSet
 
 	// Hot-path counter cells, resolved once at construction (Stats.Counter
 	// pointers are stable across Restore) so per-cycle bumps skip the
@@ -308,20 +312,19 @@ type Coproc struct {
 	mshrRetriesCell  *uint64
 	drainWaitCell    *uint64
 
-	// active and live are the row sets the per-cycle walks visit; both are
-	// derived state, rebuilt by RestoreCheckpoint (see deriveRowSets).
+	// active and live are the subsets of home the per-cycle walks visit;
+	// both are derived state, rebuilt on restore (see deriveRowSets).
 	//   - active: the row's pool is non-empty. Transmit adds the row; Tick
 	//     drops it once the row's pool has emptied.
 	//   - live: active, plus rows still holding in-flight work, plus rows
-	//     under a fault issue gate (a shared gate covers every row). A row
-	//     leaves at the first cycle boundary where none of that holds (see
-	//     settle): from then on it can neither issue nor hold a resource, so
-	//     the sleep mirror, the rename check and the MOB query skip it.
-	// allRows is the full set (a shared fault gate makes every row live);
+	//     under a fault issue gate (a shared gate covers every home row). A
+	//     row leaves at the first cycle boundary where none of that holds
+	//     (see settle): from then on it can neither issue nor hold a
+	//     resource, so the sleep mirror, the rename check and the MOB query
+	//     skip it.
 	// stormRows is SkipTicks' reusable set of retry-storming rows.
 	active    rowSet
 	live      rowSet
-	allRows   rowSet
 	stormRows rowSet
 
 	// Sleep-scan memo: NextWake(now) caches each core's per-cycle effects
@@ -456,39 +459,31 @@ func (cp *Coproc) logEvent(e LaneEvent) {
 func (cp *Coproc) LaneEvents() []LaneEvent { return cp.events }
 
 // New builds a co-processor over the given vector-cache port and functional
-// memory. Stats must not be nil.
+// memory, hosting one row per core. Stats must not be nil.
 func New(cfg Config, vecPort mem.SharedPort, data *mem.Memory, model roofline.Model, stats *sim.Stats) *Coproc {
+	cp := newCoproc(cfg, newRows(cfg), vecPort, data, model, stats)
+	for c := range cp.cores {
+		cp.home.set(c)
+	}
+	return cp
+}
+
+// newRows allocates a machine's rows, one per core.
+func newRows(cfg Config) []*coreState {
 	if cfg.Cores <= 0 || cfg.ExeBUs <= 0 {
 		panic(fmt.Sprintf("coproc: bad config %+v", cfg))
 	}
-	tbl := lanemgr.NewResourceTbl(lanemgr.Topology{Clusters: 1, Cores: cfg.Cores, ExeBUs: cfg.ExeBUs})
-	cp := &Coproc{
-		cfg:            cfg,
-		name:           "coproc",
-		tbl:            tbl,
-		mgr:            lanemgr.NewManager(model, tbl),
-		vec:            vecPort,
-		vecProbe:       probeOf(vecPort),
-		data:           data,
-		stats:          stats,
-		renameStallNow: make([]bool, cfg.Cores),
-		cycleBusyLanes: make([]float64, cfg.Cores),
-		active:         newRowSet(cfg.Cores),
-		live:           newRowSet(cfg.Cores),
-		allRows:        newRowSet(cfg.Cores),
-		stormRows:      newRowSet(cfg.Cores),
-		sleepFxs:       make([]sleepFx, cfg.Cores),
-		lanes:          float64(cfg.Lanes()),
-	}
-	cp.storms = &stormGroup{members: []*Coproc{cp}}
-	for c := 0; c < cfg.Cores; c++ {
-		cp.allRows.set(c)
-	}
-	cp.renameStallsCell = stats.Counter("coproc.rename.stalls")
-	cp.mshrRetriesCell = stats.Counter("coproc.lsu.mshr_retries")
-	cp.drainWaitCell = stats.Counter("coproc.drain_wait_cycles")
-	for c := 0; c < cfg.Cores; c++ {
-		st := &coreState{rowState: rowState{busyTimeline: *sim.NewTimeline(1000), lastReject: -1}}
+	rows := make([]*coreState, cfg.Cores)
+	for c := range rows {
+		st := &coreState{
+			rowState: rowState{
+				queue:        new([queueRing]XInst),
+				z:            make([]float32, isa.NumZRegs*cfg.Lanes()),
+				busyTimeline: *sim.NewTimeline(1000),
+				lastReject:   -1,
+			},
+			sb: new(scoreboard),
+		}
 		// Pre-size the hold trackers to their architectural bounds so
 		// steady-state Add never grows a backing array: LHQ/STQ are hard
 		// caps, register holds cannot exceed the physical pool, and live
@@ -507,8 +502,38 @@ func New(cfg Config, vecPort mem.SharedPort, data *mem.Memory, model roofline.Mo
 			phaseCap = 8
 		}
 		st.computeByPhase = make([]uint64, 0, phaseCap)
-		cp.cores = append(cp.cores, st)
+		rows[c] = st
 	}
+	return rows
+}
+
+// newCoproc builds an instance over the machine's rows, hosting none of them
+// yet.
+func newCoproc(cfg Config, rows []*coreState, vecPort mem.SharedPort, data *mem.Memory, model roofline.Model, stats *sim.Stats) *Coproc {
+	tbl := lanemgr.NewResourceTbl(lanemgr.Topology{Clusters: 1, Cores: cfg.Cores, ExeBUs: cfg.ExeBUs})
+	cp := &Coproc{
+		cfg:            cfg,
+		name:           "coproc",
+		tbl:            tbl,
+		mgr:            lanemgr.NewManager(model, tbl),
+		vec:            vecPort,
+		vecProbe:       probeOf(vecPort),
+		data:           data,
+		stats:          stats,
+		cores:          rows,
+		home:           newRowSet(cfg.Cores),
+		renameStallNow: make([]bool, cfg.Cores),
+		cycleBusyLanes: make([]float64, cfg.Cores),
+		active:         newRowSet(cfg.Cores),
+		live:           newRowSet(cfg.Cores),
+		stormRows:      newRowSet(cfg.Cores),
+		sleepFxs:       make([]sleepFx, cfg.Cores),
+		lanes:          float64(cfg.Lanes()),
+	}
+	cp.storms = &stormGroup{members: []*Coproc{cp}}
+	cp.renameStallsCell = stats.Counter("coproc.rename.stalls")
+	cp.mshrRetriesCell = stats.Counter("coproc.lsu.mshr_retries")
+	cp.drainWaitCell = stats.Counter("coproc.drain_wait_cycles")
 	if !cfg.Elastic && !cfg.SharedIssue {
 		// Spatial policies pin each core's partition at reset; temporal
 		// sharing (SharedIssue) leaves the table empty because every
@@ -600,7 +625,6 @@ func (cp *Coproc) Transmit(x *XInst) TransmitStatus {
 	if cp.flt != nil && !cp.flt.linkAccept(c, cp.cycles) {
 		return TransmitLinkDown
 	}
-	cp.materialize(st)
 	st.parkUntil, st.idle = 0, false // new work ends a park; the next tick is real
 	slot := st.at(st.tail)
 	*slot = *x
@@ -664,11 +688,8 @@ func (cp *Coproc) renameTick(c int, now uint64) {
 // registers out of both the per-core namespace and the shared free list.
 func (cp *Coproc) canRename(c int, now uint64) bool {
 	if !cp.cfg.SharedVRF {
-		phys := cp.cfg.PhysRegs
-		if cp.flt != nil {
-			phys -= cp.flt.regsCut[c]
-		}
-		return cp.cfg.ArchRegs+cp.cores[c].pool.held(now) < phys
+		st := cp.cores[c]
+		return cp.cfg.ArchRegs+st.pool.held(now) < cp.cfg.PhysRegs-st.regsCut
 	}
 	committed := cp.cfg.ArchRegs * cp.cfg.activeCores()
 	phys := cp.cfg.PhysRegs
@@ -1150,12 +1171,7 @@ func (cp *Coproc) LastActive(c int) uint64 {
 }
 
 // Z returns the functional value of lane i of register r on core c (tests).
-func (cp *Coproc) Z(c int, r isa.Reg, i int) float32 {
-	if cp.cores[c].z == nil {
-		return 0
-	}
-	return cp.cores[c].zreg(r)[i]
-}
+func (cp *Coproc) Z(c int, r isa.Reg, i int) float32 { return cp.cores[c].zreg(r)[i] }
 
 // BusyTimeline returns core c's busy-lane timeline (Figures 2 and 14(b)).
 func (cp *Coproc) BusyTimeline(c int) *sim.Timeline {
@@ -1191,43 +1207,19 @@ func (cp *Coproc) SaveVecState(c int) []float32 {
 
 // CopyVecState is SaveVecState into a caller-owned buffer: dst's backing
 // array is reused when it is large enough (a task's repeated preemptions then
-// cost no allocation), and the possibly re-allocated buffer is returned. A
-// row that never held registers saves all zeros.
+// cost no allocation), and the possibly re-allocated buffer is returned.
 func (cp *Coproc) CopyVecState(c int, dst []float32) []float32 {
-	n := isa.NumZRegs * cp.cfg.Lanes()
-	dst = slices.Grow(dst[:0], n)[:n]
-	if z := cp.cores[c].z; z != nil {
-		copy(dst, z)
-	} else {
-		clear(dst)
-	}
+	z := cp.cores[c].z
+	dst = slices.Grow(dst[:0], len(z))[:len(z)]
+	copy(dst, z)
 	return dst
 }
 
 // RestoreVecState installs previously saved vector registers on core c (nil
-// installs all zeros), allocating the row's registers on first use.
+// installs all zeros).
 func (cp *Coproc) RestoreVecState(c int, z []float32) {
 	st := cp.cores[c]
-	if st.z == nil {
-		st.z = make([]float32, isa.NumZRegs*cp.cfg.Lanes())
-	}
 	n := copy(st.z, z)
 	clear(st.z[n:])
 	cp.unpark(c)
-}
-
-// materialize allocates what row st needs to hold work, on its first
-// Transmit: the pool ring, the issue scoreboard and the vector registers.
-// Rows that never receive an instruction (most rows of a clustered machine)
-// never allocate them.
-func (cp *Coproc) materialize(st *coreState) {
-	if st.queue == nil {
-		st.queue = new([queueRing]XInst)
-	}
-	if st.sb == nil {
-		st.sb = new(scoreboard)
-	}
-	if st.z == nil {
-		st.z = make([]float32, isa.NumZRegs*cp.cfg.Lanes())
-	}
 }

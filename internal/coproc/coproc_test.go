@@ -512,6 +512,10 @@ func TestVecStateSaveRestore(t *testing.T) {
 	if r.cp.Z(0, 5, 0) != 42 || r.cp.Z(0, 5, 7) != 42 {
 		t.Fatal("restore incomplete")
 	}
+	r.cp.RestoreVecState(0, nil)
+	if r.cp.Z(0, 5, 0) != 0 {
+		t.Fatal("restoring nil left a stale register")
+	}
 }
 
 func TestLaneEventLogShapes(t *testing.T) {

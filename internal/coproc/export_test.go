@@ -25,31 +25,26 @@ func scanMax(t *holdTracker) uint64 {
 	return m
 }
 
-// NextWakeAllRows is NextWake over every row, with the scanning wake bound
-// and without touching the sleep memo: the answer the live row set must
-// reproduce.
-func (cp *Coproc) NextWakeAllRows(now uint64) (uint64, bool) {
+// NextWakeHomeRows is NextWake over every home row, with the scanning wake
+// bound and without touching the sleep memo: the answer the live row set
+// must reproduce.
+func (cp *Coproc) NextWakeHomeRows(now uint64) (uint64, bool) {
 	wake := uint64(sim.NeverWake)
 	if cp.emsimdBusyUntil > now {
 		wake = cp.emsimdBusyUntil
 	}
-	for c, st := range cp.cores {
+	for c := cp.home.next(0); c < len(cp.cores); c = cp.home.next(c + 1) {
 		_, w, ok := cp.coreSleep(c, now)
 		if !ok {
 			return 0, false
 		}
-		wake = min(wake, w, scanNext(&st.inflight, now))
+		wake = min(wake, w, scanNext(&cp.cores[c].inflight, now))
 	}
 	return wake, true
 }
 
-// RingsAllocated counts the rows that have allocated their pool ring.
-func (cp *Coproc) RingsAllocated() int {
-	n := 0
-	for _, st := range cp.cores {
-		if st.queue != nil {
-			n++
-		}
-	}
-	return n
-}
+// Row returns core c's row, for identity checks.
+func (cp *Coproc) Row(c int) any { return cp.cores[c] }
+
+// Hosts reports whether core c's row is one of the instance's home rows.
+func (cp *Coproc) Hosts(c int) bool { return cp.home.has(c) }

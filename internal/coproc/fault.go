@@ -19,10 +19,8 @@ type faultState struct {
 	// where failed units stall the shared issue/renaming structures that
 	// all cores time-share.
 	sharedGate uint64
-	// regsCut[c] physical registers are out of service in core c's RegBlk
-	// file; regsCutTotal is the sum, charged against the shared pool under
-	// SharedVRF.
-	regsCut      []int
+	// regsCutTotal sums the register cuts (rowState.regsCut) of the cores
+	// this instance hosts, charged against its shared pool under SharedVRF.
 	regsCutTotal int
 	// link models the flaky CPU→coproc dispatch path per core.
 	link []linkFault
@@ -54,7 +52,6 @@ func (cp *Coproc) ensureFault() *faultState {
 	if cp.flt == nil {
 		cp.flt = &faultState{
 			issueGate: make([]uint64, cp.cfg.Cores),
-			regsCut:   make([]int, cp.cfg.Cores),
 			link:      make([]linkFault, cp.cfg.Cores),
 			forceVL:   make([]int, cp.cfg.Cores),
 		}
@@ -105,11 +102,11 @@ func (cp *Coproc) StripBoundary(c int) bool {
 
 // SetIssueGate throttles core c to one issue window every gate cycles
 // (gate <= 1 removes the throttle, deadGate — see GateDead — blocks the core
-// for good). A gated row is live: the sleep mirror must see its gate.
+// for good). A gated home row is live: the sleep mirror must see its gate.
 func (cp *Coproc) SetIssueGate(c int, gate uint64) {
 	cp.ensureFault().issueGate[c] = gate
 	cp.unpark(c)
-	if gate > 1 {
+	if gate > 1 && cp.home.has(c) {
 		cp.live.set(c)
 	} else {
 		cp.settle(c)
@@ -119,14 +116,14 @@ func (cp *Coproc) SetIssueGate(c int, gate uint64) {
 // GateDead is the issue-gate value that never opens.
 const GateDead = deadGate
 
-// SetSharedGate throttles every core's issue to one window every gate
-// cycles (the FTS shared-structure stall). gate <= 1 removes it. The gate
-// covers every row, so every row is live while it holds.
+// SetSharedGate throttles every hosted core's issue to one window every
+// gate cycles (the FTS shared-structure stall). gate <= 1 removes it. The
+// gate covers every home row, so every home row is live while it holds.
 func (cp *Coproc) SetSharedGate(gate uint64) {
 	cp.ensureFault().sharedGate = gate
 	cp.unparkAll()
 	if gate > 1 {
-		copy(cp.live, cp.allRows)
+		copy(cp.live, cp.home)
 	} else {
 		cp.settleIdle()
 	}
@@ -138,22 +135,22 @@ func (cp *Coproc) gated(c int) bool {
 }
 
 // CutRegs takes n physical registers of core c's RegBlk file out of service
-// (a failed register bank). Under SharedVRF the cut charges the shared pool.
+// (a failed register bank). The cut stays on the core's row, so it follows
+// the core through migrations; call it on the core's home instance, whose
+// shared pool the cut charges under SharedVRF.
 func (cp *Coproc) CutRegs(c, n int) {
-	f := cp.ensureFault()
-	f.regsCut[c] += n
-	f.regsCutTotal += n
+	cp.cores[c].regsCut += n
+	cp.ensureFault().regsCutTotal += n
 	cp.unpark(c)
 }
 
-// RestoreRegs returns n registers of core c's file to service.
+// RestoreRegs returns n registers of core c's file to service, on its home
+// instance.
 func (cp *Coproc) RestoreRegs(c, n int) {
-	f := cp.ensureFault()
-	if n > f.regsCut[c] {
-		n = f.regsCut[c]
-	}
-	f.regsCut[c] -= n
-	f.regsCutTotal -= n
+	st := cp.cores[c]
+	n = min(n, st.regsCut)
+	st.regsCut -= n
+	cp.ensureFault().regsCutTotal -= n
 	cp.unpark(c)
 }
 

@@ -47,10 +47,10 @@ func (cp *Coproc) ParkedTicks() uint64 { return cp.parkedTicks }
 // unpark ends row c's park; its next tick is real.
 func (cp *Coproc) unpark(c int) { cp.cores[c].parkUntil = 0 }
 
-// unparkAll ends every park; every row's next tick is real.
+// unparkAll ends every home row's park; every such row's next tick is real.
 func (cp *Coproc) unparkAll() {
-	for _, st := range cp.cores {
-		st.parkUntil, st.idle = 0, false
+	for c := cp.home.next(0); c < len(cp.cores); c = cp.home.next(c + 1) {
+		cp.cores[c].parkUntil, cp.cores[c].idle = 0, false
 	}
 }
 
@@ -106,14 +106,15 @@ func (cp *Coproc) parkWake(st *coreState, now, wake uint64) uint64 {
 	return min(wake, st.inflight.next(now))
 }
 
-// CheckParked verifies every parked row at the cycle boundary now, for
+// CheckParked verifies every parked home row at the cycle boundary now, for
 // tests: the sleep mirror must still find the row quiescent with exactly its
 // latched effects, the stall must be the row's own (no MSHR retry, no
 // EM-SIMD instruction at the head), and no wake may fall before the park's
 // end. A wake that an outside mutation failed to deliver shows up here at
 // the first cycle boundary after it.
 func (cp *Coproc) CheckParked(now uint64) error {
-	for c, st := range cp.cores {
+	for c := cp.home.next(0); c < len(cp.cores); c = cp.home.next(c + 1) {
+		st := cp.cores[c]
 		if now >= st.parkUntil {
 			continue
 		}

@@ -2,6 +2,7 @@ package coproc_test
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"occamy/internal/arch"
@@ -39,10 +40,10 @@ func gatedPair() workload.CoSchedule {
 }
 
 // TestNextWakeMatchesAllRows holds NextWake, which scans only the live rows,
-// to the all-rows scan at every engine step of the clustered 64-core group
-// (most rows of every cluster never hold work) and of a pair through a
-// transient ExeBU failure, whose issue gates throttle Private and FTS (a
-// shared gate makes every row live), on all four architectures.
+// to the scan of every row a cluster hosts at every engine step of the
+// clustered 64-core group and of a pair through a transient ExeBU failure,
+// whose issue gates throttle Private and FTS (a shared gate makes every home
+// row live), on all four architectures.
 func TestNextWakeMatchesAllRows(t *testing.T) {
 	scenarios := []struct {
 		name   string
@@ -65,9 +66,9 @@ func TestNextWakeMatchesAllRows(t *testing.T) {
 				done := func() bool {
 					now := sys.Engine.Cycle()
 					for k, cp := range sys.Clusters {
-						wantWake, wantOK := cp.NextWakeAllRows(now)
+						wantWake, wantOK := cp.NextWakeHomeRows(now)
 						if wake, ok := cp.NextWake(now); wake != wantWake || ok != wantOK {
-							failure = fmt.Errorf("cycle %d cluster %d: NextWake = (%d, %v), all rows say (%d, %v)", now, k, wake, ok, wantWake, wantOK)
+							failure = fmt.Errorf("cycle %d cluster %d: NextWake = (%d, %v), the home rows say (%d, %v)", now, k, wake, ok, wantWake, wantOK)
 							return true
 						}
 					}
@@ -103,21 +104,67 @@ func outcome(sys *arch.System, res *arch.Result) string {
 	return fmt.Sprintf("res=%+v\nattr=%v\nstats=%v\nevents=%+v", &flat, attrs, sys.Stats.Snapshot(), sys.Clusters[0].LaneEvents())
 }
 
-func ringsAllocated(sys *arch.System) int {
-	n := 0
-	for _, cp := range sys.Clusters {
-		n += cp.RingsAllocated()
+// checkRows verifies the machine has exactly one row per core: every
+// cluster sees the same row object for core c, the one in rows when given,
+// and only c's home cluster hosts it.
+func checkRows(t *testing.T, sys *arch.System, rows []any) {
+	t.Helper()
+	distinct := map[any]bool{}
+	for c := range sys.Cores {
+		for k, cp := range sys.Clusters {
+			distinct[cp.Row(c)] = true
+			if rows != nil && cp.Row(c) != rows[c] {
+				t.Fatalf("cluster %d holds a different row object for core %d", k, c)
+			}
+			if cp.Hosts(c) != (sys.Cplx.Home(c) == k) {
+				t.Fatalf("cluster %d hosts core %d: %v, but its home is cluster %d", k, c, cp.Hosts(c), sys.Cplx.Home(c))
+			}
+		}
 	}
-	return n
+	if len(distinct) != len(sys.Cores) {
+		t.Fatalf("%d clusters hold %d rows for %d cores", len(sys.Clusters), len(distinct), len(sys.Cores))
+	}
 }
 
-// TestCheckpointOnDemandRings checkpoints the clustered 64-core machine
-// while most of its rows have never received an instruction, runs on until
-// more rows allocate their pool rings, and restores: the restore must drop
-// those rings again (a checkpoint taken right after it carries the original
-// digest), and the run continued from it must match a straight run.
-func TestCheckpointOnDemandRings(t *testing.T) {
-	const early, later = 2, 3000
+// rowStates counts the co-processor rows a snapshot holds: the values of
+// coproc's rowState type reachable from v.
+func rowStates(v reflect.Value) int {
+	switch v.Kind() {
+	case reflect.Struct:
+		if v.Type().Name() == "rowState" && v.Type().PkgPath() == "occamy/internal/coproc" {
+			return 1
+		}
+		n := 0
+		for i := 0; i < v.NumField(); i++ {
+			n += rowStates(v.Field(i))
+		}
+		return n
+	case reflect.Slice, reflect.Array:
+		if k := v.Type().Elem().Kind(); k != reflect.Struct && k != reflect.Pointer {
+			return 0 // no row among scalars: skip the memory images
+		}
+		n := 0
+		for i := 0; i < v.Len(); i++ {
+			n += rowStates(v.Index(i))
+		}
+		return n
+	case reflect.Pointer:
+		if v.IsNil() {
+			return 0
+		}
+		return rowStates(v.Elem())
+	}
+	return 0
+}
+
+// TestOneRowPerCore pins the row model on the clustered 64-core machine:
+// its four clusters share one row per core, a snapshot holds each row once,
+// a migrated core keeps its row object, and a restore onto the machine after
+// it ran on (past Occamy's migrations) re-homes every row: the restored
+// machine re-checkpoints to the original digest and finishes exactly like a
+// straight run.
+func TestOneRowPerCore(t *testing.T) {
+	const early, later = 2, 25000
 	for _, kind := range arch.Kinds {
 		t.Run(kind.String(), func(t *testing.T) {
 			opts := arch.Options{Seed: 3, Topology: topo64}
@@ -135,27 +182,29 @@ func TestCheckpointOnDemandRings(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			checkRows(t, sys, nil)
+			rows := make([]any, len(sys.Cores))
+			for c := range rows {
+				rows[c] = sys.Clusters[0].Row(c)
+			}
 			if err := sys.RunTo(early); err != nil {
 				t.Fatal(err)
 			}
 			snap := sys.Checkpoint()
-			rows := 64 * len(sys.Clusters)
-			before := ringsAllocated(sys)
-			if before*2 > rows {
-				t.Fatalf("%d of %d rows have rings at cycle %d; the test needs most rows ring-less", before, rows, early)
+			if n := rowStates(reflect.ValueOf(snap).Elem()); n != len(sys.Cores) {
+				t.Fatalf("the snapshot holds %d rows for %d cores", n, len(sys.Cores))
 			}
 			if err := sys.RunTo(later); err != nil {
 				t.Fatal(err)
 			}
-			if n := ringsAllocated(sys); n <= before {
-				t.Fatalf("no row allocated a ring between cycles %d and %d (%d rings)", early, later, n)
+			if kind == arch.Occamy && sys.Cplx.Migrations() == 0 {
+				t.Fatalf("no migration by cycle %d", later)
 			}
+			checkRows(t, sys, rows)
 			if err := sys.RestoreCheckpoint(snap); err != nil {
 				t.Fatal(err)
 			}
-			if n := ringsAllocated(sys); n != before {
-				t.Fatalf("restore left %d rows with rings, the checkpoint had %d", n, before)
-			}
+			checkRows(t, sys, rows)
 			if again := sys.Checkpoint(); again.Digest() != snap.Digest() {
 				t.Fatalf("re-taken checkpoint digest %#x, original %#x", again.Digest(), snap.Digest())
 			}

@@ -22,9 +22,8 @@ import (
 //     scan masks a class out once its budget is spent or the LSU blocks.
 //
 // The scoreboard is derived state: it is a pure function of the queue, so
-// checkpoints do not carry it and RestoreCheckpoint rebuilds it. Everything
-// lives in fixed arrays allocated with the queue ring, so the tick stays
-// allocation-free.
+// checkpoints do not carry it and a restore rebuilds it. Everything lives in
+// fixed arrays allocated with the row, so the tick stays allocation-free.
 
 const sbWords = queueRing / 64
 
@@ -162,17 +161,9 @@ func (st *coreState) issue(s int) {
 }
 
 // rebuildScoreboard re-derives the scoreboard from the queue: every renamed,
-// unissued instruction is tracked again in age order. A row with a pool
-// ring gets its scoreboard here if the restore brought the ring.
+// unissued instruction is tracked again in age order.
 func (st *coreState) rebuildScoreboard() {
-	switch {
-	case st.sb != nil:
-		*st.sb = scoreboard{}
-	case st.queue != nil:
-		st.sb = new(scoreboard)
-	default:
-		return // no ring, nothing to track
-	}
+	*st.sb = scoreboard{}
 	for p := st.head; p < st.renamed; p++ {
 		if !st.at(p).issued {
 			st.track(p)
@@ -180,8 +171,8 @@ func (st *coreState) rebuildScoreboard() {
 	}
 }
 
-// CheckScoreboard verifies every core's issue scoreboard against the queue
-// at cycle now, for tests:
+// CheckScoreboard verifies every home row's issue scoreboard against the
+// queue at cycle now, for tests:
 //   - the sets hold exactly the renamed, unissued instructions, each in the
 //     set of its class (a compute is armed or parked);
 //   - every producer such an instruction names still holds its pool slot
@@ -193,19 +184,25 @@ func (st *coreState) rebuildScoreboard() {
 //     earlier than the armed bound.
 //
 // It also verifies the row sets at the cycle boundary now:
-//   - active holds exactly the rows whose pool is non-empty;
-//   - live holds every row with a queued or held resource or a fault gate,
-//     and a row outside live has a zero sleep memo;
-//   - rebuilding both sets as RestoreCheckpoint does gives the running sets.
+//   - active holds exactly the home rows whose pool is non-empty, and live
+//     holds no row outside home;
+//   - live holds every home row with a queued or held resource or a fault
+//     gate, and a row outside live has a zero sleep memo;
+//   - rebuilding both sets as a restore does gives the running sets.
 func (cp *Coproc) CheckScoreboard(now uint64) error {
-	for c, st := range cp.cores {
-		if err := st.checkScoreboard(now); err != nil {
-			return fmt.Errorf("%s core %d: %w", cp.name, c, err)
-		}
-	}
 	active, live := newRowSet(len(cp.cores)), newRowSet(len(cp.cores))
 	cp.deriveRowSets(active, live)
 	for c, st := range cp.cores {
+		if !cp.home.has(c) {
+			if cp.active.has(c) || cp.live.has(c) || cp.sleepFxs[c] != (sleepFx{}) {
+				return fmt.Errorf("%s core %d: a row hosted elsewhere is active (%v) or live (%v) or memoizes sleep effects %+v",
+					cp.name, c, cp.active.has(c), cp.live.has(c), cp.sleepFxs[c])
+			}
+			continue
+		}
+		if err := st.checkScoreboard(now); err != nil {
+			return fmt.Errorf("%s core %d: %w", cp.name, c, err)
+		}
 		held := st.pool.held(now) > 0 || st.inflight.Count(now) > 0 || st.lhq.Count(now) > 0 || st.stq.Count(now) > 0
 		switch {
 		case cp.active.has(c) != (st.head < st.tail):
@@ -223,12 +220,6 @@ func (cp *Coproc) CheckScoreboard(now uint64) error {
 
 func (st *coreState) checkScoreboard(now uint64) error {
 	sb := st.sb
-	if sb == nil {
-		if st.queue != nil {
-			return fmt.Errorf("pool ring without a scoreboard")
-		}
-		return nil // never held work
-	}
 	var none slotSet
 	if st.head == st.renamed && sb.compute == none && sb.parked == none && sb.load == none &&
 		sb.store == none && sb.emsimd == none && sb.waitHead == [queueRing]uint16{} {
@@ -324,9 +315,6 @@ func (st *coreState) checkScoreboard(now uint64) error {
 func (cp *Coproc) ScoreboardString(c int, now uint64) string {
 	st := cp.cores[c]
 	sb := st.sb
-	if sb == nil {
-		sb = &scoreboard{}
-	}
 	parkedOn := map[int]int{}
 	for ps := 0; ps < queueRing; ps++ {
 		for w := sb.waitHead[ps]; w != 0; w = sb.waitNext[w-1] {

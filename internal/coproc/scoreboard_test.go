@@ -1,7 +1,6 @@
 package coproc
 
 import (
-	"slices"
 	"strings"
 	"testing"
 
@@ -95,77 +94,5 @@ func BenchmarkIssueScan(b *testing.B) {
 	b.StopTimer()
 	if cp.MemIssued(0) != 0 || cp.ComputeIssued(0) != 0 {
 		b.Fatal("the stalled window issued")
-	}
-}
-
-// TestPoolRingAllocatedOnFirstTransmit: a core's pool ring exists only once
-// the core has transmitted to this instance, a checkpoint carries a missing
-// ring as nil, and restoring such a checkpoint drops a ring allocated since.
-func TestPoolRingAllocatedOnFirstTransmit(t *testing.T) {
-	r := newRig(t, nil)
-	for c, st := range r.cp.cores {
-		if st.queue != nil {
-			t.Fatalf("core %d has a pool ring before any transmit", c)
-		}
-	}
-	r.setVL(t, 0, 2)
-	snap := r.cp.Checkpoint()
-	if snap.cores[0].queue == nil || snap.cores[1].queue != nil {
-		t.Fatalf("checkpoint rings: core 0 nil=%v, core 1 nil=%v; want a ring for core 0 only",
-			snap.cores[0].queue == nil, snap.cores[1].queue == nil)
-	}
-	r.setVL(t, 1, 2)
-	if r.cp.cores[1].queue == nil {
-		t.Fatal("core 1 transmitted but has no pool ring")
-	}
-	r.cp.RestoreCheckpoint(snap)
-	if r.cp.cores[0].queue == nil || r.cp.cores[1].queue != nil {
-		t.Fatal("restore did not reproduce the checkpoint's rings")
-	}
-}
-
-// TestRowStorageAllocatedOnFirstUse: a row's issue scoreboard and vector
-// registers come with its first Transmit, the registers also with
-// RestoreVecState; a row that never held any reads and saves as all zeros,
-// and a restore that brings a pool ring brings a scoreboard with it.
-func TestRowStorageAllocatedOnFirstUse(t *testing.T) {
-	r := newRig(t, nil)
-	for c, st := range r.cp.cores {
-		if st.sb != nil || st.z != nil {
-			t.Fatalf("core %d has a scoreboard (%v) or registers (%v) before any transmit", c, st.sb != nil, st.z != nil)
-		}
-	}
-	zero := make([]float32, isa.NumZRegs*r.cp.cfg.Lanes())
-	if got := r.cp.SaveVecState(1); !slices.Equal(got, zero) {
-		t.Fatalf("untouched row saves %d values, want %d zeros", len(got), len(zero))
-	}
-	if r.cp.Z(1, 3, 0) != 0 {
-		t.Fatal("untouched row reads non-zero")
-	}
-	r.setVL(t, 0, 2)
-	snap := r.cp.Checkpoint()
-	if st := r.cp.cores[0]; st.sb == nil || st.z == nil {
-		t.Fatal("core 0 transmitted but has no scoreboard or registers")
-	}
-	if st := r.cp.cores[1]; st.sb != nil || st.z != nil {
-		t.Fatal("core 1 never transmitted but holds a scoreboard or registers")
-	}
-	saved := slices.Clone(zero)
-	saved[5] = 2.5
-	r.cp.RestoreVecState(1, saved)
-	if st := r.cp.cores[1]; st.z == nil || st.sb != nil || r.cp.Z(1, 0, 5) != 2.5 {
-		t.Fatal("RestoreVecState did not install registers (and only registers) on core 1")
-	}
-	r.cp.RestoreVecState(1, nil)
-	if r.cp.Z(1, 0, 5) != 0 {
-		t.Fatal("RestoreVecState(nil) left a stale register")
-	}
-	fresh := newRig(t, nil)
-	fresh.cp.RestoreCheckpoint(snap)
-	if st := fresh.cp.cores[0]; st.queue == nil || st.sb == nil {
-		t.Fatal("a restore that brought core 0's ring did not rebuild its scoreboard")
-	}
-	if err := fresh.cp.CheckScoreboard(fresh.cycle); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -100,26 +100,28 @@ func (t *holdTracker) next(now uint64) uint64 {
 	return t.nextRel
 }
 
-// ExpireHolds drops, on every row, the holds released by now. A tracker
+// ExpireHolds drops, on every home row, the holds released by now. A tracker
 // drains lazily, at its next query, so two runs of one simulation that
 // queried at different cycles — a skipping run and a ticking one — can hold
 // different expired entries; tests comparing their full state expire both
 // first.
 func (cp *Coproc) ExpireHolds(now uint64) {
-	for _, st := range cp.cores {
+	for c := cp.home.next(0); c < len(cp.cores); c = cp.home.next(c + 1) {
+		st := cp.cores[c]
 		for _, t := range [...]*holdTracker{&st.inflight, &st.lhq, &st.stq, &st.pool.issued} {
 			t.drain(now)
 		}
 	}
 }
 
-// CheckTrackerBound reports a hold tracker holding more entries than a core
-// can have in flight — the renamed window plus the load and store queues —
-// for tests: Add's drain keeps expired holds from piling up while nothing
-// calls Count.
+// CheckTrackerBound reports a home row's hold tracker holding more entries
+// than a core can have in flight — the renamed window plus the load and
+// store queues — for tests: Add's drain keeps expired holds from piling up
+// while nothing calls Count.
 func (cp *Coproc) CheckTrackerBound() error {
 	bound := window + cp.cfg.LHQ + cp.cfg.STQ
-	for c, st := range cp.cores {
+	for c := cp.home.next(0); c < len(cp.cores); c = cp.home.next(c + 1) {
+		st := cp.cores[c]
 		for _, t := range [...]struct {
 			name string
 			h    *holdTracker

@@ -9,7 +9,7 @@ import (
 )
 
 // Diff returns the path of the first place *a and *b differ, in the word
-// stream's order — a field path like coprocs[0].cores[1].lhq.releases[3],
+// stream's order — a field path like cplx.rows[1].lhq.releases[3],
 // with embedded structs left out as Go's field promotion leaves them out —
 // or "" when they are equal. It compares exactly what Sum hashes (padding
 // and skipped fields excluded, floats by their bits, nil distinct from

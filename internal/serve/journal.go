@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"sync"
@@ -37,7 +38,10 @@ type Replay struct {
 
 // OpenJournal opens (creating if needed) the journal at path and returns it
 // together with the accepted-but-unfinished jobs found in it, in acceptance
-// order — the replay set.
+// order — the replay set. A torn final line, left by a crash mid-append, is
+// cut off, so the next append starts a line of its own. Its job was never
+// acknowledged: Accept syncs the whole line, newline included, before the
+// 202 goes out.
 func OpenJournal(path string) (*Journal, []Replay, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
@@ -49,19 +53,29 @@ func OpenJournal(path string) (*Journal, []Replay, error) {
 	}
 	pending := map[string]pendingJob{}
 	order := 0
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	line := 0
-	for sc.Scan() {
-		line++
-		raw := sc.Bytes()
-		if len(raw) == 0 {
-			continue
+	r := bufio.NewReaderSize(f, 1<<20)
+	var end int64 // offset just past the last complete line
+	for {
+		raw, err := r.ReadSlice('\n')
+		if err == io.EOF {
+			if len(raw) > 0 {
+				if err := truncate(f, end); err != nil {
+					f.Close()
+					return nil, nil, fmt.Errorf("serve: cutting the journal's torn tail: %w", err)
+				}
+			}
+			break
 		}
+		if err != nil {
+			f.Close()
+			return nil, nil, fmt.Errorf("serve: reading journal: %w", err)
+		}
+		end += int64(len(raw))
 		var rec journalRecord
 		if err := json.Unmarshal(raw, &rec); err != nil {
-			// A torn final line from a crash mid-append is expected; a torn
-			// line anywhere else is corruption worth surfacing.
+			// A complete line that does not parse is corrupt, not torn
+			// (appends are synced whole): it is skipped, and the job it
+			// recorded, if any, is lost.
 			continue
 		}
 		switch rec.Op {
@@ -74,10 +88,6 @@ func OpenJournal(path string) (*Journal, []Replay, error) {
 			delete(pending, rec.ID)
 		}
 	}
-	if err := sc.Err(); err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("serve: reading journal: %w", err)
-	}
 	ordered := make([]pendingJob, 0, len(pending))
 	for _, p := range pending {
 		ordered = append(ordered, p)
@@ -88,6 +98,14 @@ func OpenJournal(path string) (*Journal, []Replay, error) {
 		replay[i] = p.Replay
 	}
 	return &Journal{f: f}, replay, nil
+}
+
+// truncate cuts f to size bytes, durably.
+func truncate(f *os.File, size int64) error {
+	if err := f.Truncate(size); err != nil {
+		return err
+	}
+	return f.Sync()
 }
 
 // Accept records an admitted job durably before the 202 is sent.

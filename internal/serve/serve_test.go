@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -614,6 +615,52 @@ func TestJournalReplay(t *testing.T) {
 	}
 }
 
+// TestJournalTornTail: a torn final line, left by a crash mid-append, is
+// cut off at open, so the job accepted next starts a line of its own and
+// replays after the following restart.
+func TestJournalTornTail(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "jobs.jsonl")
+	spec := pairSpec("t", 1)
+	open := func() (*Journal, []string) {
+		t.Helper()
+		j, replay, err := OpenJournal(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ids []string
+		for _, r := range replay {
+			ids = append(ids, r.ID)
+		}
+		return j, ids
+	}
+	j, _ := open()
+	if err := j.Accept("j1", spec); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(`{"op":"accept","id":"j2","spec":{"tenant":"t","ki`); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	j, ids := open()
+	if !slices.Equal(ids, []string{"j1"}) {
+		t.Fatalf("replay set after the torn append = %v, want [j1]", ids)
+	}
+	if err := j.Accept("j3", spec); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	j, ids = open()
+	j.Close()
+	if !slices.Equal(ids, []string{"j1", "j3"}) {
+		t.Fatalf("replay set after accepting j3 = %v, want [j1 j3]", ids)
+	}
+}
+
 // TestValidationRejects: malformed specs get a 400 before touching the queue
 // or the journal, and injection hooks are refused without AllowInjection.
 // An out-of-range machine tuning, which once panicked a worker in
@@ -778,6 +825,67 @@ func FuzzJobSpec(f *testing.F) {
 		}
 		if err := replay[0].Spec.Validate(); err != nil {
 			t.Fatalf("journaled spec no longer validates: %v\nspec %+v\nreplayed %+v", err, spec, replay[0].Spec)
+		}
+	})
+}
+
+// FuzzJournalReplay opens arbitrary bytes as a journal. OpenJournal must not
+// panic; New must fail every replayed spec the server refuses; and a job
+// accepted after the open must be in the next open's replay set, whatever
+// the file held before it.
+func FuzzJournalReplay(f *testing.F) {
+	valid := `{"op":"accept","id":"job-1","spec":{"tenant":"t","kind":"pair","arch":"elastic","workloads":["spec/WL20","spec/WL17"],"scale":0.05}}` + "\n"
+	for _, seed := range []string{
+		"",
+		valid,
+		valid + `{"op":"end","id":"job-1","status":"done"}` + "\n",
+		valid + `{"op":"accept","id":"job-2","spec":{"tenant":"t","ki`,
+		`{"op":"accept","id":"job-3","spec":{"tenant":"t","kind":"pair","arch":"elastic","workloads":["nope"]}}` + "\n",
+		`{"op":"accept","id":"job-4","spec":{"tenant":"t","kind":"pair","arch":"elastic","workloads":["spec/WL20"],"scale":0.05,"inject":"timeout"}}` + "\n",
+		"\n{not json}\r\n",
+	} {
+		f.Add([]byte(seed))
+	}
+	refused := JobSpec{Tenant: "t", Kind: "pair", Arch: "elastic", Workloads: []string{"nope"}}
+	dir := f.TempDir()
+	n := 0
+	f.Fuzz(func(t *testing.T, data []byte) {
+		n++
+		path := filepath.Join(dir, fmt.Sprintf("j%d.jsonl", n))
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		j, _, err := OpenJournal(path)
+		if err != nil {
+			return // a line past the reader's limit
+		}
+		if err := j.Accept("job-fuzz", refused); err != nil {
+			t.Fatal(err)
+		}
+		j.Close()
+		j, replay, err := OpenJournal(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		j.Close()
+		if !slices.ContainsFunc(replay, func(r Replay) bool { return r.ID == "job-fuzz" }) {
+			t.Fatalf("the job accepted after the open is not replayed: %+v", replay)
+		}
+		// The queue holds every replayed job, so New never waits on a worker.
+		s, err := New(Options{Workers: 1, QueueCap: len(replay), JournalPath: path, DrainGrace: time.Millisecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range replay {
+			if r.Spec.Validate() == nil && r.Spec.Inject == "" {
+				continue
+			}
+			if job, ok := s.Job(r.ID); !ok || job.Status() != StateFailed {
+				t.Errorf("replayed job %q, which the server refuses, did not fail", r.ID)
+			}
+		}
+		if err := s.Drain(); err != nil {
+			t.Fatal(err)
 		}
 	})
 }

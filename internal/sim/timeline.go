@@ -120,35 +120,6 @@ func (t *Timeline) Points() []float64 {
 // Len returns the number of buckets with at least one sample slot allocated.
 func (t *Timeline) Len() int { return len(t.sums) }
 
-// SumTimelines merges timelines that sampled the same cycles into one:
-// bucket sums add, bucket sample counts take the maximum. Each input is
-// expected to have recorded every cycle once (as the per-cluster co-processor
-// instances do), so the counts agree wherever every input covered the bucket
-// and the merged averages are the per-cycle sums. Inputs must share a bucket
-// width.
-func SumTimelines(ts []*Timeline) *Timeline {
-	if len(ts) == 0 {
-		return NewTimeline(0)
-	}
-	out := NewTimeline(ts[0].bucket)
-	for _, t := range ts {
-		for uint64(len(out.sums)) < uint64(len(t.sums)) {
-			out.sums = append(out.sums, 0)
-			out.counts = append(out.counts, 0)
-		}
-		for i := range t.sums {
-			out.sums[i] += t.sums[i]
-			if t.counts[i] > out.counts[i] {
-				out.counts[i] = t.counts[i]
-			}
-		}
-		if t.current > out.current && t.current < uint64(len(out.sums)) {
-			out.setCurrent(t.current)
-		}
-	}
-	return out
-}
-
 // RestoreCursor re-derives the current-bucket cursor after the buckets were
 // copied in from a checkpoint (the bucket width is unchanged).
 func (t *Timeline) RestoreCursor() {
