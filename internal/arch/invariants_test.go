@@ -100,7 +100,7 @@ func TestUtilizationNeverExceedsOne(t *testing.T) {
 			t.Errorf("%s: utilization %v out of [0,1]", kind, res.Utilization)
 		}
 		for c := range sys.Cores {
-			for _, v := range sys.Clusters[0].BusyTimeline(c).Points() {
+			for _, v := range sys.Clusters[0].BusyTimeline(c) {
 				if v < 0 || v > 32 {
 					t.Fatalf("%s core %d: busy lanes %v out of [0,32]", kind, c, v)
 				}

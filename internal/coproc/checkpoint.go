@@ -11,10 +11,10 @@ import (
 // row's rowState), which the state codec clones and copies back; the
 // Complex's checkpoint holds every cluster's and, once, every row's.
 // Configuration and wiring (ports, probe, responder, roofline model) and
-// derived state (the issue scoreboards, the home and row sets, the
-// sleep-scan memo, renameStallNow, the parks) are not captured: a
-// checkpoint restores onto the machine it was taken from (or an identically
-// built one), which rebuilds the derived state.
+// derived state (the issue scoreboards, the home and row sets, the rows'
+// latched stall effects and parks) are not captured: a checkpoint restores
+// onto the machine it was taken from (or an identically built one), which
+// rebuilds the derived state.
 
 // CheckpointState is one co-processor instance's checkpoint: its own state,
 // its resource table's and its lane manager's. The rows it hosts are the
@@ -34,36 +34,30 @@ func (cp *Coproc) state() CheckpointState {
 // restore rewinds the instance to a checkpoint of an identically configured
 // one whose rows and home set are already restored, then rebuilds its
 // derived state: the row sets (from the restored queues, trackers and
-// gates) and the sleep-scan memo, invalidated with every park so a restored
-// cycle re-probes quiescence from scratch.
+// gates), with every park ended so a restored cycle re-probes quiescence
+// from scratch.
 func (cp *Coproc) restore(st CheckpointState) {
 	digest.Copy(&cp.coprocState, &st.coprocState)
 	cp.tbl.Restore(st.tbl)
 	digest.Copy(&cp.mgr.ManagerState, &st.mgr)
-	clear(cp.renameStallNow)
 	cp.deriveRowSets(cp.active, cp.live)
-	clear(cp.sleepFxs)
-	cp.sleepOK = false
-	cp.sleepStamp = 0
 	cp.unparkAll()
 }
 
 // restore rewinds the row to a checkpointed rowState, then rebuilds what is
-// derived from it: the hold trackers' drain bounds, the busy timeline's
-// cursor and the issue scoreboard.
+// derived from it: the hold trackers' drain bounds and the issue scoreboard.
 func (st *coreState) restore(rs *rowState) {
 	digest.Copy(&st.rowState, rs)
 	for _, t := range [...]*holdTracker{&st.inflight, &st.lhq, &st.stq, &st.pool.issued} {
 		t.rebuild()
 	}
-	st.busyTimeline.RestoreCursor()
 	st.rebuildScoreboard()
 }
 
 // deriveRowSets computes the row sets from the home rows' queues, trackers
-// and gates at the cycle boundary acctUpTo (see Coproc.active): the
+// and gates at the current cycle boundary (see Coproc.active): the
 // definition restore rebuilds from, and CheckScoreboard holds the running
-// sets to. A hold is live at acctUpTo exactly when its release is later:
+// sets to. A hold is live at the boundary exactly when its release is later:
 // every drain so far ran at an earlier cycle, so the latest release (maxRel,
 // recomputed from the surviving entries on restore) is still tracked.
 func (cp *Coproc) deriveRowSets(active, live rowSet) {
@@ -73,7 +67,7 @@ func (cp *Coproc) deriveRowSets(active, live rowSet) {
 		if st := cp.cores[c]; st.head < st.tail {
 			active.set(c)
 			live.set(c)
-		} else if st.inflight.maxRel > cp.acctUpTo || cp.gated(c) {
+		} else if st.inflight.maxRel > cp.cycles || cp.gated(c) {
 			live.set(c)
 		}
 	}

@@ -276,7 +276,6 @@ func moveRow(c int, old, dst *Coproc) {
 	st := old.cores[c]
 	old.home.clear(c)
 	old.live.clear(c)
-	old.sleepFxs[c] = sleepFx{}
 	st.parkUntil, st.lastReject = 0, -1
 	dst.home.set(c)
 	if dst.gated(c) {
@@ -353,8 +352,8 @@ func (cx *Complex) Repartitions() uint64 {
 	return n
 }
 
-// BusyTimeline returns core c's busy-lane timeline.
-func (cx *Complex) BusyTimeline(c int) *sim.Timeline { return cx.homeOf(c).BusyTimeline(c) }
+// BusyTimeline returns core c's average busy lanes per 1000-cycle bucket.
+func (cx *Complex) BusyTimeline(c int) []float64 { return cx.homeOf(c).BusyTimeline(c) }
 
 // LaneEvents merges every cluster's lane-management log in cycle order.
 func (cx *Complex) LaneEvents() []LaneEvent {
@@ -420,9 +419,11 @@ type ComplexCheckpoint struct {
 	rows     []rowState        // by core ID
 }
 
-// State settles every row's owed accounting and returns the co-processor's
-// live state in a checkpoint's layout. It shares storage with the machine:
-// clone it before the machine runs on.
+// State settles every row's lastActive and returns the co-processor's live
+// state in a checkpoint's layout. It shares storage with the machine: clone
+// it before the machine runs on. The settle matters because lastActiveBy
+// derives the in-flight part from the tracker's latest release, and a
+// restore recomputes that from the entries still held.
 func (cx *Complex) State() ComplexCheckpoint {
 	st := ComplexCheckpoint{
 		ComplexState: cx.ComplexState,
@@ -434,7 +435,7 @@ func (cx *Complex) State() ComplexCheckpoint {
 		st.clusters[k] = cp.state()
 	}
 	for c, row := range cx.rows {
-		row.flushAcct(cx.homeOf(c).acctUpTo)
+		row.lastActive = row.lastActiveBy(cx.Cycles())
 		st.rows[c] = row.rowState
 	}
 	return st

@@ -117,12 +117,17 @@ type coreState struct {
 	// sb tracks the renamed, unissued instructions for the issue scan
 	// (scoreboard.go): derived from the queue, never checkpointed.
 	sb *scoreboard
-	// Parking (park.go), execution-strategy state like the sleep memo:
-	// Tick's walk skips the row for cycles before parkUntil; idle marks a
-	// last tickCore that made no progress, after which the walk probes the
-	// sleep mirror.
+	// Execution-strategy state, never checkpointed either. fx is the row's
+	// stall effects, latched by its park or by NextWake's scan, which a parked
+	// tick and SkipTicks replay (see replay). Parking (park.go): Tick's walk
+	// skips the row for cycles before parkUntil; idle marks a last tickCore
+	// that made no progress, after which the walk probes the sleep mirror.
+	// busy is the cycle's busy lanes, which issueCompute charges and tickRow
+	// accounts.
+	fx        sleepFx
 	parkUntil uint64
 	idle      bool
+	busy      float64
 }
 
 // rowState is a row's checkpointed state: a deep, cycle-accurate account of
@@ -186,9 +191,8 @@ type rowState struct {
 	// counts every attempt).
 	lastReject int
 
-	// lastActive is the latest cycle with queued or in-flight work, i.e.
-	// the core's true completion time (the scalar core halts before the
-	// co-processor finishes its backlog).
+	// lastActive is the latest cycle with queued work, or with in-flight
+	// work at a tick; lastActiveBy adds the rest of the in-flight part.
 	lastActive uint64
 
 	busyTimeline sim.Timeline // average busy lanes per 1000 cycles (by value: the
@@ -199,38 +203,18 @@ type rowState struct {
 	// sampler diffs it at window boundaries into per-core occupancy. The
 	// sleep mirror needs no update: quiescent windows have zero busy lanes.
 	busyLaneAccum float64
-
-	// acct is the first cycle whose per-cycle accounting (the timeline's
-	// zero sample and the lastActive check) has not been materialized yet.
-	// Tick only visits cores whose pool was non-empty (everything else is
-	// bit-identical to recording a zero), so a core idling for a million
-	// cycles costs nothing per cycle; flushAcct backfills the owed window
-	// before anything reads or snapshots the derived state.
-	acct uint64
 }
 
-// flushAcct materializes the accounting for st's unaccounted cycles
-// [st.acct, upTo): each recorded zero busy lanes (exact — RecordRun with
-// v == 0 is bit-identical to per-cycle zero Records), and lastActive
-// advances to the last cycle in the window that still had in-flight work.
-// maxRel bounds that exactly: entries are only added at issue (a visited
-// instant < st.acct), so within the window the in-flight population only
-// expires, and the last cycle with work is min(upTo-1, maxRel-1).
-func (st *rowState) flushAcct(upTo uint64) {
-	if st.acct >= upTo {
-		return
+// lastActiveBy returns the latest cycle before upTo with queued or in-flight
+// work, the core's true completion time (the scalar core halts before the
+// co-processor finishes its backlog). Entries join the in-flight tracker
+// only at issue, so it held work at every cycle from an issue to its latest
+// release maxRel, of which the last before upTo is min(upTo, maxRel)-1.
+func (st *rowState) lastActiveBy(upTo uint64) uint64 {
+	if m := min(upTo, st.inflight.maxRel); m > 0 {
+		return max(st.lastActive, m-1)
 	}
-	st.busyTimeline.RecordRun(st.acct, upTo-st.acct, 0)
-	if r := st.inflight.maxRel; r > st.acct {
-		last := upTo - 1
-		if r-1 < last {
-			last = r - 1
-		}
-		if last > st.lastActive {
-			st.lastActive = last
-		}
-	}
-	st.acct = upTo
+	return st.lastActive
 }
 
 // at returns the pool slot of stream position i (valid for head <= i < tail).
@@ -327,13 +311,10 @@ type Coproc struct {
 	live      rowSet
 	stormRows rowSet
 
-	// Sleep-scan memo: NextWake(now) caches each core's per-cycle effects
-	// so a SkipTicks(from==now, n) that immediately follows (the only way
-	// the engine calls it) reuses them instead of re-running the scan. A
-	// row outside live has a zero entry.
-	sleepFxs   []sleepFx
+	// sleepStamp is the cycle of the last quiescent NextWake, whose scan
+	// latched every live row's effects for the SkipTicks the engine issues
+	// for the same cycle (the only way it calls SkipTicks).
 	sleepStamp uint64
-	sleepOK    bool
 
 	respond ScalarResponder
 
@@ -354,10 +335,6 @@ type Coproc struct {
 
 	coprocState
 
-	// renameStallNow marks, per core, whether this cycle's issue was
-	// blocked on physical registers (Figure 13's metric).
-	renameStallNow []bool
-
 	// rotStart/rotLast cache the priority-rotation origin (now % Cores) so
 	// consecutive ticks increment it instead of dividing. Invariant:
 	// rotStart == rotLast % Cores, which stays true across restores, so no
@@ -365,7 +342,6 @@ type Coproc struct {
 	rotStart int
 	rotLast  uint64
 
-	cycleBusyLanes []float64 // per-core busy lanes this cycle
 	// lanes is cfg.Lanes() as the busy-lane divisor, fixed at New so Tick
 	// does not copy the whole Config through Lanes' value receiver.
 	lanes float64
@@ -397,10 +373,6 @@ type coprocState struct {
 	// SIMD-utilization metric of §2.
 	busyLaneCycles float64
 	cycles         uint64
-
-	// acctUpTo is one past the last cycle Tick/SkipTicks covered — the
-	// bound flushAcct backfills to on reads and snapshots.
-	acctUpTo uint64
 
 	// events is the lane-management log (bounded; see laneEventCap).
 	events []LaneEvent
@@ -477,10 +449,9 @@ func newRows(cfg Config) []*coreState {
 	for c := range rows {
 		st := &coreState{
 			rowState: rowState{
-				queue:        new([queueRing]XInst),
-				z:            make([]float32, isa.NumZRegs*cfg.Lanes()),
-				busyTimeline: *sim.NewTimeline(1000),
-				lastReject:   -1,
+				queue:      new([queueRing]XInst),
+				z:          make([]float32, isa.NumZRegs*cfg.Lanes()),
+				lastReject: -1,
 			},
 			sb: new(scoreboard),
 		}
@@ -512,23 +483,20 @@ func newRows(cfg Config) []*coreState {
 func newCoproc(cfg Config, rows []*coreState, vecPort mem.SharedPort, data *mem.Memory, model roofline.Model, stats *sim.Stats) *Coproc {
 	tbl := lanemgr.NewResourceTbl(lanemgr.Topology{Clusters: 1, Cores: cfg.Cores, ExeBUs: cfg.ExeBUs})
 	cp := &Coproc{
-		cfg:            cfg,
-		name:           "coproc",
-		tbl:            tbl,
-		mgr:            lanemgr.NewManager(model, tbl),
-		vec:            vecPort,
-		vecProbe:       probeOf(vecPort),
-		data:           data,
-		stats:          stats,
-		cores:          rows,
-		home:           newRowSet(cfg.Cores),
-		renameStallNow: make([]bool, cfg.Cores),
-		cycleBusyLanes: make([]float64, cfg.Cores),
-		active:         newRowSet(cfg.Cores),
-		live:           newRowSet(cfg.Cores),
-		stormRows:      newRowSet(cfg.Cores),
-		sleepFxs:       make([]sleepFx, cfg.Cores),
-		lanes:          float64(cfg.Lanes()),
+		cfg:       cfg,
+		name:      "coproc",
+		tbl:       tbl,
+		mgr:       lanemgr.NewManager(model, tbl),
+		vec:       vecPort,
+		vecProbe:  probeOf(vecPort),
+		data:      data,
+		stats:     stats,
+		cores:     rows,
+		home:      newRowSet(cfg.Cores),
+		active:    newRowSet(cfg.Cores),
+		live:      newRowSet(cfg.Cores),
+		stormRows: newRowSet(cfg.Cores),
+		lanes:     float64(cfg.Lanes()),
 	}
 	cp.storms = &stormGroup{members: []*Coproc{cp}}
 	cp.renameStallsCell = stats.Counter("coproc.rename.stalls")
@@ -667,7 +635,9 @@ func (cp *Coproc) renameTick(c int, now uint64) {
 		}
 		if !x.Op.IsEMSIMD() && hasZDst(x.Op) {
 			if !cp.canRename(c, now) {
-				cp.renameStallNow[c] = true
+				cp.probe.Signal(c, obs.SigRenameStall)
+				st.renameStalls++
+				*cp.renameStallsCell++
 				return
 			}
 			st.pool.queued++
@@ -778,8 +748,6 @@ func (cp *Coproc) Name() string { return cp.name }
 func (cp *Coproc) SetName(name string) { cp.name = name }
 
 // Tick implements sim.Component: one cycle of the co-processor.
-// cycleBusyLanes enters every Tick all-zero: the accounting loop at the
-// bottom re-zeroes each slot after consuming it.
 func (cp *Coproc) Tick(now uint64) {
 	em := 2 // EM-SIMD data path: 2 insts/cycle (Figure 5)
 	// Rotate core priority every cycle so one core cannot monopolize
@@ -800,58 +768,32 @@ func (cp *Coproc) Tick(now uint64) {
 	cp.rotStart, cp.rotLast = start, now
 	// tickCore on an empty pool is a pure no-op, so the walk visits only
 	// the active rows, in the rotation's order: start…n−1, then
-	// 0…start−1. A parked row replays its stall instead (tickRow).
+	// 0…start−1. Each row accounts its own cycle (tickRow); busy-lane
+	// values are whole numbers, so their sum is exact in any order. A row
+	// outside active records nothing: its zero samples add nothing to its
+	// timeline, and lastActiveBy derives its in-flight part.
 	budget := issueBudget{compute: cp.cfg.ComputeIssue, mem: cp.cfg.MemIssue, emsimd: &em}
+	totalBusy := 0.0
 	for c := cp.active.next(start); c < n; c = cp.active.next(c + 1) {
-		cp.tickRow(c, now, &budget)
+		totalBusy += cp.tickRow(c, now, &budget)
 	}
 	for c := cp.active.next(0); c < start; c = cp.active.next(c + 1) {
-		cp.tickRow(c, now, &budget)
-	}
-	totalBusy := 0.0
-	// Accounting settles the rows just ticked or replayed — the active set,
-	// which nothing has changed since the walk — in ascending order, so the
-	// float sums keep their order. A row not ticked owes only a zero
-	// timeline sample and a possible in-flight lastActive bump, both settled
-	// lazily by flushAcct.
-	for c := cp.active.next(0); c < n; c = cp.active.next(c + 1) {
-		st := cp.cores[c]
-		v := cp.cycleBusyLanes[c]
-		cp.cycleBusyLanes[c] = 0
-		st.flushAcct(now)
-		if st.head < st.tail || st.inflight.Count(now) > 0 {
-			st.lastActive = now
-		}
-		if st.head == st.tail {
-			cp.active.clear(c) // the pool emptied this cycle
-		}
-		st.busyTimeline.Record(now, v)
-		st.acct = now + 1
-		st.busyLaneAccum += v
-		totalBusy += v
-		if cp.renameStallNow[c] {
-			cp.probe.Signal(c, obs.SigRenameStall)
-			st.renameStalls++
-			*cp.renameStallsCell++
-			cp.renameStallNow[c] = false
-		}
+		totalBusy += cp.tickRow(c, now, &budget)
 	}
 	cp.busyLaneCycles += totalBusy / cp.lanes
-	cp.acctUpTo = now + 1
 	cp.cycles++
 	cp.settleIdle()
 }
 
-// settle drops row c from live when, from cycle acctUpTo on, it can neither
-// issue (its pool is empty) nor hold a resource (every in-flight release,
-// and with it every LSU and register hold, is at or before acctUpTo), and no
-// fault gate covers it. Every live-row walk then skips it until its next
+// settle drops row c from live when, from the current cycle boundary on, it
+// can neither issue (its pool is empty) nor hold a resource (every in-flight
+// release, and with it every LSU and register hold, is at or before it), and
+// no fault gate covers it. Every live-row walk then skips it until its next
 // Transmit.
 func (cp *Coproc) settle(c int) {
 	st := cp.cores[c]
-	if st.head == st.tail && st.inflight.maxRel <= cp.acctUpTo && !cp.gated(c) {
+	if st.head == st.tail && st.inflight.maxRel <= cp.cycles && !cp.gated(c) {
 		cp.live.clear(c)
-		cp.sleepFxs[c] = sleepFx{}
 	}
 }
 
@@ -1051,10 +993,7 @@ func (cp *Coproc) issueCompute(c int, x *XInst, now uint64) {
 	if x.Op == isa.OpVMovX0 && cp.respond != nil {
 		cp.respond(c, x.XDst, x.respVal, done+cp.cfg.EMSIMDLat)
 	}
-	cp.cycleBusyLanes[c] += 2 * float64(x.Width)
-	if m := 4 * float64(x.Width); cp.cycleBusyLanes[c] > m {
-		cp.cycleBusyLanes[c] = m
-	}
+	st.busy = min(st.busy+2*float64(x.Width), 4*float64(x.Width))
 }
 
 // issueMem issues one vector load or store micro-op through the LSU.
@@ -1165,19 +1104,14 @@ func (cp *Coproc) Quiescent(c int, now uint64) bool {
 }
 
 // LastActive returns the latest cycle core c had queued or in-flight work.
-func (cp *Coproc) LastActive(c int) uint64 {
-	cp.cores[c].flushAcct(cp.acctUpTo)
-	return cp.cores[c].lastActive
-}
+func (cp *Coproc) LastActive(c int) uint64 { return cp.cores[c].lastActiveBy(cp.cycles) }
 
 // Z returns the functional value of lane i of register r on core c (tests).
 func (cp *Coproc) Z(c int, r isa.Reg, i int) float32 { return cp.cores[c].zreg(r)[i] }
 
-// BusyTimeline returns core c's busy-lane timeline (Figures 2 and 14(b)).
-func (cp *Coproc) BusyTimeline(c int) *sim.Timeline {
-	cp.cores[c].flushAcct(cp.acctUpTo)
-	return &cp.cores[c].busyTimeline
-}
+// BusyTimeline returns core c's average busy lanes per 1000-cycle bucket
+// (Figures 2 and 14(b)).
+func (cp *Coproc) BusyTimeline(c int) []float64 { return cp.cores[c].busyTimeline.Points(cp.cycles) }
 
 // ComputeIssued returns the number of SIMD compute instructions core c has
 // issued (the numerator of the paper's SIMD issue rate).

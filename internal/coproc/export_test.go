@@ -16,7 +16,7 @@ func scanNext(t *holdTracker, now uint64) uint64 {
 }
 
 // scanMax is the scanning form of the latest release still tracked (0 when
-// empty), which SkipTicks reads as maxRel.
+// empty), which settle reads as maxRel.
 func scanMax(t *holdTracker) uint64 {
 	var m uint64
 	for _, r := range t.releases {
@@ -26,7 +26,7 @@ func scanMax(t *holdTracker) uint64 {
 }
 
 // NextWakeHomeRows is NextWake over every home row, with the scanning wake
-// bound and without touching the sleep memo: the answer the live row set
+// bound and without latching any row's effects: the answer the live row set
 // must reproduce.
 func (cp *Coproc) NextWakeHomeRows(now uint64) (uint64, bool) {
 	wake := uint64(sim.NeverWake)

@@ -279,11 +279,10 @@ type PipeSnapshot struct {
 // PipelineSnapshot captures core c's pipeline state at cycle now.
 func (cp *Coproc) PipelineSnapshot(c int, now uint64) PipeSnapshot {
 	st := cp.cores[c]
-	st.flushAcct(cp.acctUpTo)
 	ps := PipeSnapshot{
 		Draining:   st.draining,
 		DrainWait:  st.drainWait,
-		LastActive: st.lastActive,
+		LastActive: st.lastActiveBy(cp.cycles),
 		VL:         cp.VL(c),
 		Decision:   cp.tbl.Decision(c),
 	}

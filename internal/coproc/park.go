@@ -18,9 +18,9 @@ import "fmt"
 // nothing inside the row can change, and every mutation from outside it
 // ends the park: Transmit, the fault setters, a forced VL or a migration
 // landing at the core's strip boundary, RestoreVecState and
-// RestoreCheckpoint. While parked, the row raises its latched signals and
-// rename-stall flag each cycle, the accounting loop settles it as usual,
-// and NextWake and SkipTicks read the latch instead of re-scanning it.
+// RestoreCheckpoint. While parked, the row replays its latched effects each
+// cycle (replay, which SkipTicks applies to a skipped window too), and
+// NextWake and SkipTicks read the latch instead of re-scanning it.
 //
 // Rows whose stall depends on other rows keep ticking:
 //   - an MSHR retry: its accesses interleave with the other rows' on the
@@ -54,19 +54,16 @@ func (cp *Coproc) unparkAll() {
 	}
 }
 
-// tickRow runs active row c's share of Tick: the real tickCore, or, while the
-// row is parked, its latched effects. It also wakes a core parked on this
-// row's full pool once a slot frees.
-func (cp *Coproc) tickRow(c int, now uint64, budget *issueBudget) {
+// tickRow runs active row c's share of Tick, the real tickCore or, while the
+// row is parked, a replay of its latched effects, then accounts the cycle and
+// returns its busy lanes. It also wakes a core parked on this row's full pool
+// once a slot frees.
+func (cp *Coproc) tickRow(c int, now uint64, budget *issueBudget) float64 {
 	st := cp.cores[c]
 	if now < st.parkUntil || st.idle && cp.park(c, now) {
 		cp.parkedTicks++
-		fx := &cp.sleepFxs[c]
-		if fx.sig != 0 {
-			cp.probe.Signal(c, fx.sig)
-		}
-		cp.renameStallNow[c] = fx.renameStall
-		return
+		cp.replay(c, now, 1)
+		return 0
 	}
 	full := st.tail-st.head >= queueCap
 	progress, head, renamed, retries := cp.progress, st.head, st.renamed, st.mshrRetries
@@ -79,10 +76,25 @@ func (cp *Coproc) tickRow(c int, now uint64, budget *issueBudget) {
 	if full && st.tail-st.head < queueCap && cp.slotFreed != nil {
 		cp.slotFreed(c)
 	}
+	// Besides lastActive, the in-flight Count drains that tracker once the
+	// pool is empty, which keeps its Add off the growth path.
+	if st.head < st.tail || st.inflight.Count(now) > 0 {
+		st.lastActive = now
+	}
+	if st.head == st.tail {
+		cp.active.clear(c) // the pool emptied this cycle
+	}
+	v := st.busy
+	if v != 0 {
+		st.busy = 0
+		st.busyTimeline.Record(now, v)
+		st.busyLaneAccum += v
+	}
+	return v
 }
 
 // park probes row c's sleep mirror at now and parks the row when it is
-// quiescent and its stall is its own, latching its effects in the sleep memo.
+// quiescent and its stall is its own, latching its effects.
 // A row with an EM-SIMD instruction at the head is not probed at all.
 func (cp *Coproc) park(c int, now uint64) bool {
 	st := cp.cores[c]
@@ -93,8 +105,7 @@ func (cp *Coproc) park(c int, now uint64) bool {
 	if !ok || fx.mshrRetry {
 		return false
 	}
-	st.parkUntil = cp.parkWake(st, now, wake)
-	cp.sleepFxs[c] = fx
+	st.parkUntil, st.fx = cp.parkWake(st, now, wake), fx
 	return true
 }
 
@@ -120,7 +131,7 @@ func (cp *Coproc) CheckParked(now uint64) error {
 		}
 		fx, wake, ok := cp.coreSleep(c, now)
 		wake = cp.parkWake(st, now, wake)
-		switch latched := cp.sleepFxs[c]; {
+		switch latched := st.fx; {
 		case !cp.parking || !cp.active.has(c):
 			return fmt.Errorf("%s core %d: parked until %d, but parking is %v and the row active %v", cp.name, c, st.parkUntil, cp.parking, cp.active.has(c))
 		case !ok:

@@ -187,16 +187,15 @@ func (st *coreState) rebuildScoreboard() {
 //   - active holds exactly the home rows whose pool is non-empty, and live
 //     holds no row outside home;
 //   - live holds every home row with a queued or held resource or a fault
-//     gate, and a row outside live has a zero sleep memo;
+//     gate;
 //   - rebuilding both sets as a restore does gives the running sets.
 func (cp *Coproc) CheckScoreboard(now uint64) error {
 	active, live := newRowSet(len(cp.cores)), newRowSet(len(cp.cores))
 	cp.deriveRowSets(active, live)
 	for c, st := range cp.cores {
 		if !cp.home.has(c) {
-			if cp.active.has(c) || cp.live.has(c) || cp.sleepFxs[c] != (sleepFx{}) {
-				return fmt.Errorf("%s core %d: a row hosted elsewhere is active (%v) or live (%v) or memoizes sleep effects %+v",
-					cp.name, c, cp.active.has(c), cp.live.has(c), cp.sleepFxs[c])
+			if cp.active.has(c) || cp.live.has(c) {
+				return fmt.Errorf("%s core %d: a row hosted elsewhere is active (%v) or live (%v)", cp.name, c, cp.active.has(c), cp.live.has(c))
 			}
 			continue
 		}
@@ -209,8 +208,6 @@ func (cp *Coproc) CheckScoreboard(now uint64) error {
 			return fmt.Errorf("%s core %d: active bit %v with %d instructions pooled", cp.name, c, cp.active.has(c), st.tail-st.head)
 		case !cp.live.has(c) && (held || cp.gated(c)):
 			return fmt.Errorf("%s core %d: not live while holding resources (%v) or gated (%v)", cp.name, c, held, cp.gated(c))
-		case !cp.live.has(c) && cp.sleepFxs[c] != (sleepFx{}):
-			return fmt.Errorf("%s core %d: not live but memoizes sleep effects %+v", cp.name, c, cp.sleepFxs[c])
 		case cp.live.has(c) != live.has(c):
 			return fmt.Errorf("%s core %d: live bit %v, a restore would rebuild %v", cp.name, c, cp.live.has(c), live.has(c))
 		}

@@ -226,11 +226,10 @@ scan:
 // NextWake implements sim.Sleeper. Only live rows are scanned: a row outside
 // live has an empty pool, holds nothing and is not gated, so its scan would
 // report a zero-effect quiescent cycle and no wake. A parked row is not
-// scanned either: its latched effects hold until its park ends. A fully
-// quiescent scan memoizes each row's effects so the SkipTicks call the
-// engine issues for the same cycle can replay them without re-scanning.
+// scanned either: its latched effects hold until its park ends. The scan
+// latches each row's effects, so the SkipTicks call the engine issues for a
+// fully quiescent cycle replays them without re-scanning.
 func (cp *Coproc) NextWake(now uint64) (uint64, bool) {
-	cp.sleepOK = false
 	wake := uint64(sim.NeverWake)
 	if cp.emsimdBusyUntil > now && cp.emsimdBusyUntil < wake {
 		wake = cp.emsimdBusyUntil
@@ -244,7 +243,7 @@ func (cp *Coproc) NextWake(now uint64) (uint64, bool) {
 		if !ok {
 			return 0, false
 		}
-		cp.sleepFxs[c] = fx
+		cp.cores[c].fx = fx
 		if w < wake {
 			wake = w
 		}
@@ -252,72 +251,65 @@ func (cp *Coproc) NextWake(now uint64) (uint64, bool) {
 			wake = r
 		}
 	}
-	cp.sleepStamp, cp.sleepOK = now, true
+	cp.sleepStamp = now
 	return wake, true
 }
 
 // SkipTicks implements sim.Sleeper: the accounting n quiescent Ticks at
-// cycles [from, from+n) would have performed. Priority rotation and issue
-// budgets need no replay — nothing issues in a quiescent cycle, so budgets
-// never decrement and the visit order has no observable effect, except on
-// the shared cache port, where the storm group replays retries in tick
-// order. Rows outside live would replay nothing (their memo entries are zero
-// and their last in-flight release is behind them), so only live rows are
-// visited; a parked row's memo entry is its latch.
+// cycles [from, from+n) would have performed, which is each live row's
+// latched effects n times (replay). Priority rotation and issue budgets need
+// no replay — nothing issues in a quiescent cycle, so budgets never
+// decrement and the visit order has no observable effect, except on the
+// shared cache port, where the storm group replays retries in tick order.
+// Rows outside live would replay nothing (their pools are empty and their
+// last in-flight release is behind them), so only live rows are visited.
 func (cp *Coproc) SkipTicks(from, n uint64) {
-	nc := len(cp.cores)
-	if !cp.sleepOK || cp.sleepStamp != from {
-		for c := cp.live.next(0); c < nc; c = cp.live.next(c + 1) {
-			if from >= cp.cores[c].parkUntil {
-				cp.sleepFxs[c], _, _ = cp.coreSleep(c, from)
-			}
-		}
+	if cp.sleepStamp != from {
+		panic(fmt.Sprintf("coproc: %s skipped from cycle %d, its last quiescent scan was at %d", cp.name, from, cp.sleepStamp))
 	}
 	clear(cp.stormRows)
 	cp.stormFrom, cp.stormCount = from, 0
-	for c := cp.live.next(0); c < nc; c = cp.live.next(c + 1) {
-		st := cp.cores[c]
-		fx := &cp.sleepFxs[c]
-		if fx.sig != 0 {
-			cp.probe.Signal(c, fx.sig)
-		}
-		if fx.drainWait {
-			st.drainWait += n
-			*cp.drainWaitCell += n
-		}
-		if fx.renameStall {
-			st.renameStalls += n
-			*cp.renameStallsCell += n
-		}
-		if fx.mshrRetry {
-			st.mshrRetries += n
-			*cp.mshrRetriesCell += n
+	for c := cp.live.next(0); c < len(cp.cores); c = cp.live.next(c + 1) {
+		cp.replay(c, from, n)
+		if cp.cores[c].fx.mshrRetry {
 			cp.stormRows.set(c)
 			cp.stormCount++
 		}
-		if st.head < st.tail {
-			st.lastActive = from + n - 1
-		} else if m := st.inflight.maxRel; m > from {
-			// inflight.Count(t) > 0 exactly for t < m: the last
-			// qualifying cycle in the window is min(from+n-1, m-1).
-			last := from + n - 1
-			if m-1 < last {
-				last = m - 1
-			}
-			st.lastActive = last
-		}
-		// Every elided cycle records zero busy lanes, exactly as the real
-		// stalled ticks would: that zero run stays owed on st.acct until
-		// flushAcct backfills it (exact for v == 0; see RecordRun).
 	}
 	if g := cp.storms; cp == g.members[len(g.members)-1] {
 		g.replay(from, n)
 	}
-	// busyLaneCycles accumulates 0.0/lanes per stalled cycle — an exact
-	// float64 no-op, so there is nothing to add here.
-	cp.acctUpTo = from + n
+	// Every elided cycle records zero busy lanes, which adds nothing to a
+	// timeline or to busyLaneCycles.
 	cp.cycles += n
 	cp.settleIdle()
+}
+
+// replay applies row c's latched effects for the n stalled cycles
+// [from, from+n): its signals, the stall counters that count per cycle and,
+// with its pool non-empty, lastActive. A parked tick replays one cycle; the
+// storm group replays MSHR retries' accesses on the cache port.
+func (cp *Coproc) replay(c int, from, n uint64) {
+	st := cp.cores[c]
+	fx := &st.fx
+	if fx.sig != 0 {
+		cp.probe.Signal(c, fx.sig)
+	}
+	if fx.drainWait {
+		st.drainWait += n
+		*cp.drainWaitCell += n
+	}
+	if fx.renameStall {
+		st.renameStalls += n
+		*cp.renameStallsCell += n
+	}
+	if fx.mshrRetry {
+		st.mshrRetries += n
+		*cp.mshrRetriesCell += n
+	}
+	if st.head < st.tail {
+		st.lastActive = from + n - 1
+	}
 }
 
 // stormGroup is the set of co-processor instances sharing one vector-cache
@@ -348,7 +340,7 @@ func (g *stormGroup) replay(from, n uint64) {
 	switch {
 	case total == 1:
 		// Sole storming row: one bulk replay covers the window.
-		fx := &sole.sleepFxs[soleRow]
+		fx := &sole.cores[soleRow].fx
 		sole.vecProbe.ReplayRetries(from, n, fx.retryAddr, fx.retrySize, fx.retryWrite, soleRow)
 	case total > 1:
 		// Concurrent storms interleave their bandwidth-meter updates in
@@ -365,7 +357,7 @@ func (g *stormGroup) replay(from, n uint64) {
 				start := int(t % uint64(nc))
 				for _, span := range [2][2]int{{start, nc}, {0, start}} {
 					for c := m.stormRows.next(span[0]); c < span[1]; c = m.stormRows.next(c + 1) {
-						fx := &m.sleepFxs[c]
+						fx := &m.cores[c].fx
 						m.vecProbe.ReplayRetries(t, 1, fx.retryAddr, fx.retrySize, fx.retryWrite, c)
 					}
 				}

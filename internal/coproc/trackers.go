@@ -22,8 +22,8 @@ type holdTracker struct {
 	// compare instead of an O(entries) scan.
 	nextRel uint64 `digest:"-"`
 	// maxRel is the latest release ever added (entries expire out of
-	// releases, this does not decay): lazy lastActive accounting needs the
-	// last cycle the tracker held anything, even after drain dropped it.
+	// releases, this does not decay): lastActiveBy needs the last cycle the
+	// tracker held anything, even after drain dropped it.
 	maxRel uint64 `digest:"-"`
 }
 
@@ -77,9 +77,9 @@ func (t *holdTracker) Add(now, release uint64) {
 // rebuild re-derives the bounds after the entries were restored from a
 // checkpoint: the drain bound is invalidated (the restored entries may
 // release earlier than the current ones), and maxRel is recomputed from the
-// surviving entries — history that expired before the checkpoint can only
-// matter to windows the checkpoint already flushed, so the maximum over
-// live entries is behaviourally identical.
+// surviving entries — history that expired before the checkpoint matters
+// only to the lastActive the checkpoint already carries (Complex.State
+// settles it), so the maximum over live entries is behaviourally identical.
 func (t *holdTracker) rebuild() {
 	t.nextRel = 0
 	t.maxRel = 0

@@ -564,19 +564,27 @@ func copySeq(elem *plan, dst, src unsafe.Pointer, n int) {
 }
 
 // copySlice copies a slice into dst's backing array when its capacity
-// holds the source's length, reusing the elements' own storage too.
+// holds the source's length, reusing the elements' own storage too, and
+// otherwise grows dst in place, which allocates the backing array alone.
 func copySlice(o *op, dst, src *sliceHeader) {
 	if src.data == nil {
 		*dst = sliceHeader{}
 		return
 	}
-	if dst.data == nil || dst.cap < src.len {
-		*dst = sliceHeader{reflect.MakeSlice(o.typ, src.len, src.len).UnsafePointer(), src.len, src.len}
-	} else {
-		dst.len = src.len
+	if dst.cap < src.len {
+		s := reflect.NewAt(o.typ, unsafe.Pointer(dst)).Elem()
+		s.SetLen(0)
+		s.Grow(src.len)
 	}
+	if dst.data == nil {
+		dst.data = unsafe.Pointer(&zeroBase) // an empty source is not nil: Sum tells them apart
+	}
+	dst.len = src.len
 	copySeq(o.elem, dst.data, src.data, src.len)
 }
+
+// zeroBase is the backing array of a cloned empty, non-nil slice.
+var zeroBase [0]byte
 
 // copyMap makes the map dm hold sm's entries, copying each value over dm's
 // value for the same key, and returns the (possibly new) map. It takes the

@@ -246,6 +246,25 @@ func TestCopyReusesStorage(t *testing.T) {
 	}
 }
 
+// TestCloneAllocatesOncePerSlice: Clone grows each missing slice in place,
+// so a slice costs its backing array alone, and an empty slice stays
+// distinct from a nil one.
+func TestCloneAllocatesOncePerSlice(t *testing.T) {
+	type three struct {
+		Image  []byte
+		Ints   []int32
+		Leaves []leaf
+	}
+	src := three{[]byte("abc"), []int32{1, 2}, []leaf{{A: 1}, {B: 2}}}
+	if n := testing.AllocsPerRun(20, func() { _ = Clone(&src) }); n != 3 {
+		t.Fatalf("Clone of three non-empty slices allocated %v times, want 3", n)
+	}
+	empty := three{Image: []byte{}}
+	if c := Clone(&empty); c.Image == nil || c.Ints != nil || Sum(&c) != Sum(&empty) {
+		t.Fatalf("Clone of an empty and two nil slices = %#v", c)
+	}
+}
+
 // TestRejectsNonData: a plan for a type holding an interface, func or chan
 // panics with the offending field's path.
 func TestRejectsNonData(t *testing.T) {

@@ -95,7 +95,7 @@ func (c Config) Figure14() (*Fig14, error) {
 	}
 	out.Results = results
 	for kind, sys := range systems {
-		out.WL17Timelines[kind] = sys.Cplx.BusyTimeline(1).Points()
+		out.WL17Timelines[kind] = sys.Cplx.BusyTimeline(1)
 	}
 	return out, nil
 }

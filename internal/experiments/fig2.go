@@ -28,7 +28,7 @@ func (c Config) Figure2() (*Fig2, error) {
 	for kind, sys := range systems {
 		var tls [][]float64
 		for core := range sys.Cores {
-			tls = append(tls, sys.Cplx.BusyTimeline(core).Points())
+			tls = append(tls, sys.Cplx.BusyTimeline(core))
 		}
 		out.Timelines[kind] = tls
 	}

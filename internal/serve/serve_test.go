@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -769,6 +770,56 @@ func TestJournalReplayValidates(t *testing.T) {
 	defer again.Drain()
 	if jobs := again.Jobs(); len(jobs) != 0 {
 		t.Fatalf("second start replayed %d jobs, want 0", len(jobs))
+	}
+}
+
+// TestReplayBeyondQueueCap: a journal replaying more jobs than QueueCap must
+// not hold New, and with it occamy-serve's listener, until a worker has run
+// the surplus. The replayed backlog still counts against admission, so a new
+// submission gets 429 until it drains.
+func TestReplayBeyondQueueCap(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "jobs.jsonl")
+	const queueCap = 2
+	j, _, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= queueCap+2; i++ {
+		spec := hangSpec("t", uint64(i))
+		spec.TimeoutMS = 600_000
+		if err := j.Accept(fmt.Sprintf("job-%d", i), spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	j.Close()
+	built := make(chan *Server, 1)
+	go func() {
+		s, err := New(Options{Workers: 1, QueueCap: queueCap, AllowInjection: true, JournalPath: path, DrainGrace: time.Millisecond})
+		if err != nil {
+			t.Error(err)
+		}
+		built <- s
+	}()
+	var s *Server
+	select {
+	case s = <-built:
+	case <-time.After(5 * time.Second):
+		t.Fatalf("New still blocked after 5 s on a replay set of %d jobs with QueueCap %d", queueCap+2, queueCap)
+	}
+	if s == nil {
+		return
+	}
+	var serr *SubmitError
+	if _, _, err := s.Submit(pairSpec("t2", 9)); !errors.As(err, &serr) || serr.Status != http.StatusTooManyRequests {
+		t.Errorf("submit behind the replayed backlog = %v, want a 429", err)
+	}
+	if err := s.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	for _, job := range s.Jobs() {
+		if job.Status() != StateParked {
+			t.Errorf("replayed job %s = %s after the drain, want parked", job.ID, job.Status())
+		}
 	}
 }
 

@@ -124,11 +124,24 @@ type Server struct {
 // replayed before new submissions are taken.
 func New(o Options) (*Server, error) {
 	opts := o.withDefaults()
+	var journal *Journal
+	var replay []Replay
+	if opts.JournalPath != "" {
+		var err error
+		if journal, replay, err = OpenJournal(opts.JournalPath); err != nil {
+			return nil, fmt.Errorf("serve: journal: %w", err)
+		}
+	}
 	s := &Server{
-		opts:     opts,
-		stats:    opts.Stats,
-		clock:    opts.Clock,
-		queue:    make(chan *Job, opts.QueueCap),
+		opts:    opts,
+		stats:   opts.Stats,
+		journal: journal,
+		clock:   opts.Clock,
+		// The replayed jobs get buffer room of their own, so re-admitting
+		// them never waits on a worker. Admission still compares the queue's
+		// length with QueueCap, so new submissions get 429 until the replayed
+		// backlog drains below it.
+		queue:    make(chan *Job, opts.QueueCap+len(replay)),
 		hardStop: make(chan struct{}),
 		jobs:     make(map[string]*Job),
 		byKey:    make(map[uint64]*Job),
@@ -137,15 +150,6 @@ func New(o Options) (*Server, error) {
 	s.cache = NewCache(opts.CacheCap, s.stats)
 	s.runner = &runner{cache: s.cache}
 
-	var replay []Replay
-	if opts.JournalPath != "" {
-		j, pending, err := OpenJournal(opts.JournalPath)
-		if err != nil {
-			return nil, fmt.Errorf("serve: journal: %w", err)
-		}
-		s.journal = j
-		replay = pending
-	}
 	for i := 0; i < opts.Workers; i++ {
 		s.wg.Add(1)
 		go s.worker()

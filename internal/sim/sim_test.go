@@ -105,11 +105,11 @@ func TestStatsBasics(t *testing.T) {
 }
 
 func TestTimelineBuckets(t *testing.T) {
-	tl := NewTimeline(10)
-	for c := uint64(0); c < 25; c++ {
-		tl.Record(c, float64(c/10)) // 0 for first bucket, 1 for second, 2 for third
+	var tl Timeline
+	for c := uint64(0); c < 2500; c++ {
+		tl.Record(c, float64(c/1000)) // 0 for first bucket, 1 for second, 2 for third
 	}
-	pts := tl.Points()
+	pts := tl.Points(2500)
 	if len(pts) != 3 {
 		t.Fatalf("len(points) = %d, want 3", len(pts))
 	}
@@ -120,22 +120,38 @@ func TestTimelineBuckets(t *testing.T) {
 	}
 }
 
+// TestTimelineDefaultsTo1000: buckets are 1000 cycles wide, and a bucket's
+// average divides by its elapsed cycles, recorded or not.
 func TestTimelineDefaultsTo1000(t *testing.T) {
-	tl := NewTimeline(0)
-	if tl.BucketCycles() != 1000 {
-		t.Fatalf("default bucket = %d, want 1000", tl.BucketCycles())
+	var tl Timeline
+	tl.Record(999, 4)
+	tl.Record(1000, 6)
+	if pts := tl.Points(2000); len(pts) != 2 || pts[0] != 0.004 || pts[1] != 0.006 {
+		t.Fatalf("points = %v, want [0.004 0.006]", pts)
 	}
 }
 
 func TestTimelineSparseBucketsReadZero(t *testing.T) {
-	tl := NewTimeline(10)
-	tl.Record(35, 8) // only bucket 3 is populated
-	pts := tl.Points()
+	var tl Timeline
+	tl.Record(3000, 8) // only bucket 3 is populated, and it has run one cycle
+	pts := tl.Points(3001)
 	if len(pts) != 4 {
 		t.Fatalf("len = %d, want 4", len(pts))
 	}
 	if pts[0] != 0 || pts[1] != 0 || pts[2] != 0 || pts[3] != 8 {
 		t.Fatalf("points = %v", pts)
+	}
+}
+
+// TestTimelineGrowClearsStaleBuckets: a restore copies a timeline into
+// storage that can hold older sums past its length, so growing within the
+// capacity must not expose them.
+func TestTimelineGrowClearsStaleBuckets(t *testing.T) {
+	stale := []float64{1, 2, 3, 4}
+	tl := Timeline{sums: stale[:1]}
+	tl.Record(2000, 5)
+	if pts := tl.Points(3000); pts[0] != 0.001 || pts[1] != 0 || pts[2] != 0.005 {
+		t.Fatalf("points = %v, want [0.001 0 0.005]", pts)
 	}
 }
 

@@ -70,7 +70,7 @@ func Capture(sys *arch.System, res *arch.Result) *Run {
 			RenameStallFrac: cr.RenameStallFrac,
 			PhaseCycles:     cr.PhaseCycles,
 			PhaseIssueRates: cr.PhaseIssueRates,
-			BusyLanes:       sys.Cplx.BusyTimeline(c).Points(),
+			BusyLanes:       sys.Cplx.BusyTimeline(c),
 		})
 	}
 	for _, e := range sys.Cplx.LaneEvents() {

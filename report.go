@@ -124,7 +124,7 @@ func newReport(sys *arch.System, res *arch.Result) *Report {
 			OverheadReconfigFrac: cr.OverheadReconfigFrac,
 			Attribution:          cr.Attribution,
 		})
-		r.LaneTimelines = append(r.LaneTimelines, sys.Cplx.BusyTimeline(c).Points())
+		r.LaneTimelines = append(r.LaneTimelines, sys.Cplx.BusyTimeline(c))
 	}
 	if sys.Probe != nil {
 		r.Stats = sys.Stats.Snapshot()
