@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"occamy/internal/arch"
-	"occamy/internal/coproc"
 	"occamy/internal/cpu"
 	"occamy/internal/isa"
 	"occamy/internal/osched"
@@ -67,4 +66,4 @@ func (a *Assembly) Run(maxCycles uint64) (uint64, error) {
 
 // LaneEvents returns the lane-management log (repartitions and
 // reconfigurations) for inspecting the EM-SIMD protocol.
-func (a *Assembly) LaneEvents() []coproc.LaneEvent { return a.sys.Cplx.LaneEvents() }
+func (a *Assembly) LaneEvents() []LaneEvent { return a.sys.Cplx.LaneEvents() }

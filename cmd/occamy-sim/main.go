@@ -6,6 +6,7 @@
 //	occamy-sim -arch occamy -w0 spec/WL20 -w1 spec/WL17
 //	occamy-sim -arch all -w0 cv/WL6 -w1 cv/WL1 -ascii-timeline
 //	occamy-sim -arch occamy -telemetry 127.0.0.1:9464 -perfetto run.json
+//	occamy-sim -arch all -scale 0.25 -html page.html
 //	occamy-sim -list
 package main
 
@@ -16,11 +17,13 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"sort"
 	"strings"
 	"time"
 
 	"occamy"
+	"occamy/internal/htmlreport"
 	"occamy/internal/profiling"
 )
 
@@ -49,7 +52,7 @@ func main() {
 		teleWin  = flag.Uint64("telemetry-window", 0, "telemetry sampling window in sim cycles (0 = default 4096)")
 		teleHold = flag.Duration("telemetry-hold", 0, "keep the telemetry server up this long after the runs finish (interrupt ends the hold early)")
 		list     = flag.Bool("list", false, "list available workloads and exit")
-		traceDir = flag.String("trace", "", "directory to write JSON/CSV traces into")
+		htmlPath = flag.String("html", "", "render every run as one HTML page (a section per architecture): busy lanes, the allocated-lane staircase, per-phase issue rates and the lane-event log; not with -traffic")
 		oiTable  = flag.Bool("oi", false, "print each workload's per-phase operational intensities")
 		machine  = flag.String("machine", "", "JSON file overriding Table 4 hardware parameters (dram_latency_cycles, vec_cache_kb, phys_regs, ...)")
 		profile  = flag.Bool("profile", false, "enable cycle attribution and print the top-down table and latency histograms")
@@ -107,12 +110,47 @@ func main() {
 		}
 	}
 
+	if *htmlPath != "" && *trafSpec != "" {
+		fmt.Fprintln(os.Stderr, "-html renders co-scheduled runs; it does not apply to -traffic")
+		os.Exit(2)
+	}
+	var teleSrv *occamy.TelemetryServer
+	config := func(kind occamy.Arch) occamy.Config {
+		cfg := occamy.DefaultConfig(kind)
+		cfg.Seed = *seed
+		cfg.Machine = tuning
+		cfg.PerfettoPath = perfettoPath(*perfetto, kind, len(kinds) > 1)
+		cfg.LegacyTick = *legacy
+		cfg.Faults = *faults
+		cfg.Telemetry = teleSrv
+		cfg.TelemetryWindow = *teleWin
+		if *clusters != 1 || *hopLat != 0 || *hopBW != 0 {
+			cfg.Topology = &occamy.Topology{Clusters: *clusters, HopLatency: *hopLat, HopBandwidth: *hopBW}
+		}
+		if *stall > 0 {
+			cfg.StallCycles = *stall
+		}
+		if *trafSpec != "" {
+			cfg.MaxCycles = 0 // let the spec's horizon size the budget
+			cfg.Traffic = *trafSpec
+		} else {
+			cfg.Scale = *scale
+			cfg.Profile = *profile || *stats
+		}
+		return cfg
+	}
+	for _, kind := range kinds {
+		if err := config(kind).Validate(); err != nil {
+			fmt.Fprintf(os.Stderr, "%s\n", err)
+			os.Exit(2)
+		}
+	}
+
 	prof, err := profiling.Start(*cpuPr, *memPr, *allocs)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "%v\n", err)
 		os.Exit(2)
 	}
-	var teleSrv *occamy.TelemetryServer
 	if *teleAddr != "" {
 		teleSrv = occamy.NewTelemetryServer()
 		if err := teleSrv.Start(*teleAddr); err != nil {
@@ -125,26 +163,7 @@ func main() {
 		// Open-loop traffic mode: the spec defines the offered work, so the
 		// -w0/-w1 schedule path (and its workload resolution) is bypassed.
 		for _, kind := range kinds {
-			cfg := occamy.DefaultConfig(kind)
-			cfg.MaxCycles = 0 // let the spec's horizon size the budget
-			cfg.Seed = *seed
-			cfg.Machine = tuning
-			cfg.LegacyTick = *legacy
-			cfg.Faults = *faults
-			cfg.Telemetry = teleSrv
-			cfg.TelemetryWindow = *teleWin
-			cfg.PerfettoPath = perfettoPath(*perfetto, kind, len(kinds) > 1)
-			cfg.Traffic = *trafSpec
-			if *clusters != 1 || *hopLat != 0 || *hopBW != 0 {
-				cfg.Topology = &occamy.Topology{Clusters: *clusters, HopLatency: *hopLat, HopBandwidth: *hopBW}
-			}
-			if *stall > 0 {
-				cfg.StallCycles = *stall
-			}
-			if err := cfg.Validate(); err != nil {
-				fmt.Fprintf(os.Stderr, "%s\n", err)
-				os.Exit(2)
-			}
+			cfg := config(kind)
 			rep, err := occamy.RunTraffic(cfg)
 			if err != nil {
 				var derr *occamy.DiagnosticError
@@ -176,30 +195,25 @@ func main() {
 				fmt.Printf("%s phases (oi_issue, oi_mem): %v\n", ref.Name(), ref.PhaseOIs())
 			}
 		}
+		// The page is created before the first simulated cycle, so an
+		// unwritable path costs no simulation.
+		var page *htmlreport.Page
+		var pageFile *os.File
+		if *htmlPath != "" {
+			if pageFile, err = os.Create(*htmlPath); err != nil {
+				fmt.Fprintf(os.Stderr, "html: %v\n", err)
+				os.Exit(1)
+			}
+			page = htmlreport.New("occamy-sim: " + sched.Name())
+		}
 		for _, kind := range kinds {
-			cfg := occamy.DefaultConfig(kind)
-			cfg.Scale = *scale
-			cfg.Seed = *seed
-			cfg.TraceDir = *traceDir
-			cfg.Machine = tuning
-			cfg.Profile = *profile || *stats
-			cfg.PerfettoPath = perfettoPath(*perfetto, kind, len(kinds) > 1)
-			cfg.LegacyTick = *legacy
-			cfg.Faults = *faults
-			cfg.Telemetry = teleSrv
-			cfg.TelemetryWindow = *teleWin
-			if *clusters != 1 || *hopLat != 0 || *hopBW != 0 {
-				cfg.Topology = &occamy.Topology{Clusters: *clusters, HopLatency: *hopLat, HopBandwidth: *hopBW}
-			}
-			if *stall > 0 {
-				cfg.StallCycles = *stall
-			}
-			if err := cfg.Validate(); err != nil {
-				fmt.Fprintf(os.Stderr, "%s\n", err)
-				os.Exit(2)
-			}
+			cfg := config(kind)
 			rep, err := occamy.Run(cfg, sched)
 			if err != nil {
+				if pageFile != nil {
+					pageFile.Close()
+					os.Remove(*htmlPath)
+				}
 				// A wedged or budget-exhausted run carries a machine-state dump —
 				// print it so the user sees *where* it stopped, not just that it
 				// stopped.
@@ -235,6 +249,20 @@ func main() {
 			if cfg.PerfettoPath != "" {
 				fmt.Printf("perfetto trace written to %s (open in ui.perfetto.dev)\n", cfg.PerfettoPath)
 			}
+			if page != nil {
+				addSections(page, rep)
+			}
+		}
+		if page != nil {
+			err := page.Write(pageFile)
+			if cerr := pageFile.Close(); err == nil {
+				err = cerr
+			}
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "html: %v\n", err)
+				os.Exit(1)
+			}
+			fmt.Printf("html page written to %s\n", *htmlPath)
 		}
 	}
 	if teleSrv != nil {
@@ -262,11 +290,8 @@ func perfettoPath(base string, kind occamy.Arch, multi bool) string {
 	if base == "" || !multi {
 		return base
 	}
-	stem, ext := base, ""
-	if i := strings.LastIndex(base, "."); i > 0 {
-		stem, ext = base[:i], base[i:]
-	}
-	return stem + "-" + kind.String() + ext
+	ext := filepath.Ext(base)
+	return strings.TrimSuffix(base, ext) + "-" + kind.String() + ext
 }
 
 func sortedKeys(m map[string]uint64) []string {

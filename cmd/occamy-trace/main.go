@@ -1,18 +1,11 @@
-// Command occamy-trace turns trace exports into a self-contained HTML page
-// with inline SVG charts: the busy-lane timelines, the allocated-lane
-// staircase (Figure 2(e)), the per-phase issue rates and the lane manager's
-// event log. Traces come from `occamy-sim -trace <dir>` or the library's
-// Config.TraceDir.
-//
-// It also validates telemetry exports against their format contracts, for CI
-// smoke checks: Chrome/Perfetto trace-event JSON (from `occamy-sim
-// -perfetto`), OpenMetrics text (from `GET /metrics`), and JSONL event logs
-// (from `GET /events`).
+// Command occamy-trace validates telemetry exports against their format
+// contracts, for CI smoke checks: Chrome/Perfetto trace-event JSON (from
+// `occamy-sim -perfetto`), OpenMetrics text (from `GET /metrics`), and JSONL
+// event logs (from `GET /events`). To see a run's charts, render its page
+// with `occamy-sim -html` or open its Perfetto file in ui.perfetto.dev.
 //
 // Usage:
 //
-//	occamy-sim -w0 spec/WL20 -w1 spec/WL17 -trace out/
-//	occamy-trace -o report.html out/*.json
 //	occamy-trace -check-perfetto trace.json
 //	occamy-trace -check-openmetrics metrics.txt
 //	occamy-trace -check-events events.jsonl
@@ -24,10 +17,8 @@ import (
 	"io"
 	"os"
 
-	"occamy/internal/htmlreport"
 	"occamy/internal/obs"
 	"occamy/internal/telemetry"
-	"occamy/internal/trace"
 )
 
 // checkFiles validates every argument with check, printing one line per file.
@@ -49,62 +40,29 @@ func checkFiles(paths []string, what string, check func(io.Reader) error) {
 }
 
 func main() {
-	out := flag.String("o", "trace.html", "output HTML file")
 	checkPerfetto := flag.Bool("check-perfetto", false,
-		"validate the given files as Chrome trace-event JSON (ph/pid/tid/name fields, monotonic ts) instead of rendering HTML")
+		"validate the given files as Chrome trace-event JSON (ph/pid/tid/name fields, monotonic ts)")
 	checkOM := flag.Bool("check-openmetrics", false,
-		"validate the given files as OpenMetrics text (TYPE declarations, counter _total suffixes, # EOF terminator) instead of rendering HTML")
+		"validate the given files as OpenMetrics text (TYPE declarations, counter _total suffixes, # EOF terminator)")
 	checkEvents := flag.Bool("check-events", false,
-		"validate the given files as telemetry event logs (one JSON object per line with kind and cycle) instead of rendering HTML")
+		"validate the given files as telemetry event logs (one JSON object per line with kind and cycle)")
 	flag.Parse()
-	if flag.NArg() == 0 {
-		fmt.Fprintln(os.Stderr, "usage: occamy-trace [-o report.html] run1.json [run2.json ...]")
-		fmt.Fprintln(os.Stderr, "       occamy-trace -check-perfetto trace.json [trace2.json ...]")
-		fmt.Fprintln(os.Stderr, "       occamy-trace -check-openmetrics metrics.txt [...]")
-		fmt.Fprintln(os.Stderr, "       occamy-trace -check-events events.jsonl [...]")
-		os.Exit(2)
-	}
 
-	switch {
-	case *checkPerfetto:
-		checkFiles(flag.Args(), "perfetto trace", obs.ValidatePerfetto)
-		return
-	case *checkOM:
-		checkFiles(flag.Args(), "openmetrics exposition", telemetry.ValidateOpenMetrics)
-		return
-	case *checkEvents:
-		checkFiles(flag.Args(), "event log", telemetry.ValidateEventsJSONL)
-		return
-	}
-
-	page := htmlreport.New("Occamy trace viewer")
-	for _, path := range flag.Args() {
-		file, err := os.Open(path)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "occamy-trace:", err)
-			os.Exit(1)
+	if flag.NArg() > 0 {
+		switch {
+		case *checkPerfetto:
+			checkFiles(flag.Args(), "perfetto trace", obs.ValidatePerfetto)
+			return
+		case *checkOM:
+			checkFiles(flag.Args(), "openmetrics exposition", telemetry.ValidateOpenMetrics)
+			return
+		case *checkEvents:
+			checkFiles(flag.Args(), "event log", telemetry.ValidateEventsJSONL)
+			return
 		}
-		run, err := trace.ReadJSON(file)
-		file.Close()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "occamy-trace: %s: %v\n", path, err)
-			os.Exit(1)
-		}
-		run.AddSections(page)
 	}
-
-	file, err := os.Create(*out)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "occamy-trace:", err)
-		os.Exit(1)
-	}
-	if err := page.Write(file); err != nil {
-		fmt.Fprintln(os.Stderr, "occamy-trace:", err)
-		os.Exit(1)
-	}
-	if err := file.Close(); err != nil {
-		fmt.Fprintln(os.Stderr, "occamy-trace:", err)
-		os.Exit(1)
-	}
-	fmt.Printf("wrote %s (%d runs)\n", *out, flag.NArg())
+	fmt.Fprintln(os.Stderr, "usage: occamy-trace -check-perfetto trace.json [trace2.json ...]")
+	fmt.Fprintln(os.Stderr, "       occamy-trace -check-openmetrics metrics.txt [...]")
+	fmt.Fprintln(os.Stderr, "       occamy-trace -check-events events.jsonl [...]")
+	os.Exit(2)
 }

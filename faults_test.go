@@ -100,3 +100,37 @@ func TestRunDiagnosticError(t *testing.T) {
 		t.Fatalf("missing or malformed dump: %+v", derr.Dump)
 	}
 }
+
+// TestPerfettoPathFailsBeforeSimulating pins that an unwritable PerfettoPath
+// fails Run and RunTraffic before the first simulated cycle: with a budget
+// of one cycle, a run that had started would end in the budget error
+// instead. A run that fails after the file was created leaves no file.
+func TestPerfettoPathFailsBeforeSimulating(t *testing.T) {
+	dir := t.TempDir()
+	runs := map[string]func(Config) error{
+		"Run": func(cfg Config) error {
+			_, err := Run(cfg, MotivatingPair())
+			return err
+		},
+		"RunTraffic": func(cfg Config) error {
+			cfg.Traffic = "poisson:load=2,tenants=3,cores=2,horizon=10000"
+			_, err := RunTraffic(cfg)
+			return err
+		},
+	}
+	for name, run := range runs {
+		cfg := quickCfg(Elastic)
+		cfg.MaxCycles = 1
+		cfg.PerfettoPath = filepath.Join(dir, "missing", name+".json")
+		if err := run(cfg); err == nil || !strings.Contains(err.Error(), cfg.PerfettoPath) {
+			t.Errorf("%s into a missing directory: %v; want the path's error before any cycle", name, err)
+		}
+		cfg.PerfettoPath = filepath.Join(dir, name+".json")
+		if err := run(cfg); err == nil || !strings.Contains(err.Error(), "budget") {
+			t.Errorf("%s with a one-cycle budget: %v; want the budget error", name, err)
+		}
+		if _, err := os.Stat(cfg.PerfettoPath); !os.IsNotExist(err) {
+			t.Errorf("%s: a failed run left its trace file behind (stat: %v)", name, err)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package arch
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -32,6 +33,18 @@ func (r Recovery) TimeToRepartition() uint64 {
 		return 0
 	}
 	return r.Done - r.At
+}
+
+// TTRStats summarizes completed times-to-repartition: the minimum, the lower
+// median p50 and the maximum in cycles, and their count n (all zero when ttrs
+// is empty). It sorts ttrs in place.
+func TTRStats(ttrs []uint64) (min, p50, max uint64, n int) {
+	n = len(ttrs)
+	if n == 0 {
+		return 0, 0, 0, 0
+	}
+	slices.Sort(ttrs)
+	return ttrs[0], ttrs[(n-1)/2], ttrs[n-1], n
 }
 
 // faultCtl is the architecture layer's fault.Handler: it translates fault

@@ -396,3 +396,27 @@ func TestBuildRejectsBadFaults(t *testing.T) {
 		}
 	}
 }
+
+// TestTTRStats pins the one time-to-repartition summary the report, the
+// degradation study and serve's campaigns share: minimum, lower median and
+// maximum over any input order.
+func TestTTRStats(t *testing.T) {
+	for _, tc := range []struct {
+		name          string
+		ttrs          []uint64
+		min, p50, max uint64
+		n             int
+	}{
+		{"empty", nil, 0, 0, 0, 0},
+		{"single", []uint64{42}, 42, 42, 42, 1},
+		{"odd", []uint64{10, 20, 30}, 10, 20, 30, 3},
+		{"even takes the lower median", []uint64{10, 20, 30, 40}, 10, 20, 40, 4},
+		{"unsorted", []uint64{900, 5, 300, 5, 70}, 5, 70, 900, 5},
+	} {
+		min, p50, max, n := TTRStats(tc.ttrs)
+		if min != tc.min || p50 != tc.p50 || max != tc.max || n != tc.n {
+			t.Errorf("%s: TTRStats = %d, %d, %d, %d; want %d, %d, %d, %d",
+				tc.name, min, p50, max, n, tc.min, tc.p50, tc.max, tc.n)
+		}
+	}
+}

@@ -339,10 +339,6 @@ func (cx *Complex) LinkDrops() uint64 {
 	return n
 }
 
-// LanesPerGranule returns the machine's lane multiplier (uniform across
-// clusters).
-func (cx *Complex) LanesPerGranule() int { return LanesPerGranule }
-
 // Repartitions sums plan computations across every cluster's manager.
 func (cx *Complex) Repartitions() uint64 {
 	var n uint64

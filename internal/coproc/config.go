@@ -171,9 +171,9 @@ func DefaultConfig(cores int) Config {
 
 // LanesPerGranule is the number of 32-bit lanes in one granule: each ExeBU
 // is a 128-bit unit (§4.2), i.e. four float32 lanes. Every lane↔granule
-// conversion in the tree must go through this constant (or the accessors
-// below) so that trace exports and figure reconstructions agree with the
-// simulated machine rather than a hardcoded multiplier.
+// conversion in the tree must go through this constant so that figure
+// reconstructions agree with the simulated machine rather than a hardcoded
+// multiplier.
 const LanesPerGranule = 4
 
 // Lanes returns the total 32-bit lane count (for utilization metrics).
@@ -187,8 +187,3 @@ func (c *Config) activeCores() int {
 	}
 	return c.Cores
 }
-
-// LanesPerGranule returns the machine's lane multiplier, carried into trace
-// exports so downstream consumers reconstruct lane counts from granule
-// events without assuming the 128-bit ExeBU width.
-func (cp *Coproc) LanesPerGranule() int { return LanesPerGranule }

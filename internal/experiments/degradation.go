@@ -3,7 +3,6 @@ package experiments
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 
 	"occamy/internal/arch"
@@ -281,12 +280,7 @@ func (d *Degradation) TTRStats(kind arch.Kind) (min, p50, max uint64, n int) {
 			ttrs = append(ttrs, p.TTR)
 		}
 	}
-	if len(ttrs) == 0 {
-		return 0, 0, 0, 0
-	}
-	sort.Slice(ttrs, func(i, j int) bool { return ttrs[i] < ttrs[j] })
-	n = len(ttrs)
-	return ttrs[0], ttrs[(n-1)/2], ttrs[n-1], n
+	return arch.TTRStats(ttrs)
 }
 
 // Render produces the retention and time-to-repartition tables.

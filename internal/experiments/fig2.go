@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"occamy/internal/arch"
+	"occamy/internal/coproc"
 	"occamy/internal/metrics"
 	"occamy/internal/workload"
 )
@@ -15,6 +16,9 @@ type Fig2 struct {
 	// Timelines[kind][core] is the busy-lane curve per 1000 cycles
 	// (the panels of Figure 2(b)-(e)).
 	Timelines map[arch.Kind][][]float64
+	// LaneEvents is the Occamy run's lane-management log, whose
+	// reconfigurations draw the Figure 2(e) staircase.
+	LaneEvents []coproc.LaneEvent
 }
 
 // Figure2 runs WL#0 (two memory phases of rising intensity) against WL#1
@@ -24,7 +28,11 @@ func (c Config) Figure2() (*Fig2, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &Fig2{Results: results, Timelines: make(map[arch.Kind][][]float64)}
+	out := &Fig2{
+		Results:    results,
+		Timelines:  make(map[arch.Kind][][]float64),
+		LaneEvents: systems[arch.Occamy].Cplx.LaneEvents(),
+	}
 	for kind, sys := range systems {
 		var tls [][]float64
 		for core := range sys.Cores {

@@ -8,8 +8,6 @@ import (
 	"occamy/internal/area"
 	"occamy/internal/htmlreport"
 	"occamy/internal/metrics"
-	"occamy/internal/trace"
-	"occamy/internal/workload"
 )
 
 // HTMLReport runs the full evaluation and renders it as a self-contained
@@ -22,9 +20,7 @@ func (c Config) HTMLReport(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if err := c.addFigure2(page, f2); err != nil {
-		return err
-	}
+	addFigure2(page, f2)
 
 	// Figures 10/11/13/15 from the sweep.
 	sw, err := c.Sweep(false)
@@ -95,7 +91,7 @@ func addDegradation(page *htmlreport.Page, d *Degradation) {
 
 // addFigure2 renders the motivating example: per-architecture busy-lane
 // curves plus the elastic run's allocated-lane staircase.
-func (c Config) addFigure2(page *htmlreport.Page, f *Fig2) error {
+func addFigure2(page *htmlreport.Page, f *Fig2) {
 	var blocks []string
 	blocks = append(blocks, htmlreport.P(
 		"WL#0 (two memory-intensive phases of rising operational intensity, Core0) "+
@@ -113,29 +109,15 @@ func (c Config) addFigure2(page *htmlreport.Page, f *Fig2) error {
 		blocks = append(blocks, htmlreport.LineChart(
 			fmt.Sprintf("%s: busy lanes per 1000 cycles", kind), series, "kilocycles", 1000))
 	}
-	// Allocated-lane staircase from a traced elastic run.
-	sys, res, err := c.runOne(arch.Occamy, workload.MotivatingPair(reg), arch.Options{})
-	if err != nil {
-		return err
-	}
-	run := trace.Capture(sys, res)
-	stairs := run.AllocatedLanes()
 	var names []string
-	var stepSeries [][]htmlreport.Step
-	for core, ss := range stairs {
+	for core := range f.Timelines[arch.Occamy] {
 		names = append(names, fmt.Sprintf("core%d allocated lanes", core))
-		var hs []htmlreport.Step
-		for _, s := range ss {
-			hs = append(hs, htmlreport.Step{X: float64(s.Cycle), Y: float64(s.Lanes)})
-		}
-		stepSeries = append(stepSeries, hs)
 	}
-	blocks = append(blocks, htmlreport.StepChart(
+	blocks = append(blocks, htmlreport.LaneStaircase(
 		"Occamy: configured lanes over time (Figure 2(e) staircase)",
-		names, stepSeries, float64(res.Cycles), 32, "cycles"))
+		names, f.LaneEvents, f.Results[arch.Occamy].Cycles))
 	blocks = append(blocks, htmlreport.PreTable(f.Render()))
 	page.Section("Figure 2 — motivating example", blocks...)
-	return nil
 }
 
 func addSweep(page *htmlreport.Page, sw *metrics.Sweep) {

@@ -1,6 +1,6 @@
 // Package htmlreport renders the evaluation's figures as a self-contained
 // HTML page with inline SVG charts — no external assets, viewable offline.
-// cmd/occamy-bench uses it via the -html flag.
+// cmd/occamy-bench and cmd/occamy-sim use it via their -html flags.
 package htmlreport
 
 import (

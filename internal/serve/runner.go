@@ -326,14 +326,7 @@ func (r *runner) runCampaign(ctx context.Context, spec *JobSpec) (json.RawMessag
 				ttrs = append(ttrs, rec.TimeToRepartition())
 			}
 		}
-		if len(ttrs) > 0 {
-			for i := 1; i < len(ttrs); i++ {
-				for j := i; j > 0 && ttrs[j] < ttrs[j-1]; j-- {
-					ttrs[j], ttrs[j-1] = ttrs[j-1], ttrs[j]
-				}
-			}
-			pt.TTRp50 = ttrs[(len(ttrs)-1)/2]
-		}
+		_, pt.TTRp50, _, _ = arch.TTRStats(ttrs)
 		out.Points = append(out.Points, pt)
 	}
 	doc, err := json.Marshal(out)

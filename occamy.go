@@ -21,9 +21,7 @@ package occamy
 import (
 	"context"
 	"fmt"
-	"io"
 	"os"
-	"path/filepath"
 	"strings"
 
 	"occamy/internal/arch"
@@ -34,7 +32,6 @@ import (
 	"occamy/internal/obs"
 	"occamy/internal/roofline"
 	"occamy/internal/telemetry"
-	"occamy/internal/trace"
 	"occamy/internal/traffic"
 	"occamy/internal/workload"
 )
@@ -83,10 +80,6 @@ type Config struct {
 	// Verify re-executes every phase on the host after simulation and
 	// fails the run if the simulated results diverge.
 	Verify bool
-	// TraceDir, when non-empty, makes Run write the run's time series and
-	// lane-event log there: <sched>-<arch>.json, -timeline.csv and
-	// -events.csv (see internal/trace).
-	TraceDir string
 	// Machine overrides selected Table 4 hardware parameters (nil keeps
 	// the defaults); see MachineTuning. Useful for design-space
 	// exploration: slower DRAM, smaller vector cache, fewer physical
@@ -104,7 +97,9 @@ type Config struct {
 	// drains, and the telemetry sampler's windows as counter tracks and
 	// its events (lane, fault, recovery, watchdog, checkpoint) as
 	// instants. Implies Profile and windowed sampling (see
-	// TelemetryWindow).
+	// TelemetryWindow). The file is created before the first simulated
+	// cycle, so an unwritable path fails the run without simulating it,
+	// and it is removed again if the simulation fails.
 	PerfettoPath string
 	// LegacyTick forces the engine to tick every component every cycle,
 	// without skip-ahead fast-forwarding over quiescent windows and without
@@ -453,22 +448,18 @@ func RunContext(ctx context.Context, cfg Config, sched Schedule) (*Report, error
 	if maxCycles == 0 {
 		maxCycles = 200_000_000
 	}
-	res, err := sys.Run(maxCycles)
-	sys.Tele.Flush(sys.Engine.Cycle())
+	trace, err := createPerfetto(cfg.PerfettoPath)
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Verify {
-		if err := sys.CheckResults(2e-3); err != nil {
-			return nil, fmt.Errorf("occamy: functional verification failed: %w", err)
+	res, err := sys.Run(maxCycles)
+	sys.Tele.Flush(sys.Engine.Cycle())
+	if err == nil && cfg.Verify {
+		if verr := sys.CheckResults(2e-3); verr != nil {
+			err = fmt.Errorf("occamy: functional verification failed: %w", verr)
 		}
 	}
-	if cfg.TraceDir != "" {
-		if err := writeTrace(cfg.TraceDir, sys, res); err != nil {
-			return nil, fmt.Errorf("occamy: writing trace: %w", err)
-		}
-	}
-	if err := writePerfetto(cfg.PerfettoPath, o.Sink); err != nil {
+	if err := finishPerfetto(trace, o.Sink, err); err != nil {
 		return nil, err
 	}
 	return newReport(sys, res), nil
@@ -484,44 +475,39 @@ func (c Config) obsOptions() obs.Options {
 	return o
 }
 
-// writePerfetto writes the run's trace to path; a nil sink writes nothing.
-func writePerfetto(path string, sink *obs.Perfetto) error {
-	if sink == nil {
-		return nil
+// createPerfetto creates the run's trace file before the first simulated
+// cycle, so an unwritable path costs no simulation; an empty path creates
+// nothing.
+func createPerfetto(path string) (*os.File, error) {
+	if path == "" {
+		return nil, nil
 	}
 	f, err := os.Create(path)
 	if err != nil {
-		return fmt.Errorf("occamy: writing perfetto trace: %w", err)
+		return nil, fmt.Errorf("occamy: writing perfetto trace: %w", err)
 	}
-	_, werr := sink.Write(f)
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		return fmt.Errorf("occamy: writing perfetto trace: %w", werr)
-	}
-	return nil
+	return f, nil
 }
 
-// writeTrace exports the run's series and events into dir.
-func writeTrace(dir string, sys *arch.System, res *arch.Result) error {
-	run := trace.Capture(sys, res)
-	slug := sanitize(res.Sched) + "-" + res.Arch.String()
-	write := func(suffix string, f func(io.Writer) error) error {
-		file, err := os.Create(filepath.Join(dir, slug+suffix))
-		if err != nil {
-			return err
-		}
-		defer file.Close()
-		return f(file)
+// finishPerfetto writes the run's trace into f and closes it. After a failed
+// run (runErr non-nil) it removes f instead and returns runErr.
+func finishPerfetto(f *os.File, sink *obs.Perfetto, runErr error) error {
+	if f == nil {
+		return runErr
 	}
-	if err := write(".json", run.WriteJSON); err != nil {
-		return err
+	if runErr != nil {
+		f.Close()
+		os.Remove(f.Name())
+		return runErr
 	}
-	if err := write("-timeline.csv", run.WriteTimelineCSV); err != nil {
-		return err
+	_, err := sink.Write(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	return write("-events.csv", run.WriteEventsCSV)
+	if err != nil {
+		return fmt.Errorf("occamy: writing perfetto trace: %w", err)
+	}
+	return nil
 }
 
 // sanitize turns a schedule name into a safe file stem.

@@ -112,6 +112,62 @@ func TestElasticReconfiguresAndOthersDoNot(t *testing.T) {
 	}
 }
 
+// elasticLaneRun runs the motivating pair on the elastic architecture, the
+// run whose lane log the two tests below check.
+func elasticLaneRun(t *testing.T) *Report {
+	t.Helper()
+	cfg := quickCfg(Elastic)
+	cfg.Seed = 7
+	rep, err := Run(cfg, MotivatingPair())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
+// TestReportLaneEventsShape pins Report.LaneEvents on the motivating pair: an
+// elastic run logs a non-empty lane log with in-range reconfigurations and
+// one decision per core on every event, next to a busy-lane series per core.
+func TestReportLaneEventsShape(t *testing.T) {
+	rep := elasticLaneRun(t)
+	if rep.Arch != Elastic || len(rep.Cores) != 2 {
+		t.Fatalf("report for %s with %d cores, want %s with 2", rep.Arch, len(rep.Cores), Elastic)
+	}
+	if len(rep.LaneEvents) == 0 {
+		t.Fatal("elastic run must log lane events")
+	}
+	reconfigs := 0
+	for _, e := range rep.LaneEvents {
+		if len(e.Decisions) != len(rep.Cores) {
+			t.Fatalf("event %+v carries %d decisions, want one per core", e, len(e.Decisions))
+		}
+		if e.Kind == "reconfigure" {
+			reconfigs++
+			if e.VL < 0 || e.VL > 8 {
+				t.Fatalf("event VL %d out of range", e.VL)
+			}
+		}
+	}
+	if reconfigs == 0 {
+		t.Fatal("no reconfigure events")
+	}
+	if len(rep.LaneTimelines) != 2 || len(rep.LaneTimelines[1]) == 0 {
+		t.Fatal("busy-lane series empty")
+	}
+}
+
+// TestReportLaneEventsCycleOrdered pins that Report.LaneEvents is logged in
+// cycle order.
+func TestReportLaneEventsCycleOrdered(t *testing.T) {
+	rep := elasticLaneRun(t)
+	for i := 1; i < len(rep.LaneEvents); i++ {
+		if rep.LaneEvents[i].Cycle < rep.LaneEvents[i-1].Cycle {
+			t.Fatalf("event %d at cycle %d precedes its predecessor's %d",
+				i, rep.LaneEvents[i].Cycle, rep.LaneEvents[i-1].Cycle)
+		}
+	}
+}
+
 func TestStaticSpatialReportsPartition(t *testing.T) {
 	rep, err := Run(quickCfg(StaticSpatial), MotivatingPair())
 	if err != nil {

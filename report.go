@@ -2,10 +2,10 @@ package occamy
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"occamy/internal/arch"
+	"occamy/internal/coproc"
 	"occamy/internal/metrics"
 	"occamy/internal/obs"
 )
@@ -36,6 +36,12 @@ type CoreReport struct {
 	Attribution *CycleAttribution
 }
 
+// LaneEvent is one entry of the co-processor's lane-management log: a
+// repartition (an <OI> write produced a new plan), a reconfiguration (a
+// successful <VL> write; VL is the new length in granules) or a rejected
+// <VL> request, with every core's <decision> after the event.
+type LaneEvent = coproc.LaneEvent
+
 // Report is the result of one simulation run.
 type Report struct {
 	Arch     Arch
@@ -55,6 +61,12 @@ type Report struct {
 	// LaneTimelines holds, per core, the average busy lanes per
 	// 1000-cycle bucket — the curves of Figure 2(b-e) and Figure 14(b).
 	LaneTimelines [][]float64
+	// LaneEvents is the co-processor's lane-management log in cycle order
+	// (its first 65,536 events per cluster): repartitions,
+	// reconfigurations and the first rejected <VL> write of each retry
+	// streak, each with every core's decision after it. The
+	// reconfigurations trace the allocated-lane staircase of Figure 2(e).
+	LaneEvents []LaneEvent
 	// Elems counts vector elements processed across all cores (a work
 	// proxy sampled at strip boundaries; the degradation experiment's
 	// throughput numerator).
@@ -126,6 +138,7 @@ func newReport(sys *arch.System, res *arch.Result) *Report {
 		})
 		r.LaneTimelines = append(r.LaneTimelines, sys.Cplx.BusyTimeline(c))
 	}
+	r.LaneEvents = sys.Cplx.LaneEvents()
 	if sys.Probe != nil {
 		r.Stats = sys.Stats.Snapshot()
 		for _, h := range sys.Probe.Histograms() {
@@ -150,12 +163,7 @@ func (r *Report) TTRStats() (min, p50, max uint64, n int) {
 		}
 		ttrs = append(ttrs, rec.TimeToRepartition())
 	}
-	if len(ttrs) == 0 {
-		return 0, 0, 0, 0
-	}
-	sort.Slice(ttrs, func(i, j int) bool { return ttrs[i] < ttrs[j] })
-	n = len(ttrs)
-	return ttrs[0], ttrs[(n-1)/2], ttrs[n-1], n
+	return arch.TTRStats(ttrs)
 }
 
 // TopDown renders the per-core cycle-attribution table: one row per bucket

@@ -84,12 +84,13 @@ func RunTrafficContext(ctx context.Context, cfg Config) (*TrafficReport, error) 
 	if budget == 0 {
 		budget = sc.DefaultBudget()
 	}
+	trace, err := createPerfetto(cfg.PerfettoPath)
+	if err != nil {
+		return nil, err
+	}
 	runErr := sc.Run(budget)
 	sc.Sys.Tele.Flush(sc.Sys.Engine.Cycle())
-	if runErr != nil {
-		return nil, runErr
-	}
-	if err := writePerfetto(cfg.PerfettoPath, o.Sink); err != nil {
+	if err := finishPerfetto(trace, o.Sink, runErr); err != nil {
 		return nil, err
 	}
 	var rep *TrafficReport
