@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"time"
 
@@ -25,9 +26,13 @@ import (
 	"occamy/internal/telemetry"
 )
 
+// experimentNames lists the values of -exp but scale, in report order.
+var experimentNames = []string{"table3", "table4", "fig2", "fig10", "fig11", "fig12", "fig13",
+	"fig14", "table5", "fig15", "fig16", "topdown", "ablations", "dse", "degradation", "traffic", "all"}
+
 func main() {
 	var (
-		exp    = flag.String("exp", "all", "experiment: table3|table4|fig2|fig10|fig11|fig12|fig13|fig14|table5|fig15|fig16|topdown|ablations|dse|degradation|traffic|all, or scale (hierarchical 4→64-core sweep; never part of all)")
+		exp    = flag.String("exp", "all", "experiment: "+strings.Join(experimentNames, "|")+", or scale (hierarchical 4→64-core sweep; never part of all)")
 		tspec  = flag.String("traffic-spec", "", "base arrival-process spec for -exp traffic (\"\" = the default 4-tenant Poisson mix; the load= field is swept)")
 		tfault = flag.Bool("faults", false, "double the -exp traffic sweep with a transient-fault variant (2 ExeBUs lost through the middle half of the horizon)")
 		scale  = flag.Float64("scale", 1.0, "trip-count scale")
@@ -42,6 +47,11 @@ func main() {
 		allocs = flag.Bool("allocs", false, "print an allocation/GC report for the run to stderr")
 	)
 	flag.Parse()
+	named := func(name string) bool { return strings.EqualFold(name, *exp) }
+	if !named("scale") && !slices.ContainsFunc(experimentNames, named) {
+		fmt.Fprintf(os.Stderr, "occamy-bench: unknown -exp %q: want %s, or scale\n", *exp, strings.Join(experimentNames, "|"))
+		os.Exit(2)
+	}
 
 	cfg := experiments.Default()
 	cfg.Scale = *scale
@@ -64,7 +74,7 @@ func main() {
 	}()
 	cfg.Interrupt = interrupt
 
-	want := func(name string) bool { return *exp == "all" || strings.EqualFold(*exp, name) }
+	want := func(name string) bool { return named("all") || named(name) }
 	fail := func(err error) {
 		var cerr *sim.CanceledError
 		if errors.As(err, &cerr) {
@@ -260,7 +270,7 @@ func main() {
 	// The hierarchical sweep (4→64 cores × 1→4 clusters × 4 architectures =
 	// 60 full runs) is opt-in: it extends the paper's evaluation rather than
 	// reproducing a figure, and at full scale it dominates the campaign.
-	if strings.EqualFold(*exp, "scale") {
+	if named("scale") {
 		section("Scalability — hierarchical lane management, 4→64 cores")
 		t0 := time.Now()
 		s, err := cfg.Scalability(nil, nil)

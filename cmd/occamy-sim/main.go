@@ -18,6 +18,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -36,6 +37,9 @@ func resolveWorkload(spec string) (occamy.WorkloadRef, error) {
 			return occamy.WorkloadRef{}, err
 		}
 		return occamy.WorkloadFromJSON(data)
+	}
+	if !slices.Contains(occamy.Workloads(), spec) {
+		return occamy.WorkloadRef{}, fmt.Errorf("unknown workload %q (-list shows the names)", spec)
 	}
 	return occamy.WorkloadByName(spec), nil
 }
@@ -181,12 +185,12 @@ func main() {
 	} else {
 		r0, err := resolveWorkload(*w0)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "w0: %v\n", err)
+			fmt.Fprintf(os.Stderr, "-w0: %v\n", err)
 			os.Exit(2)
 		}
 		r1, err := resolveWorkload(*w1)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "w1: %v\n", err)
+			fmt.Fprintf(os.Stderr, "-w1: %v\n", err)
 			os.Exit(2)
 		}
 		sched := occamy.NewSchedule(fmt.Sprintf("%s+%s", r0.Name(), r1.Name()), r0, r1)

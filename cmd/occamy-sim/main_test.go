@@ -89,3 +89,15 @@ func TestHTMLRejectsTraffic(t *testing.T) {
 		t.Errorf("the refused page was created (stat: %v)", err)
 	}
 }
+
+// TestUnknownWorkloadExits2: an unknown workload name is a usage error that
+// names the flag and points to -list, not a panic.
+func TestUnknownWorkloadExits2(t *testing.T) {
+	for _, flag := range []string{"-w0", "-w1"} {
+		_, stderr, code := sim(t, "-scale", "0.1", flag, "spec/WL99")
+		if code != 2 || !strings.Contains(stderr, flag+": ") || !strings.Contains(stderr, `"spec/WL99"`) ||
+			!strings.Contains(stderr, "-list") || strings.Contains(stderr, "panic") {
+			t.Errorf("%s spec/WL99: exit %d, stderr %q; want exit 2 naming the flag and -list", flag, code, stderr)
+		}
+	}
+}

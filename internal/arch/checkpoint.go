@@ -39,7 +39,7 @@ type SystemState struct {
 // stateContent is everything a SystemState holds but its digest stamp.
 type stateContent struct {
 	engine sim.EngineState
-	stats  map[string]uint64
+	stats  sim.StatsState
 	hier   mem.HierarchyState
 	cplx   coproc.ComplexCheckpoint
 	cores  []cpu.FullState
@@ -53,12 +53,11 @@ type stateContent struct {
 func (st *SystemState) Cycle() uint64 { return st.engine.Cycle() }
 
 // state settles every component and returns the system's live state in a
-// snapshot's layout, sharing storage with the live components. The counter
-// registry and the probe, whose snapshots are built by hand, are left out
-// (zero): withRegistries adds them.
+// snapshot's layout, sharing storage with the live components.
 func (s *System) state() stateContent {
 	st := stateContent{
 		engine: s.Engine.EngineState,
+		stats:  s.Stats.StatsState,
 		hier:   s.Hier.State(),
 		cplx:   s.Cplx.State(),
 		inj:    s.inj.State(),
@@ -67,16 +66,12 @@ func (s *System) state() stateContent {
 	for _, core := range s.Cores {
 		st.cores = append(st.cores, core.FullState)
 	}
+	if s.Probe != nil {
+		st.probe = s.Probe.ProbeState
+	}
 	if s.faults != nil {
 		st.ctl = &s.faults.ctlState
 	}
-	return st
-}
-
-// withRegistries fills in the snapshots of the counter registry and the
-// probe, which are fresh copies already.
-func (s *System) withRegistries(st stateContent) stateContent {
-	st.stats, st.probe = s.Stats.Snapshot(), s.Probe.Snapshot()
 	return st
 }
 
@@ -84,7 +79,7 @@ func (s *System) withRegistries(st stateContent) stateContent {
 // settled live state, cloned.
 func (s *System) Checkpoint() *SystemState {
 	live := s.state()
-	st := &SystemState{stateContent: s.withRegistries(digest.Clone(&live))}
+	st := &SystemState{stateContent: digest.Clone(&live)}
 	st.digest = st.computeDigest()
 	s.Tele.EmitMeta(s.Engine.Cycle(), telemetry.EvCheckpoint, "")
 	return st
@@ -118,13 +113,15 @@ func (s *System) RestoreCheckpointTrusted(st *SystemState) { s.restore(st) }
 
 func (s *System) restore(st *SystemState) {
 	s.Engine.Restore(st.engine)
-	s.Stats.Restore(st.stats)
+	digest.Copy(&s.Stats.StatsState, &st.stats)
 	s.Hier.Restore(st.hier)
 	s.Cplx.RestoreCheckpoint(st.cplx)
 	for c, core := range s.Cores {
 		core.RestoreCheckpoint(st.cores[c])
 	}
-	s.Probe.Restore(st.probe)
+	if s.Probe != nil {
+		digest.Copy(&s.Probe.ProbeState, &st.probe)
+	}
 	if s.faults != nil && st.ctl != nil {
 		digest.Copy(&s.faults.ctlState, st.ctl)
 	}

@@ -3,7 +3,6 @@ package arch
 import (
 	"errors"
 	"fmt"
-	"reflect"
 	"slices"
 	"testing"
 
@@ -253,8 +252,9 @@ func TestCheckpointExcludesProgram(t *testing.T) {
 
 // TestCheckpointStatsCellStability pins the counter-registry contract that
 // the zero-allocation hot path depends on: *uint64 cells handed out before a
-// checkpoint must remain the live cells after Restore (written in place, not
-// replaced), so components caching them keep counting into the registry.
+// checkpoint remain the live cells after both RestoreCheckpoint and
+// RestoreCheckpointTrusted (written in place, not replaced), so components
+// caching them keep counting into the registry.
 func TestCheckpointStatsCellStability(t *testing.T) {
 	sys, err := Build(Occamy, ckGroup(), Options{Seed: 3, WireInjector: true})
 	if err != nil {
@@ -270,21 +270,25 @@ func TestCheckpointStatsCellStability(t *testing.T) {
 	if final == 0 {
 		t.Fatal("vec.hit never moved; pick a hotter counter")
 	}
-	if err := sys.RestoreCheckpoint(snap); err != nil {
-		t.Fatal(err)
-	}
-	if got := sys.Stats.Get("vec.hit"); got != *cell {
-		t.Fatalf("restored registry (%d) disagrees with pre-checkpoint cell (%d)", got, *cell)
-	}
-	if *cell >= final {
-		t.Fatalf("restore did not rewind the cell: %d, final was %d", *cell, final)
-	}
-	mustRun(t, sys)
-	if *cell != final {
-		t.Fatalf("cell stopped tracking the registry after restore: %d, want %d", *cell, final)
-	}
-	if !reflect.DeepEqual(sys.Stats.Counter("vec.hit"), cell) {
-		t.Fatal("Counter returned a different cell after restore")
+	for _, name := range []string{"RestoreCheckpoint", "RestoreCheckpointTrusted"} {
+		if name == "RestoreCheckpointTrusted" {
+			sys.RestoreCheckpointTrusted(snap)
+		} else if err := sys.RestoreCheckpoint(snap); err != nil {
+			t.Fatal(err)
+		}
+		if got := sys.Stats.Get("vec.hit"); got != *cell {
+			t.Fatalf("%s: restored registry (%d) disagrees with pre-checkpoint cell (%d)", name, got, *cell)
+		}
+		if *cell >= final {
+			t.Fatalf("%s did not rewind the cell: %d, final was %d", name, *cell, final)
+		}
+		mustRun(t, sys)
+		if *cell != final {
+			t.Fatalf("cell stopped tracking the registry after %s: %d, want %d", name, *cell, final)
+		}
+		if sys.Stats.Counter("vec.hit") != cell {
+			t.Fatalf("Counter returned a different cell after %s", name)
+		}
 	}
 }
 

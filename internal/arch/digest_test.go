@@ -7,7 +7,6 @@ import (
 	"math"
 	"reflect"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -49,8 +48,6 @@ const (
 	tagNil uint64 = iota
 	tagPtr
 	tagSeq
-	tagMap
-	tagIface
 )
 
 func oracleDigest(v reflect.Value) uint64 {
@@ -147,42 +144,8 @@ func (o *oracle) walk(v reflect.Value) {
 		}
 		o.visited[key] = true
 		o.walk(v.Elem())
-	case reflect.Map:
-		if v.IsNil() {
-			o.word(tagNil)
-			return
-		}
-		type entry struct {
-			kd  uint64
-			key reflect.Value
-		}
-		var entries []entry
-		for _, k := range v.MapKeys() {
-			entries = append(entries, entry{oracleDigest(k), k})
-		}
-		sort.Slice(entries, func(i, j int) bool { return entries[i].kd < entries[j].kd })
-		o.word(tagMap)
-		o.word(uint64(len(entries)))
-		for _, e := range entries {
-			o.word(e.kd)
-			o.walk(v.MapIndex(e.key))
-		}
-	case reflect.Interface:
-		if v.IsNil() {
-			o.word(tagNil)
-			return
-		}
-		o.word(tagIface)
-		o.image([]byte(v.Elem().Type().String()))
-		o.walk(v.Elem())
-	case reflect.Func, reflect.Chan, reflect.UnsafePointer:
-		if v.IsNil() {
-			o.word(0)
-		} else {
-			o.word(1)
-		}
 	default:
-		panic(fmt.Sprintf("oracle: unhashable kind %v", v.Kind()))
+		panic(fmt.Sprintf("oracle: %v is not plain data", v.Type()))
 	}
 }
 
@@ -360,9 +323,10 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSnapshotHoldsNoWiring: no program, interface, func or chan is
+// TestSnapshotHoldsNoWiring: no program, map, interface, func or chan is
 // reachable from a snapshot's type — a checkpoint is component state only,
-// never configuration or wiring a restore would have to share.
+// never configuration or wiring a restore would have to share, and plain
+// data the codec copies.
 func TestSnapshotHoldsNoWiring(t *testing.T) {
 	prog := reflect.TypeOf(isa.Program{})
 	seen := map[reflect.Type]bool{}
@@ -373,7 +337,7 @@ func TestSnapshotHoldsNoWiring(t *testing.T) {
 		}
 		seen[typ] = true
 		switch typ.Kind() {
-		case reflect.Interface, reflect.Func, reflect.Chan, reflect.UnsafePointer:
+		case reflect.Map, reflect.Interface, reflect.Func, reflect.Chan, reflect.UnsafePointer:
 			t.Errorf("%s is a %v", path, typ.Kind())
 		case reflect.Struct:
 			if typ == prog {
@@ -386,9 +350,6 @@ func TestSnapshotHoldsNoWiring(t *testing.T) {
 			}
 		case reflect.Pointer, reflect.Slice, reflect.Array:
 			walk(typ.Elem(), path+"[]")
-		case reflect.Map:
-			walk(typ.Key(), path+"[key]")
-			walk(typ.Elem(), path+"[]")
 		}
 	}
 	walk(reflect.TypeOf(arch.SystemState{}), "SystemState")
@@ -396,7 +357,8 @@ func TestSnapshotHoldsNoWiring(t *testing.T) {
 
 // TestRestoreOntoSelfAllocatesNothing pins restore cost: restoring the
 // serve-shaped snapshot onto the system it was taken from writes every
-// component's state in place.
+// component's state in place, and verifying the snapshot's digest first
+// allocates nothing either.
 func TestRestoreOntoSelfAllocatesNothing(t *testing.T) {
 	for _, kind := range arch.Kinds {
 		sys := serveSystem(t, kind)
@@ -404,6 +366,30 @@ func TestRestoreOntoSelfAllocatesNothing(t *testing.T) {
 		if n := testing.AllocsPerRun(10, func() { sys.RestoreCheckpointTrusted(st) }); n != 0 {
 			t.Errorf("%v: RestoreCheckpointTrusted onto its own system allocated %v times", kind, n)
 		}
+		if n := testing.AllocsPerRun(10, func() { _ = st.Verify() }); n != 0 {
+			t.Errorf("%v: Verify allocated %v times", kind, n)
+		}
+	}
+}
+
+// TestRegistriesFixedAcrossRun: every counter and histogram is registered
+// while a system is built, so in every snapshot shape on every architecture
+// the system that ran holds exactly as many as a freshly built one — a
+// snapshot's registries always have the shape of the system it restores
+// onto.
+func TestRegistriesFixedAcrossRun(t *testing.T) {
+	for _, kind := range arch.Kinds {
+		t.Run(kind.String(), func(t *testing.T) {
+			for name, sh := range digestShapes(t, kind) {
+				fresh := sh.fresh()
+				if got, want := sh.src.Stats.Len(), fresh.Stats.Len(); got != want {
+					t.Errorf("%s: %d counters after the run, %d when built", name, got, want)
+				}
+				if got, want := sh.src.Probe.Len(), fresh.Probe.Len(); got != want {
+					t.Errorf("%s: %d histograms after the run, %d when built", name, got, want)
+				}
+			}
+		})
 	}
 }
 
@@ -474,11 +460,10 @@ func TestSnapshotDigestConcurrentColdPlans(t *testing.T) {
 // tamperLeaf is one leaf of a snapshot FuzzCheckpointTamper can flip a bit
 // of: a scalar, a byte image or a string.
 type tamperLeaf struct {
-	path   string
-	addr   unsafe.Pointer
-	bytes  int
-	str    bool   // flipped by replacing the string with a flipped copy
-	commit func() // writes a copied map value back; nil when flipped in place
+	path  string
+	addr  unsafe.Pointer
+	bytes int
+	str   bool // flipped by replacing the string with a flipped copy
 }
 
 // flip toggles one bit of the leaf; flipping the same bit again undoes it.
@@ -491,38 +476,34 @@ func (l *tamperLeaf) flip(bit int) {
 	} else {
 		*(*byte)(unsafe.Add(l.addr, bit/8)) ^= 1 << (bit % 8)
 	}
-	if l.commit != nil {
-		l.commit()
-	}
 }
 
 // tamperLeaves enumerates v's leaves reflectively, independent of the
-// digest's plans: fields in order, elements by index, map values in key
-// order (through a copy that commit writes back), pointers followed once.
-// Shape (lengths, nil-ness, map keys) is not a leaf, and neither is a field
+// digest's plans: fields in order, elements by index, pointers followed
+// once. Shape (lengths, nil-ness) is not a leaf, and neither is a field
 // tagged `digest:"-"`, which is not state.
-func tamperLeaves(v reflect.Value, path string, commit func(), seen map[uintptr]bool, out []tamperLeaf) []tamperLeaf {
+func tamperLeaves(v reflect.Value, path string, seen map[uintptr]bool, out []tamperLeaf) []tamperLeaf {
 	switch v.Kind() {
 	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
 		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
 		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
-		return append(out, tamperLeaf{path: path, addr: unsafe.Pointer(v.UnsafeAddr()), bytes: int(v.Type().Size()), commit: commit})
+		return append(out, tamperLeaf{path: path, addr: unsafe.Pointer(v.UnsafeAddr()), bytes: int(v.Type().Size())})
 	case reflect.String:
 		if v.Len() == 0 {
 			return out
 		}
-		return append(out, tamperLeaf{path: path, addr: unsafe.Pointer(v.UnsafeAddr()), bytes: v.Len(), str: true, commit: commit})
+		return append(out, tamperLeaf{path: path, addr: unsafe.Pointer(v.UnsafeAddr()), bytes: v.Len(), str: true})
 	case reflect.Slice:
 		if v.Type().Elem().Kind() == reflect.Uint8 {
 			if v.Len() == 0 {
 				return out
 			}
-			return append(out, tamperLeaf{path: path, addr: v.UnsafePointer(), bytes: v.Len(), commit: commit})
+			return append(out, tamperLeaf{path: path, addr: v.UnsafePointer(), bytes: v.Len()})
 		}
 		fallthrough
 	case reflect.Array:
 		for i := 0; i < v.Len(); i++ {
-			out = tamperLeaves(v.Index(i), fmt.Sprintf("%s[%d]", path, i), commit, seen, out)
+			out = tamperLeaves(v.Index(i), fmt.Sprintf("%s[%d]", path, i), seen, out)
 		}
 	case reflect.Struct:
 		sep := "."
@@ -531,7 +512,7 @@ func tamperLeaves(v reflect.Value, path string, commit func(), seen map[uintptr]
 		}
 		for i := 0; i < v.NumField(); i++ {
 			if f := v.Type().Field(i); f.Tag.Get("digest") != "-" {
-				out = tamperLeaves(v.Field(i), path+sep+f.Name, commit, seen, out)
+				out = tamperLeaves(v.Field(i), path+sep+f.Name, seen, out)
 			}
 		}
 	case reflect.Pointer:
@@ -539,26 +520,7 @@ func tamperLeaves(v reflect.Value, path string, commit func(), seen map[uintptr]
 			return out
 		}
 		seen[v.Pointer()] = true
-		return tamperLeaves(v.Elem(), path+"->", commit, seen, out)
-	case reflect.Map:
-		m := reflect.NewAt(v.Type(), unsafe.Pointer(v.UnsafeAddr())).Elem() // writable view
-		keys := m.MapKeys()
-		sort.Slice(keys, func(i, j int) bool { return fmt.Sprint(keys[i]) < fmt.Sprint(keys[j]) })
-		for _, k := range keys {
-			val := reflect.New(m.Type().Elem()).Elem()
-			val.Set(m.MapIndex(k))
-			write := func() {
-				m.SetMapIndex(k, val)
-				if commit != nil {
-					commit()
-				}
-			}
-			out = tamperLeaves(val, fmt.Sprintf("%s[%v]", path, k), write, seen, out)
-		}
-	case reflect.Interface:
-		if !v.IsNil() {
-			panic("tamperLeaves: snapshots hold no interfaces; enumerate " + path)
-		}
+		return tamperLeaves(v.Elem(), path+"->", seen, out)
 	}
 	return out
 }
@@ -580,11 +542,12 @@ func FuzzCheckpointTamper(f *testing.F) {
 	}
 	snap := build(2000).Checkpoint()
 	target := build(1500)
-	leaves := tamperLeaves(reflect.ValueOf(snap).Elem(), "", nil, map[uintptr]bool{}, nil)
+	leaves := tamperLeaves(reflect.ValueOf(snap).Elem(), "", map[uintptr]bool{}, nil)
 
 	// One seed per plan kind: a raw tag-array word, a byte image, a field
-	// of a padded struct, a map value and a field behind a pointer.
-	for _, want := range []string{"hier.L2.lines[", "hier.Mem.pages[", ".queue->[", "stats[", "ctl->"} {
+	// of a padded struct, a counter in a registry chunk and a field behind
+	// a pointer.
+	for _, want := range []string{"hier.L2.lines[", "hier.Mem.pages[", ".queue->[", "stats.chunks[", "ctl->"} {
 		i := slices.IndexFunc(leaves, func(l tamperLeaf) bool { return strings.Contains(l.path, want) })
 		if i < 0 {
 			f.Fatalf("no leaf under %q", want)

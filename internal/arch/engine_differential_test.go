@@ -219,7 +219,7 @@ func stateDiff(a, b *System) string {
 			cp.ExpireHolds(now)
 		}
 	}
-	sa, sb := a.withRegistries(a.state()), b.withRegistries(b.state())
+	sa, sb := a.state(), b.state()
 	if sa.engine.Cycle() != sb.engine.Cycle() {
 		return fmt.Sprintf("engine.cycle (%d vs %d)", sa.engine.Cycle(), sb.engine.Cycle())
 	}

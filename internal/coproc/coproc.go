@@ -281,7 +281,6 @@ type Coproc struct {
 	// access as live).
 	vecProbe mem.RetryProber
 	data     *mem.Memory
-	stats    *sim.Stats
 	// cores holds every machine core's row, indexed by core ID and shared by
 	// every cluster of a Complex; home marks the rows this instance hosts.
 	// Every walk is bounded by home: a row is another cluster's business
@@ -289,12 +288,15 @@ type Coproc struct {
 	cores []*coreState
 	home  rowSet
 
-	// Hot-path counter cells, resolved once at construction (Stats.Counter
-	// pointers are stable across Restore) so per-cycle bumps skip the
-	// string-keyed map lookup.
+	// Counter cells, registered at construction so a bump is a pointer
+	// increment. The EM-SIMD event counts are quiet: reports list them once
+	// they are non-zero.
 	renameStallsCell *uint64
 	mshrRetriesCell  *uint64
 	drainWaitCell    *uint64
+	repartCell       *uint64
+	reconfCell       *uint64
+	rejectCell       *uint64
 
 	// active and live are the subsets of home the per-cycle walks visit;
 	// both are derived state, rebuilt on restore (see deriveRowSets).
@@ -354,9 +356,12 @@ type Coproc struct {
 	// every obs method is nil-receiver-safe).
 	probe *obs.Probe
 	// retireHists caches the per-core issue→retire latency histograms
-	// (nil entries when unobserved; Observe is nil-receiver-safe). Resolved
-	// once in SetProbe so the issue hot path never touches the registry map.
+	// (nil entries when unobserved; Observe is nil-receiver-safe), and
+	// drainHist the quiet histogram of reconfiguration drain lengths (nil
+	// when unobserved). Both are resolved once in SetProbe, so the hot path
+	// never touches the registry map.
 	retireHists []*obs.Histogram
+	drainHist   *obs.Histogram
 
 	// laneSink, when set, receives every logged LaneEvent — the telemetry
 	// event log's tap. Invoked only on lane-management actions, never on
@@ -387,9 +392,8 @@ type coprocState struct {
 	progress uint64
 }
 
-// SetProbe attaches the observability probe (nil disables) and resolves the
-// per-core retire-latency histograms once, so issue-time observations stay
-// allocation-free.
+// SetProbe attaches the observability probe (nil disables) and resolves its
+// histograms once, so observations stay allocation-free.
 func (cp *Coproc) SetProbe(p *obs.Probe) {
 	cp.probe = p
 	if cp.retireHists == nil {
@@ -398,6 +402,7 @@ func (cp *Coproc) SetProbe(p *obs.Probe) {
 	for c := range cp.retireHists {
 		cp.retireHists[c] = p.Hist(obs.RetireHistName(c)) // nil when p is nil
 	}
+	cp.drainHist = p.QuietHist("coproc.drain.cycles")
 }
 
 // SetLaneEventSink taps the lane-management event log: sink receives every
@@ -490,7 +495,6 @@ func newCoproc(cfg Config, rows []*coreState, vecPort mem.SharedPort, data *mem.
 		vec:       vecPort,
 		vecProbe:  probeOf(vecPort),
 		data:      data,
-		stats:     stats,
 		cores:     rows,
 		home:      newRowSet(cfg.Cores),
 		active:    newRowSet(cfg.Cores),
@@ -502,6 +506,9 @@ func newCoproc(cfg Config, rows []*coreState, vecPort mem.SharedPort, data *mem.
 	cp.renameStallsCell = stats.Counter("coproc.rename.stalls")
 	cp.mshrRetriesCell = stats.Counter("coproc.lsu.mshr_retries")
 	cp.drainWaitCell = stats.Counter("coproc.drain_wait_cycles")
+	cp.repartCell = stats.QuietCounter("coproc.repartitions")
+	cp.reconfCell = stats.QuietCounter("coproc.reconfigures")
+	cp.rejectCell = stats.QuietCounter("coproc.reconfigure_rejects")
 	if !cfg.Elastic && !cfg.SharedIssue {
 		// Spatial policies pin each core's partition at reset; temporal
 		// sharing (SharedIssue) leaves the table empty because every

@@ -31,7 +31,7 @@ func (cp *Coproc) execEMSIMD(c int, x *XInst, now uint64) bool {
 			cp.mgr.OnOIWrite(c, isa.UnpackOI(x.Val))
 			st.lastReject = -1
 			cp.emsimdBusyUntil = now + cp.cfg.PlanLat
-			cp.stats.Inc("coproc.repartitions")
+			*cp.repartCell++
 			cp.logEvent(LaneEvent{Cycle: now, Core: c, Kind: "repartition"})
 			return true
 		case isa.SysVL:
@@ -55,7 +55,7 @@ func (cp *Coproc) execEMSIMD(c int, x *XInst, now uint64) bool {
 			}
 			// The drain window (possibly empty) closes this cycle:
 			// record its length and its trace slice.
-			if h := cp.probe.Hist("coproc.drain.cycles"); h != nil {
+			if h := cp.drainHist; h != nil {
 				start := now
 				if st.draining {
 					start = st.drainStart
@@ -76,13 +76,13 @@ func (cp *Coproc) execEMSIMD(c int, x *XInst, now uint64) bool {
 			ok := cp.tbl.TryReconfigure(c, int(x.Val))
 			if ok {
 				st.lastReject = -1
-				cp.stats.Inc("coproc.reconfigures")
+				*cp.reconfCell++
 				cp.logEvent(LaneEvent{Cycle: now, Core: c, Kind: "reconfigure", VL: int(x.Val)})
 				if cp.cfg.PoisonOnReconfigure {
 					cp.poison(c)
 				}
 			} else {
-				cp.stats.Inc("coproc.reconfigure_rejects")
+				*cp.rejectCell++
 				// The monitor loop retries a rejected <VL> until the
 				// table can grant it; log only the first rejection of
 				// the streak so a long contention spin cannot flood

@@ -89,10 +89,9 @@ type Core struct {
 
 	FullState
 
-	// The phase counter cells are resolved once (Stats.Counter pointers
-	// are stable across Restore) so the per-cycle bumps are a pointer add,
-	// not a map lookup — the string-keyed form showed up as ~16% of sweep
-	// time in profiles.
+	// Counter cells, registered before the first tick (a cell is stable
+	// for the life of the registry), so a per-cycle bump is a pointer add,
+	// not a map lookup.
 	phaseCycleCells   []*uint64
 	phaseEnteredCells []*uint64
 	phaseCyclePool    []*uint64
@@ -173,11 +172,9 @@ func (c *Core) SetProbe(p *obs.Probe) { c.probe = p }
 func New(id int, cfg Config, prog *isa.Program, cp CoprocPort, l1 mem.Port, data *mem.Memory, stats *sim.Stats) *Core {
 	c := &Core{id: id, cfg: cfg, prog: prog, cp: cp, l1: l1, data: data, stats: stats}
 	c.State = NewState()
-	// Resolve every counter cell the execute path can touch: the tick path
-	// must stay allocation-free, so no fmt.Sprintf after construction, and
-	// Stats creates a counter on first touch — on a large machine a core's
-	// first pool-full stall can land arbitrarily deep into the run, inside a
-	// window the zero-allocation contract measures.
+	// Register every counter the execute path can touch: counters are
+	// registered before the first tick, and the tick path formats no
+	// names.
 	c.buildPhaseNames(prog)
 	c.poolFullCell = stats.Counter(fmt.Sprintf("cpu%d.pool_full_stall", id))
 	c.mobStallCell = stats.Counter(fmt.Sprintf("cpu%d.mob_stall", id))
@@ -205,8 +202,8 @@ func (c *Core) buildPhaseNames(prog *isa.Program) {
 // registration time so no dispatch on the tick path ever builds a name.
 func (c *Core) PrewarmPhases(numPhases int) {
 	for p := len(c.phaseCyclePool); p <= numPhases; p++ {
-		// Materialized eagerly: a late phase is first entered mid-run,
-		// and creating its counter then would allocate on the tick path.
+		// Registered eagerly: a late phase is first entered mid-run,
+		// and no counter is registered once the system has ticked.
 		cn := c.stats.Counter(fmt.Sprintf("cpu%d.phase%d.cycles", c.id, p-1))
 		en := c.stats.Counter(fmt.Sprintf("cpu%d.phase%d.entered_cycle", c.id, p-1))
 		c.phaseCyclePool = append(c.phaseCyclePool, cn)

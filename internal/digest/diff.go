@@ -13,10 +13,9 @@ import (
 // with embedded structs left out as Go's field promotion leaves them out —
 // or "" when they are equal. It compares exactly what Sum hashes (padding
 // and skipped fields excluded, floats by their bits, nil distinct from
-// empty, map entries by key), so Diff(a, b) == "" exactly when
-// Sum(a) == Sum(b) barring a 64-bit collision. A difference at the root
-// itself (a scalar T, or a nil-ness or length mismatch of a root slice or
-// map) is reported as "(root)".
+// empty), so Diff(a, b) == "" exactly when Sum(a) == Sum(b) barring a
+// 64-bit collision. A difference at the root itself (a scalar T, or a
+// nil-ness or length mismatch of a root slice) is reported as "(root)".
 func Diff[T any](a, b *T) string {
 	path, differ := diff(reflect.TypeOf(a).Elem(), unsafe.Pointer(a), unsafe.Pointer(b))
 	if !differ {
@@ -77,8 +76,6 @@ func diff(t reflect.Type, a, b unsafe.Pointer) ([]string, bool) {
 			return nil, (pa == nil) != (pb == nil)
 		}
 		return diff(t.Elem(), pa, pb)
-	case reflect.Map:
-		return diffMap(t, reflect.NewAt(t, a).Elem(), reflect.NewAt(t, b).Elem())
 	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
 		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
 		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
@@ -94,30 +91,6 @@ func diffSeq(elem reflect.Type, a, b unsafe.Pointer, n int) ([]string, bool) {
 		off := uintptr(i) * elem.Size()
 		if path, differ := diff(elem, unsafe.Add(a, off), unsafe.Add(b, off)); differ {
 			return append(path, fmt.Sprintf("[%d]", i)), true
-		}
-	}
-	return nil, false
-}
-
-// diffMap compares two maps entry by entry in ascending key-digest order,
-// the order the word stream hashes them in.
-func diffMap(t reflect.Type, a, b reflect.Value) ([]string, bool) {
-	if a.IsNil() || b.IsNil() || a.Len() != b.Len() {
-		return nil, a.IsNil() != b.IsNil() || a.Len() != b.Len()
-	}
-	o := &op{kind: opMap, typ: t, key: planFor(t.Key()), elem: planFor(t.Elem())}
-	keys, vals, order := sortedEntries(o, a)
-	other := reflect.New(t.Elem()).Elem()
-	for _, e := range order {
-		k := keys.Index(e.i)
-		seg := fmt.Sprintf("[%v]", k)
-		w := b.MapIndex(k)
-		if !w.IsValid() {
-			return []string{seg}, true
-		}
-		other.Set(w)
-		if path, differ := diff(t.Elem(), vals.Index(e.i).Addr().UnsafePointer(), other.Addr().UnsafePointer()); differ {
-			return append(path, seg), true
 		}
 	}
 	return nil, false

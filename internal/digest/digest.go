@@ -12,16 +12,18 @@
 //
 // # The tree rule
 //
-// A state value is a tree: every slice, map and pointer in it is owned by
-// it, no two of them share storage and none refers outside the value.
+// A state value is a tree: every slice and pointer in it is owned by it, no
+// two of them share storage and none refers outside the value.
 // Configuration, wiring and derived state (a component's neighbours, its
 // cached cursors and memos, host time) stay outside the state struct, or,
 // inside a small value type that is state as a whole, carry the field tag
 // `digest:"-"`: every operation skips such a field — Copy leaves the
 // destination's value in place, Clone leaves it zero — so the component
-// rebuilds it after a restore. Interfaces, funcs, chans and unsafe.Pointers
-// are never plain data, and compiling a plan for a type that holds one
-// panics with the path of the offending field.
+// rebuilds it after a restore. Maps, interfaces, funcs, chans and
+// unsafe.Pointers are never plain data, and compiling a plan for a type that
+// holds one panics with the path of the offending field: a map's iteration
+// order is random, so its digest would need a sort, and a component indexes
+// its state by position instead, keeping any name index outside as wiring.
 //
 // # The word stream
 //
@@ -36,10 +38,9 @@
 //     8 per little-endian word, the last word zero-padded;
 //   - a struct is its fields in declaration order, an array its elements;
 //     neither adds a word, since their shape is static;
-//   - shape words carry the rest: a nil slice, map or pointer is tagNil; a
-//     slice is tagSeq, its length and its elements; a pointer is tagPtr and
-//     its target; a map is tagMap, its length and, in ascending order of key
-//     digest, each key's digest and value.
+//   - shape words carry the rest: a nil slice or pointer is tagNil; a slice
+//     is tagSeq, its length and its elements; a pointer is tagPtr and its
+//     target.
 //
 // Reflection runs once per type: a plan is the type's field offsets and
 // kinds, cached for the process, and the operations run it over the value's
@@ -55,7 +56,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"reflect"
-	"sort"
 	"sync"
 	"unsafe"
 )
@@ -70,19 +70,17 @@ const (
 	tagNil uint64 = iota
 	tagPtr
 	tagSeq
-	tagMap
 )
 
 // Sum returns the content digest of *v.
 func Sum[T any](v *T) uint64 { return sumAt(v, unsafe.Pointer(v)) }
 
 // Copy makes *dst a deep copy of *src. It writes into dst's existing
-// slices, arrays, map values and pointer targets wherever their shape
-// matches — a slice whose capacity holds the source's length, a non-nil
-// pointer — and allocates only where it does not, so restoring a snapshot
-// onto the state it was taken from allocates nothing (a map is rebuilt
-// entry by entry, which may). A nil slice, map or pointer in src is nil in
-// dst, an empty one empty. Fields tagged `digest:"-"` keep dst's values.
+// slices, arrays and pointer targets wherever their shape matches — a slice
+// whose capacity holds the source's length, a non-nil pointer — and
+// allocates only where it does not, so restoring a snapshot onto the state
+// it was taken from allocates nothing. A nil slice or pointer in src is nil
+// in dst, an empty one empty. Fields tagged `digest:"-"` keep dst's values.
 func Copy[T any](dst, src *T) { copyAt(dst, unsafe.Pointer(dst), unsafe.Pointer(src)) }
 
 // Clone returns a deep copy of *src in fresh storage: Copy into a zero
@@ -134,7 +132,6 @@ const (
 	opSlice                // nil or tagSeq, length and elements
 	opArray                // n elements of a padded element type
 	opPtr                  // nil or tagPtr and the target
-	opMap                  // nil or tagMap, length and sorted entries
 )
 
 // leafBytes is the memory width of each scalar step, for Copy.
@@ -145,9 +142,8 @@ type op struct {
 	kind opKind
 	off  uintptr
 	n    int          // opWords: word count; opArray: length
-	elem *plan        // opBytes, opSlice, opArray, opPtr: element; opMap: value
-	key  *plan        // opMap: key
-	typ  reflect.Type // opBytes, opSlice, opMap: the field's type
+	elem *plan        // opBytes, opSlice, opArray, opPtr: element
+	typ  reflect.Type // opBytes, opSlice: the field's type
 }
 
 // plan runs one type: either size/8 raw words, or its steps in order.
@@ -188,8 +184,8 @@ type compiler struct {
 }
 
 // compile returns t's plan. A plan is registered before its steps are
-// filled in, so a recursive type reached again through a pointer, slice or
-// map links to the plan being built. path names t for error messages.
+// filled in, so a recursive type reached again through a pointer or slice
+// links to the plan being built. path names t for error messages.
 func (c *compiler) compile(t reflect.Type, path string) *plan {
 	if p, ok := plans.m.Load(t); ok {
 		return p.(*plan)
@@ -298,9 +294,6 @@ func (c *compiler) appendOps(ops []op, t reflect.Type, off uintptr, path string)
 		return append(ops, op{kind: kind, off: off, elem: c.compile(t.Elem(), path+"[]"), typ: t})
 	case reflect.Pointer:
 		return append(ops, op{kind: opPtr, off: off, elem: c.compile(t.Elem(), path)})
-	case reflect.Map:
-		return append(ops, op{kind: opMap, off: off, key: c.compile(t.Key(), path+"[key]"),
-			elem: c.compile(t.Elem(), path+"[]"), typ: t})
 	}
 	panic(fmt.Sprintf("digest: %s is a %v, not plain data (tag it `digest:\"-\"` or keep it outside the state struct)", path, t.Kind()))
 }
@@ -445,8 +438,6 @@ func (d *hasher) run(p *plan, base unsafe.Pointer) {
 			}
 			d.word(tagPtr)
 			d.run(o.elem, target)
-		case opMap:
-			d.mapEntries(o, *(*unsafe.Pointer)(at))
 		}
 	}
 }
@@ -459,50 +450,6 @@ func (d *hasher) seq(elem *plan, data unsafe.Pointer, n int) {
 	}
 	for i := 0; i < n; i++ {
 		d.run(elem, unsafe.Add(data, uintptr(i)*elem.size))
-	}
-}
-
-// sortedEntries copies a map's keys and values out into slices, where the
-// plans can address them, and returns them with the entry order: ascending
-// key digest.
-func sortedEntries(o *op, m reflect.Value) (keys, vals reflect.Value, order []keyed) {
-	n := m.Len()
-	keys = reflect.MakeSlice(reflect.SliceOf(o.typ.Key()), n, n)
-	vals = reflect.MakeSlice(reflect.SliceOf(o.typ.Elem()), n, n)
-	order = make([]keyed, 0, n)
-	for it := m.MapRange(); it.Next(); {
-		i := len(order)
-		keys.Index(i).SetIterKey(it)
-		vals.Index(i).SetIterValue(it)
-		kd := newHasher()
-		kd.run(o.key, unsafe.Add(keys.UnsafePointer(), uintptr(i)*o.key.size))
-		order = append(order, keyed{kd.sum(), i})
-	}
-	sort.Slice(order, func(a, b int) bool { return order[a].kd < order[b].kd })
-	return keys, vals, order
-}
-
-// keyed is one map entry's key digest and its index in sortedEntries'
-// slices.
-type keyed struct {
-	kd uint64
-	i  int
-}
-
-// mapEntries hashes the map m in ascending order of key digest. Like
-// copyMap it takes the map by value, keeping reflect off the hashed memory.
-func (d *hasher) mapEntries(o *op, m unsafe.Pointer) {
-	if m == nil {
-		d.word(tagNil)
-		return
-	}
-	mp := m
-	_, vals, order := sortedEntries(o, reflect.NewAt(o.typ, unsafe.Pointer(&mp)).Elem())
-	d.word(tagMap)
-	d.word(uint64(len(order)))
-	for _, e := range order {
-		d.word(e.kd)
-		d.run(o.elem, unsafe.Add(vals.UnsafePointer(), uintptr(e.i)*o.elem.size))
 	}
 }
 
@@ -545,8 +492,6 @@ func copyRun(p *plan, dst, src unsafe.Pointer) {
 				*(*unsafe.Pointer)(d) = dp
 			}
 			copyRun(o.elem, dp, sp)
-		case opMap:
-			*(*unsafe.Pointer)(d) = copyMap(o, *(*unsafe.Pointer)(d), *(*unsafe.Pointer)(s))
 		}
 	}
 }
@@ -585,35 +530,3 @@ func copySlice(o *op, dst, src *sliceHeader) {
 
 // zeroBase is the backing array of a cloned empty, non-nil slice.
 var zeroBase [0]byte
-
-// copyMap makes the map dm hold sm's entries, copying each value over dm's
-// value for the same key, and returns the (possibly new) map. It takes the
-// maps by value, so reflect never sees the memory Copy was handed.
-func copyMap(o *op, dm, sm unsafe.Pointer) unsafe.Pointer {
-	if sm == nil {
-		return nil
-	}
-	dmap, smap := dm, sm // addressed below, so moved to the heap: only on this path
-	dst := reflect.NewAt(o.typ, unsafe.Pointer(&dmap)).Elem()
-	src := reflect.NewAt(o.typ, unsafe.Pointer(&smap)).Elem()
-	if dst.IsNil() {
-		dst.Set(reflect.MakeMapWithSize(o.typ, src.Len()))
-	}
-	for it := dst.MapRange(); it.Next(); {
-		if !src.MapIndex(it.Key()).IsValid() {
-			dst.SetMapIndex(it.Key(), reflect.Value{})
-		}
-	}
-	val := reflect.New(o.typ.Elem()).Elem()
-	from := reflect.New(o.typ.Elem()).Elem()
-	for it := src.MapRange(); it.Next(); {
-		val.SetZero()
-		if cur := dst.MapIndex(it.Key()); cur.IsValid() {
-			val.Set(cur)
-		}
-		from.SetIterValue(it)
-		copyRun(o.elem, val.Addr().UnsafePointer(), from.Addr().UnsafePointer())
-		dst.SetMapIndex(it.Key(), val)
-	}
-	return dmap
-}

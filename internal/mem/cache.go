@@ -33,17 +33,14 @@ type CacheConfig struct {
 type Cache struct {
 	cfg CacheConfig
 	CacheState
-	next  Port
-	stats *sim.Stats
+	next Port
 	// setMask and setShift locate the set index in an address; tagShift
 	// (setShift plus the set-index width) strips both from it.
 	setMask  uint64
 	setShift uint
 	tagShift uint
-	// Precomputed counter cells (nil without a stats registry). Bumping a
-	// cell is allocation-free; concatenating the counter name per access —
-	// the previous form — was the simulator's dominant steady-state
-	// allocation source.
+	// Counter cells, registered at construction (nil without a stats
+	// registry), so counting an access is a pointer increment.
 	cHit, cMiss, cReject, cWriteback, cPrefetch *uint64
 	// retryHits is ReplayRetries' reusable scratch buffer.
 	retryHits []hitLine
@@ -51,9 +48,9 @@ type Cache struct {
 
 // CacheState is a cache's checkpointed state: every tag-array line, the
 // bandwidth meter's exact float occupancy (including any fault-injected
-// derating), and the outstanding-miss reservations. Counter values are NOT
-// in it — they live in the engine-wide sim.Stats registry, which snapshots
-// separately.
+// derating), and the outstanding-miss reservations. Counter values are not
+// in it: they live in the engine-wide sim.Stats registry, which is
+// checkpointed as its own state.
 type CacheState struct {
 	lines []cacheLine // set-major: set s holds lines[s*Ways : (s+1)*Ways]
 	bw    bwMeter
@@ -106,9 +103,8 @@ func NewCache(cfg CacheConfig, next Port, stats *sim.Stats) *Cache {
 		cfg.MissSlots = 16
 	}
 	c := &Cache{
-		cfg:   cfg,
-		next:  next,
-		stats: stats,
+		cfg:  cfg,
+		next: next,
 		CacheState: CacheState{
 			bw:   bwMeter{bytesPerCycle: cfg.BytesPerCycle},
 			miss: missTracker{slots: cfg.MissSlots, quota: cfg.MissQuota},

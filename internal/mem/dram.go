@@ -20,12 +20,11 @@ type DRAMConfig struct {
 type DRAM struct {
 	cfg DRAMConfig
 	DRAMState
-	stats *sim.Stats
 	// lat is the access-latency histogram; nil when the run is not
 	// observed (a nil *Histogram ignores Observe).
 	lat *obs.Histogram
-	// Precomputed counter cells (nil without a stats registry); see
-	// Cache for why the per-access name concatenation had to go.
+	// Counter cells, registered at construction (nil without a stats
+	// registry).
 	cBytes, cWrites, cReads *uint64
 }
 
@@ -38,7 +37,7 @@ func NewDRAM(cfg DRAMConfig, stats *sim.Stats) *DRAM {
 	if cfg.Name == "" {
 		cfg.Name = "dram"
 	}
-	d := &DRAM{cfg: cfg, DRAMState: DRAMState{bwMeter{bytesPerCycle: cfg.BytesPerCycle}}, stats: stats}
+	d := &DRAM{cfg: cfg, DRAMState: DRAMState{bwMeter{bytesPerCycle: cfg.BytesPerCycle}}}
 	if stats != nil {
 		d.cBytes = stats.Counter(cfg.Name + ".bytes")
 		d.cWrites = stats.Counter(cfg.Name + ".writes")

@@ -8,9 +8,11 @@ import (
 
 // Histogram is a power-of-two-bucketed latency histogram (values are cycle
 // counts). A nil *Histogram ignores Observe, so instrumentation sites can
-// cache Probe.Hist results unconditionally.
+// cache Probe.Hist results unconditionally. Its name and listing rule are
+// configuration: a checkpoint carries the values alone.
 type Histogram struct {
-	name    string
+	name    string `digest:"-"`
+	quiet   bool   `digest:"-"`
 	count   uint64
 	sum     uint64
 	min     uint64

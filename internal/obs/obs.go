@@ -28,11 +28,7 @@
 // collection (TrimTrailingIdle), making the invariant exact.
 package obs
 
-import (
-	"fmt"
-
-	"occamy/internal/digest"
-)
+import "fmt"
 
 // Sig is a set of per-cycle observation signals raised by the hardware
 // models. Multiple signals may be raised for a core in one cycle; the
@@ -177,15 +173,23 @@ func (o Options) Enabled() bool { return o.Attribution || o.Sink != nil }
 // The probe implements sim.Component and must be registered last, so its
 // Tick sees the signals of the whole cycle.
 type Probe struct {
-	Accounts
-	sink  *Perfetto
-	hists map[string]*Histogram
-	// histNames preserves creation order for deterministic reports.
-	histNames []string
+	ProbeState
+	sink *Perfetto
+	// index maps a histogram's name to its position in hists: wiring, like
+	// the name each histogram carries.
+	index map[string]int
 }
 
-// Accounts is the probe's checkpointed attribution state: the in-cycle
-// signal masks and the per-core bucket charges.
+// ProbeState is the probe's checkpointed state: its Accounts and every
+// histogram, in registration order. The Perfetto sink is not in it — trace
+// emission is streaming I/O.
+type ProbeState struct {
+	Accounts
+	hists []*Histogram
+}
+
+// Accounts is the probe's attribution state: the in-cycle signal masks and
+// the per-core bucket charges.
 type Accounts struct {
 	mask    []Sig
 	buckets [][NumBuckets]uint64
@@ -199,13 +203,13 @@ func NewProbe(cores int, sink *Perfetto) *Probe {
 		panic(fmt.Sprintf("obs: bad core count %d", cores))
 	}
 	return &Probe{
-		Accounts: Accounts{
+		ProbeState: ProbeState{Accounts: Accounts{
 			mask:    make([]Sig, cores),
 			buckets: make([][NumBuckets]uint64, cores),
 			total:   make([]uint64, cores),
-		},
+		}},
 		sink:  sink,
-		hists: make(map[string]*Histogram),
+		index: make(map[string]int),
 	}
 }
 
@@ -225,30 +229,56 @@ func (p *Probe) Signal(core int, sig Sig) {
 	p.mask[core] |= sig
 }
 
-// Hist returns the named latency histogram, creating it on first use.
-// Returns nil on a nil probe; a nil *Histogram ignores Observe, so
-// components may cache the result unconditionally.
-func (p *Probe) Hist(name string) *Histogram {
+// Hist returns the named latency histogram, registering it on first use.
+// Histograms are registered while the system is built, before its first
+// tick; the pointer is stable for the life of the probe, since a restore
+// writes into the histograms already handed out. Returns nil on a nil probe;
+// a nil *Histogram ignores Observe, so components may cache the result
+// unconditionally.
+func (p *Probe) Hist(name string) *Histogram { return p.register(name, false) }
+
+// QuietHist is Hist for a histogram most runs never fill, such as the
+// co-processor's drain lengths: Histograms lists it only once it holds an
+// observation. The first registration of a name decides.
+func (p *Probe) QuietHist(name string) *Histogram { return p.register(name, true) }
+
+func (p *Probe) register(name string, quiet bool) *Histogram {
 	if p == nil {
 		return nil
 	}
-	h, ok := p.hists[name]
+	i, ok := p.index[name]
 	if !ok {
-		h = &Histogram{name: name}
-		p.hists[name] = h
-		p.histNames = append(p.histNames, name)
+		i = len(p.hists)
+		p.index[name] = i
+		p.hists = append(p.hists, &Histogram{name: name, quiet: quiet})
 	}
-	return h
+	return p.hists[i]
 }
 
-// Histograms returns the registered histograms in creation order.
+// Len returns the number of registered histograms (0 on a nil probe).
+func (p *Probe) Len() int {
+	if p == nil {
+		return 0
+	}
+	return len(p.hists)
+}
+
+// Histograms returns the histograms a report lists: every histogram in
+// registration order, then the quiet ones that hold an observation.
 func (p *Probe) Histograms() []*Histogram {
 	if p == nil {
 		return nil
 	}
-	out := make([]*Histogram, 0, len(p.histNames))
-	for _, n := range p.histNames {
-		out = append(out, p.hists[n])
+	out := make([]*Histogram, 0, len(p.hists))
+	for _, h := range p.hists {
+		if !h.quiet {
+			out = append(out, h)
+		}
+	}
+	for _, h := range p.hists {
+		if h.quiet && h.count > 0 {
+			out = append(out, h)
+		}
 	}
 	return out
 }
@@ -305,54 +335,6 @@ func (p *Probe) SkipTicks(from, n uint64) {
 			p.total[c] += n
 		}
 		p.mask[c] = 0
-	}
-}
-
-// ProbeState is the probe's checkpoint: its Accounts and every histogram's
-// values. The Perfetto sink is NOT captured — trace emission is streaming
-// I/O.
-type ProbeState struct {
-	Accounts
-	hists map[string]Histogram
-}
-
-// Snapshot captures the probe's accounting (the zero state on a nil probe).
-func (p *Probe) Snapshot() ProbeState {
-	if p == nil {
-		return ProbeState{}
-	}
-	st := ProbeState{Accounts: digest.Clone(&p.Accounts), hists: make(map[string]Histogram, len(p.hists))}
-	for n, h := range p.hists {
-		st.hists[n] = *h
-	}
-	return st
-}
-
-// Restore rewinds the probe to a Snapshot. The histograms are restored by
-// hand, not copied: components cache their *Histogram pointers, so every
-// histogram is written in place — one created since the snapshot is reset
-// to empty, one named only in the snapshot is re-created.
-func (p *Probe) Restore(st ProbeState) {
-	if p == nil {
-		return
-	}
-	digest.Copy(&p.Accounts, &st.Accounts)
-	for n, h := range p.hists {
-		if saved, ok := st.hists[n]; ok {
-			name := h.name
-			*h = saved
-			h.name = name
-		} else {
-			*h = Histogram{name: h.name}
-		}
-	}
-	for n, saved := range st.hists {
-		if _, ok := p.hists[n]; !ok {
-			h := p.Hist(n)
-			name := h.name
-			*h = saved
-			h.name = name
-		}
 	}
 }
 

@@ -176,9 +176,15 @@ func TestProbeHistRegistry(t *testing.T) {
 	if p.Hist("b.second") != h1 {
 		t.Fatal("Hist must return the same histogram for the same name")
 	}
+	quiet := p.QuietHist("0.quiet")
+	h3 := p.Hist("c.third")
 	hs := p.Histograms()
-	if len(hs) != 2 || hs[0] != h1 || hs[1] != h2 {
-		t.Fatal("Histograms must preserve creation order")
+	if len(hs) != 3 || hs[0] != h1 || hs[1] != h2 || hs[2] != h3 || p.Len() != 4 {
+		t.Fatal("Histograms must list the registered histograms in creation order, an empty quiet one not at all")
+	}
+	quiet.Observe(1)
+	if hs := p.Histograms(); len(hs) != 4 || hs[3] != quiet {
+		t.Fatal("Histograms must list a quiet histogram with an observation after the others")
 	}
 }
 

@@ -104,8 +104,8 @@ type Engine struct {
 
 // EngineState is the engine's checkpointed state: the clock, the
 // skip-ahead bookkeeping and the watchdog's samples. The component list,
-// the counter registry (sim.Stats snapshots itself) and the watchdog
-// threshold are not in it.
+// the counter registry (checkpointed as its own StatsState) and the
+// watchdog threshold are not in it.
 type EngineState struct {
 	cycle        uint64
 	skips        uint64

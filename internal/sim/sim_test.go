@@ -1,8 +1,11 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
+
+	"occamy/internal/digest"
 )
 
 type countingComponent struct {
@@ -82,25 +85,33 @@ func TestRunUntilBudgetExhaustion(t *testing.T) {
 	}
 }
 
+// TestStatsBasics: cells are stable across chunk growth, Get reads them,
+// and Snapshot lists every counter but the quiet ones still at zero.
 func TestStatsBasics(t *testing.T) {
 	s := NewStats()
 	if s.Get("missing") != 0 {
 		t.Fatal("missing counter should read zero")
 	}
-	s.Inc("a")
-	s.Add("a", 4)
-	s.Set("b", 7)
-	if s.Get("a") != 5 || s.Get("b") != 7 {
-		t.Fatalf("a=%d b=%d", s.Get("a"), s.Get("b"))
+	a := s.Counter("a")
+	quiet := s.QuietCounter("q")
+	for i := 0; i < 3*statsChunk; i++ {
+		s.Counter(fmt.Sprintf("filler%d", i))
 	}
-	names := s.Names()
-	if len(names) != 2 || names[0] != "a" || names[1] != "b" {
-		t.Fatalf("Names() = %v", names)
+	*a += 5
+	if s.Counter("a") != a || s.Get("a") != 5 || s.Len() != 2+3*statsChunk {
+		t.Fatalf("a=%d (cell moved: %v), %d counters", s.Get("a"), s.Counter("a") != a, s.Len())
 	}
 	snap := s.Snapshot()
-	s.Inc("a")
+	if _, ok := snap["q"]; ok || snap["a"] != 5 || len(snap) != s.Len()-1 {
+		t.Fatalf("Snapshot lists %d counters (q listed: %v), a=%d", len(snap), ok, snap["a"])
+	}
+	*quiet = 2
+	*a++
 	if snap["a"] != 5 {
 		t.Fatal("Snapshot must be a copy")
+	}
+	if got := s.Snapshot(); got["q"] != 2 || s.QuietCounter("q") != quiet {
+		t.Fatalf("a non-zero quiet counter reads %d in Snapshot", got["q"])
 	}
 }
 
@@ -194,32 +205,37 @@ func TestRNGIntnRange(t *testing.T) {
 	}
 }
 
-// TestStatsRestoreDropsUnhandedNames: a counter created by Inc after a
-// snapshot is gone after restoring it, while a cell Counter handed out stays
-// live (zeroed), so a snapshot re-taken right after the restore equals the
-// restored one unless a handle was added.
+// TestStatsRestoreDropsUnhandedNames: restoring a StatsState taken earlier
+// (the codec copies it onto the live registry) writes the values into the
+// cells already handed out. A counter bumped since the snapshot reads zero
+// and keeps backing its name, and a quiet one drops out of Snapshot again,
+// so a report taken right after the restore equals the one taken with the
+// snapshot.
 func TestStatsRestoreDropsUnhandedNames(t *testing.T) {
 	s := NewStats()
-	s.Inc("early")
-	snap := s.Snapshot()
-	s.Inc("late")
+	early := s.Counter("early")
+	late := s.QuietCounter("late")
 	cell := s.Counter("handle")
+	*early = 1
+	snap := digest.Clone(&s.StatsState)
+	report := s.Snapshot()
+	*late = 4
 	*cell = 3
-	s.Restore(snap)
+	digest.Copy(&s.StatsState, &snap)
 	if _, ok := s.Snapshot()["late"]; ok {
-		t.Fatal("a counter created since the snapshot survived Restore")
+		t.Fatal("a quiet counter bumped since the snapshot is still listed after the restore")
 	}
-	if got := s.Snapshot(); len(got) != 2 || got["early"] != 1 || got["handle"] != 0 {
-		t.Fatalf("restored registry %v, want early=1 and a zeroed handle", got)
+	if got := s.Snapshot(); len(got) != len(report) || got["early"] != 1 || got["handle"] != 0 {
+		t.Fatalf("restored registry %v, want %v", got, report)
 	}
 	*cell++
-	if s.Get("handle") != 1 {
+	if s.Get("handle") != 1 || s.Counter("handle") != cell {
 		t.Fatal("the handed-out cell stopped backing its counter")
 	}
-	s.Restore(snap)
-	s.Inc("late")
-	s.Restore(snap)
-	if got := s.Snapshot(); len(got) != 2 || got["early"] != 1 || got["handle"] != 0 {
-		t.Fatalf("second restore left %v", got)
+	digest.Copy(&s.StatsState, &snap)
+	*late++
+	digest.Copy(&s.StatsState, &snap)
+	if got := s.Snapshot(); len(got) != len(report) || got["early"] != 1 || got["handle"] != 0 || *late != 0 {
+		t.Fatalf("second restore left %v (late=%d)", got, *late)
 	}
 }

@@ -1,110 +1,84 @@
 package sim
 
-import "sort"
-
-// Stats is a registry of named uint64 counters. Counters are created lazily
-// on first Add/Set. Reads of missing counters return zero, mirroring the
-// convenience of gem5's stats system.
+// Stats is a registry of named uint64 counters. Reads of missing counters
+// return zero, mirroring the convenience of gem5's stats system.
 //
-// Counters are stored as stable heap cells so hot-path code can resolve a
-// name once (Counter) and bump the cell directly, instead of concatenating
-// the name and hashing it every cycle — profiling showed those string
-// concatenations were essentially all of the simulator's steady-state
-// allocations.
+// Every counter is registered while the system is built, before its first
+// tick: Counter hands out the counter's cell, and hot-path code bumps the
+// cell directly instead of hashing a name every cycle. The values are plain
+// data (StatsState), checkpointed and restored by the state codec like any
+// other component's state. They sit in fixed-size chunks, so a cell never
+// moves: registering appends to the last chunk, and a restore writes the
+// values into the cells already handed out. The names and the name index are
+// wiring, outside the state.
 //
 // The registry is not safe for concurrent use; the simulator is
 // single-goroutine by design.
 type Stats struct {
-	counters map[string]*uint64
-	// handed holds the names whose cells Counter has handed out. Their
-	// holders keep counting into them, so Restore never drops them.
-	handed map[string]bool
+	StatsState
+	names []string
+	index map[string]int
+	// quiet marks the counters reports list only once they are non-zero.
+	quiet []bool
 }
+
+// StatsState is the registry's checkpointed state: every counter's value, in
+// registration order.
+type StatsState struct {
+	chunks []*[statsChunk]uint64
+}
+
+// statsChunk is the number of counters per chunk.
+const statsChunk = 64
 
 // NewStats returns an empty registry.
 func NewStats() *Stats {
-	return &Stats{counters: make(map[string]*uint64), handed: make(map[string]bool)}
+	return &Stats{index: make(map[string]int)}
 }
 
-// Counter returns the cell backing counter name, creating it at zero if
-// needed. The pointer is stable for the life of the registry — including
-// across Restore, which writes values into the existing cells — so callers
-// may cache it at construction time and increment it allocation-free.
-func (s *Stats) Counter(name string) *uint64 {
-	s.handed[name] = true
-	return s.cell(name)
-}
+// Counter returns the cell backing counter name, registering it at zero if
+// needed. The cell is stable for the life of the registry, so callers cache
+// it at construction time and increment it allocation-free.
+func (s *Stats) Counter(name string) *uint64 { return s.register(name, false) }
 
-// cell returns the cell backing counter name, creating it at zero if needed.
-func (s *Stats) cell(name string) *uint64 {
-	p, ok := s.counters[name]
+// QuietCounter is Counter for an event count most runs never see, such as
+// the co-processor's repartitions: reports list it only once it is
+// non-zero. The first registration of a name decides.
+func (s *Stats) QuietCounter(name string) *uint64 { return s.register(name, true) }
+
+func (s *Stats) register(name string, quiet bool) *uint64 {
+	i, ok := s.index[name]
 	if !ok {
-		p = new(uint64)
-		s.counters[name] = p
+		i = len(s.names)
+		if i%statsChunk == 0 {
+			s.chunks = append(s.chunks, new([statsChunk]uint64))
+		}
+		s.index[name] = i
+		s.names = append(s.names, name)
+		s.quiet = append(s.quiet, quiet)
 	}
-	return p
+	return &s.chunks[i/statsChunk][i%statsChunk]
 }
 
-// Add increments counter name by delta.
-func (s *Stats) Add(name string, delta uint64) {
-	*s.cell(name) += delta
-}
-
-// Inc increments counter name by one.
-func (s *Stats) Inc(name string) { s.Add(name, 1) }
-
-// Set overwrites counter name.
-func (s *Stats) Set(name string, v uint64) { *s.cell(name) = v }
-
-// Get returns the value of counter name, or zero if it was never written.
+// Get returns the value of counter name, or zero if it is not registered.
 func (s *Stats) Get(name string) uint64 {
-	if p, ok := s.counters[name]; ok {
-		return *p
+	if i, ok := s.index[name]; ok {
+		return s.chunks[i/statsChunk][i%statsChunk]
 	}
 	return 0
 }
 
-// Names returns all counter names in sorted order (stable output for reports).
-func (s *Stats) Names() []string {
-	names := make([]string, 0, len(s.counters))
-	for n := range s.counters {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
+// Len returns the number of registered counters.
+func (s *Stats) Len() int { return len(s.names) }
 
-// Snapshot returns a copy of every counter, for diffing across an interval
-// and for checkpoint/restore.
+// Snapshot returns the value of every counter a report lists, by name: all
+// of them but the quiet counters still at zero.
 func (s *Stats) Snapshot() map[string]uint64 {
-	out := make(map[string]uint64, len(s.counters))
-	for k, v := range s.counters {
-		out[k] = *v
+	out := make(map[string]uint64, len(s.names))
+	for i, name := range s.names {
+		if v := s.chunks[i/statsChunk][i%statsChunk]; v != 0 || !s.quiet[i] {
+			out[name] = v
+		}
 	}
 	return out
-}
-
-// Restore resets the registry to a Snapshot. Values are written into the
-// existing cells (so pointers handed out by Counter stay valid); a cell
-// absent from the snapshot is zeroed if Counter handed it out and dropped
-// otherwise, and names present only in the snapshot are re-created. After
-// Restore the registry holds the snapshot's counters plus zero-valued cells
-// for the handles Counter gave out since it was taken — exactly the set a
-// cold run that registered the same handles would hold, so a snapshot taken
-// right after Restore equals the restored one whenever no handle was added.
-func (s *Stats) Restore(snap map[string]uint64) {
-	for name, p := range s.counters {
-		if v, ok := snap[name]; ok {
-			*p = v
-		} else if s.handed[name] {
-			*p = 0
-		} else {
-			delete(s.counters, name)
-		}
-	}
-	for name, v := range snap {
-		if _, ok := s.counters[name]; !ok {
-			*s.cell(name) = v
-		}
-	}
 }

@@ -283,9 +283,7 @@ type Sampler struct {
 	src Sources
 
 	// Cached allocation-free handles, resolved once at construction.
-	hists      []*obs.Histogram
-	repartCell *uint64
-	reconfCell *uint64
+	hists []*obs.Histogram
 
 	mu sync.Mutex
 
@@ -349,10 +347,6 @@ func NewSampler(cfg Config, src Sources) *Sampler {
 	s.prev.cores = make([]prevCore, n)
 	for c := range s.hists {
 		s.hists[c] = src.Probe.Hist(obs.RetireHistName(c)) // nil-safe: nil probe → nil hist
-	}
-	if src.Stats != nil {
-		s.repartCell = src.Stats.Counter("coproc.repartitions")
-		s.reconfCell = src.Stats.Counter("coproc.reconfigures")
 	}
 	return s
 }
@@ -431,9 +425,11 @@ func (s *Sampler) sample(now uint64) {
 	w.Cycles = now - s.prev.cycle
 	s.host[slot] = host
 
+	// Read, never registered: observing a run must not change its
+	// counter registry.
 	var repart, reconf uint64
-	if s.repartCell != nil {
-		repart, reconf = *s.repartCell, *s.reconfCell
+	if st := s.src.Stats; st != nil {
+		repart, reconf = st.Get("coproc.repartitions"), st.Get("coproc.reconfigures")
 	}
 	w.Repartitions = repart - s.prev.repart
 	w.Reconfigures = reconf - s.prev.reconf

@@ -2,6 +2,7 @@ package occamy
 
 import (
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -373,5 +374,44 @@ func TestMachineConfigAPI(t *testing.T) {
 	}
 	if slow.Cycles <= base.Cycles {
 		t.Fatalf("hobbled machine was not slower: %d vs %d", slow.Cycles, base.Cycles)
+	}
+}
+
+// TestTelemetryLeavesRegistriesAlone: observing a run does not change what
+// it reports. With Profile on, Report.Stats and Report.Histograms are the
+// same with windowed sampling as without, on every architecture.
+func TestTelemetryLeavesRegistriesAlone(t *testing.T) {
+	sched := MotivatingPair()
+	for _, a := range Architectures() {
+		cfg := DefaultConfig(a)
+		cfg.Scale = 0.1
+		cfg.Profile = true
+		plain, err := Run(cfg, sched)
+		if err != nil {
+			t.Fatalf("%s: %v", a, err)
+		}
+		cfg.TelemetryWindow = 512
+		sampled, err := Run(cfg, sched)
+		if err != nil {
+			t.Fatalf("%s: %v", a, err)
+		}
+		if sampled.Telemetry == nil {
+			t.Fatalf("%s: TelemetryWindow set but the report has no sampler", a)
+		}
+		if !reflect.DeepEqual(plain.Stats, sampled.Stats) {
+			for name, v := range sampled.Stats {
+				if w, ok := plain.Stats[name]; !ok || w != v {
+					t.Errorf("%s: with telemetry, counter %s = %d (without: %d, listed %v)", a, name, v, w, ok)
+				}
+			}
+			for name := range plain.Stats {
+				if _, ok := sampled.Stats[name]; !ok {
+					t.Errorf("%s: with telemetry, counter %s is not listed", a, name)
+				}
+			}
+		}
+		if !reflect.DeepEqual(plain.Histograms, sampled.Histograms) {
+			t.Errorf("%s: histograms differ with telemetry:\n%q\nwithout:\n%q", a, sampled.Histograms, plain.Histograms)
+		}
 	}
 }
